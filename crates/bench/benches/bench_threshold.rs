@@ -1,8 +1,10 @@
-//! Threshold-analysis cost: full-grid sweeps, constrained suggestion,
-//! AUC parity, and per-group calibration.
+//! Threshold-analysis cost: full-grid sweeps, the shared-curve
+//! distribution audit the serve `calibrate` verb runs, AUC parity, and
+//! per-group calibration.
 
 use fairem_bench::crit::{black_box, BenchmarkId, Criterion};
 use fairem_bench::{criterion_group, criterion_main};
+use fairem_core::calibrate::distribution_audit;
 use fairem_core::fairness::{Disparity, FairnessMeasure};
 use fairem_core::schema::Table;
 use fairem_core::sensitive::{GroupId, GroupSpace, GroupVector, SensitiveAttr};
@@ -42,6 +44,26 @@ fn bench_threshold(c: &mut Criterion) {
                     &space,
                     &groups,
                     FairnessMeasure::TruePositiveRateParity,
+                    &grid,
+                )
+            })
+        });
+    }
+    g.finish();
+
+    let mut g = c.benchmark_group("distribution_audit");
+    g.sample_size(10)
+        .measurement_time(std::time::Duration::from_secs(3));
+    for n in [2_000usize, 20_000] {
+        let (w, space, groups) = setup(n);
+        g.bench_with_input(BenchmarkId::from_parameter(n), &w, |bch, w| {
+            bch.iter(|| {
+                distribution_audit(
+                    black_box(w),
+                    &space,
+                    &groups,
+                    &FairnessMeasure::PAPER_FIVE,
+                    Disparity::Subtraction,
                     &grid,
                 )
             })

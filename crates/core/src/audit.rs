@@ -7,7 +7,7 @@ use crate::fairness::{Disparity, FairnessMeasure, Paradigm};
 use crate::matcher::MatcherFailure;
 use crate::sensitive::{GroupId, GroupSpace};
 use crate::shard::PairCounts;
-use crate::workload::Workload;
+use crate::workload::{GroupConfusions, Workload};
 
 /// Audit configuration (the demo's Step-3 form).
 #[derive(Debug, Clone)]
@@ -135,21 +135,15 @@ impl AuditReport {
 /// integer-valued matrices, so the shared audit loop is bit-for-bit
 /// identical over either source.
 trait ConfusionSource {
-    fn overall(&self) -> ConfusionMatrix;
-    fn group(&self, g: GroupId) -> ConfusionMatrix;
-    fn support(&self, g: GroupId) -> usize;
+    /// The overall matrix plus each listed group's single-paradigm
+    /// matrix and support.
+    fn single(&self, groups: &[GroupId]) -> GroupConfusions;
     fn pairwise(&self, g1: GroupId, g2: GroupId) -> ConfusionMatrix;
 }
 
 impl ConfusionSource for Workload {
-    fn overall(&self) -> ConfusionMatrix {
-        self.overall_confusion()
-    }
-    fn group(&self, g: GroupId) -> ConfusionMatrix {
-        self.group_confusion(g)
-    }
-    fn support(&self, g: GroupId) -> usize {
-        self.group_support(g)
+    fn single(&self, groups: &[GroupId]) -> GroupConfusions {
+        self.group_confusions(groups)
     }
     fn pairwise(&self, g1: GroupId, g2: GroupId) -> ConfusionMatrix {
         self.pairwise_confusion(g1, g2)
@@ -157,14 +151,12 @@ impl ConfusionSource for Workload {
 }
 
 impl ConfusionSource for PairCounts {
-    fn overall(&self) -> ConfusionMatrix {
-        self.overall_confusion()
-    }
-    fn group(&self, g: GroupId) -> ConfusionMatrix {
-        self.group_confusion(g)
-    }
-    fn support(&self, g: GroupId) -> usize {
-        self.group_support(g)
+    fn single(&self, groups: &[GroupId]) -> GroupConfusions {
+        GroupConfusions {
+            overall: self.overall_confusion(),
+            groups: groups.iter().map(|&g| self.group_confusion(g)).collect(),
+            support: groups.iter().map(|&g| self.group_support(g)).collect(),
+        }
     }
     fn pairwise(&self, g1: GroupId, g2: GroupId) -> ConfusionMatrix {
         self.pairwise_confusion(g1, g2)
@@ -215,13 +207,12 @@ impl Auditor {
         matching_threshold: f64,
         space: &GroupSpace,
     ) -> AuditReport {
-        let overall = source.overall();
         let mut entries = Vec::new();
         match self.config.paradigm {
             Paradigm::Single => {
-                for g in space.ids() {
-                    let cm = source.group(g);
-                    let support = source.support(g);
+                let groups: Vec<GroupId> = space.ids().collect();
+                let counts = source.single(&groups);
+                for (i, &g) in groups.iter().enumerate() {
                     for &measure in &self.config.measures {
                         entries.push(self.entry(
                             matcher,
@@ -229,14 +220,15 @@ impl Auditor {
                             space.name(g).to_owned(),
                             g,
                             None,
-                            measure.value(&overall),
-                            measure.value(&cm),
-                            support,
+                            measure.value(&counts.overall),
+                            measure.value(&counts.groups[i]),
+                            counts.support[i],
                         ));
                     }
                 }
             }
             Paradigm::Pairwise => {
+                let overall = source.single(&[]).overall;
                 let groups = space.level1_of_attr(self.config.pairwise_attr);
                 for (i, &g1) in groups.iter().enumerate() {
                     for &g2 in &groups[i..] {

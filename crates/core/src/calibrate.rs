@@ -14,11 +14,11 @@
 
 use fairem_calib::{CalibrationSpec, GroupCalibrator};
 use fairem_par::{CancelToken, Interrupt, WorkerPool};
-use fairem_stats::{ks_distance, trapezoid, wasserstein_1};
+use fairem_stats::{ks_distance_sorted, trapezoid, wasserstein_1_sorted};
 
 use crate::fairness::{Disparity, FairnessMeasure};
 use crate::sensitive::{GroupId, GroupSpace};
-use crate::threshold::sweep;
+use crate::threshold::{grid_confusions, sweep_counts};
 use crate::workload::{Correspondence, Workload};
 
 /// Assign each correspondence to the first group (in `groups` order)
@@ -149,8 +149,13 @@ impl DistributionAudit {
 /// insufficient-support convention) and the trapezoid-swept fairness
 /// area of each measure over `grid`.
 ///
+/// The overall score sample is sorted once for every group's
+/// distances, and one [`grid_confusions`] pass serves the curves of
+/// every measure.
+///
 /// # Panics
-/// If the workload is empty or `grid` has fewer than two points.
+/// If the workload is empty, `grid` has fewer than two points, or a
+/// grid point is outside `[0, 1]`.
 pub fn distribution_audit(
     workload: &Workload,
     space: &GroupSpace,
@@ -161,22 +166,24 @@ pub fn distribution_audit(
 ) -> DistributionAudit {
     assert!(!workload.items.is_empty(), "cannot audit an empty workload");
     assert!(grid.len() >= 2, "fairness area needs at least two grid points");
-    let overall: Vec<f64> = workload.items.iter().map(|c| c.score).collect();
+    let mut overall: Vec<f64> = workload.items.iter().map(|c| c.score).collect();
+    overall.sort_by(f64::total_cmp);
     let entries = groups
         .iter()
         .map(|&g| {
-            let group_scores: Vec<f64> = workload
+            let mut group_scores: Vec<f64> = workload
                 .items
                 .iter()
                 .filter(|c| c.left.contains(g) || c.right.contains(g))
                 .map(|c| c.score)
                 .collect();
+            group_scores.sort_by(f64::total_cmp);
             let (ks, wasserstein) = if group_scores.is_empty() {
                 (f64::NAN, f64::NAN)
             } else {
                 (
-                    ks_distance(&group_scores, &overall),
-                    wasserstein_1(&group_scores, &overall),
+                    ks_distance_sorted(&group_scores, &overall),
+                    wasserstein_1_sorted(&group_scores, &overall),
                 )
             };
             DistributionEntry {
@@ -187,15 +194,15 @@ pub fn distribution_audit(
             }
         })
         .collect();
+    let counts = grid_confusions(&workload.items, groups, grid);
     let width = grid[grid.len() - 1] - grid[0];
     let areas = measures
         .iter()
         .map(|&measure| {
-            let sw = sweep(workload, space, groups, measure, grid);
-            let disparities = sw.max_disparity(disparity);
+            let sw = sweep_counts(&counts, space, groups, measure, grid);
             FairnessArea {
                 measure,
-                area: trapezoid(grid, &disparities) / width,
+                area: trapezoid(grid, &sw.max_disparity(disparity)) / width,
             }
         })
         .collect();

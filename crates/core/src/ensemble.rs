@@ -8,7 +8,7 @@ use fairem_par::{CancelToken, Interrupt, ParOutcome, Parallelism, WorkerPool};
 
 use crate::fairness::{Disparity, FairnessMeasure};
 use crate::sensitive::{GroupId, GroupSpace};
-use crate::workload::Workload;
+use crate::workload::{GroupConfusions, Workload};
 
 /// One ensemble strategy: a matcher per group, with its aggregate
 /// fairness and performance.
@@ -63,25 +63,27 @@ impl EnsembleExplorer {
     ) -> EnsembleExplorer {
         assert!(!matcher_workloads.is_empty(), "need at least one matcher");
         assert!(!groups.is_empty(), "need at least one group");
-        let mut values = Vec::with_capacity(matcher_workloads.len());
-        for (_name, w) in matcher_workloads {
-            let row: Vec<f64> = groups
-                .iter()
-                .map(|&g| {
-                    let v = measure.value(&w.group_confusion(g));
-                    if v.is_finite() {
-                        v
-                    } else {
-                        f64::NAN
-                    }
-                })
-                .collect();
-            values.push(row);
-        }
-        let supports = groups
+        let counts: Vec<GroupConfusions> = matcher_workloads
             .iter()
-            .map(|&g| matcher_workloads[0].1.group_support(g) as f64)
+            .map(|(_name, w)| w.group_confusions(groups))
             .collect();
+        let values = counts
+            .iter()
+            .map(|c| {
+                c.groups
+                    .iter()
+                    .map(|cm| {
+                        let v = measure.value(cm);
+                        if v.is_finite() {
+                            v
+                        } else {
+                            f64::NAN
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let supports = counts[0].support.iter().map(|&s| s as f64).collect();
         EnsembleExplorer {
             matchers: matcher_workloads.iter().map(|(n, _)| n.clone()).collect(),
             groups: groups.iter().map(|&g| space.name(g).to_owned()).collect(),

@@ -34,6 +34,7 @@ use crate::quarantine::QuarantineReport;
 use crate::schema::{SchemaError, Table};
 use crate::sensitive::{GroupId, GroupSpace, GroupVector, SensitiveAttr};
 use crate::shard::{window_len, PairCounts, ShardPlan, ShardPolicy};
+use crate::threshold::{default_grid, grid_confusions};
 use crate::workload::{Correspondence, Workload};
 
 /// Suite-wide configuration.
@@ -1578,12 +1579,23 @@ impl Session {
             return Ok(self.matching_threshold);
         }
         let scores = m.score_batch(&self.valid_features, &self.valid_tokens);
-        let truths: Vec<bool> = self.valid_labels.iter().map(|&y| y == 1.0).collect();
+        let items: Vec<Correspondence> = scores
+            .into_iter()
+            .zip(&self.valid_labels)
+            .map(|(score, &y)| Correspondence {
+                a_row: 0,
+                b_row: 0,
+                score,
+                truth: y == 1.0,
+                left: GroupVector::default(),
+                right: GroupVector::default(),
+            })
+            .collect();
+        let grid = default_grid();
+        let counts = grid_confusions(&items, &[], &grid);
         let mut best: Option<(f64, f64)> = None; // (f1, threshold)
-        for i in 1..100 {
-            let t = i as f64 / 100.0;
-            let preds: Vec<bool> = scores.iter().map(|&s| s >= t).collect();
-            let f1 = fairem_ml::f1_score(&preds, &truths);
+        for (at, &t) in counts.iter().zip(&grid) {
+            let f1 = at.overall.f1();
             if f1.is_finite() && best.is_none_or(|(bf, _)| f1 > bf) {
                 best = Some((f1, t));
             }

@@ -6,9 +6,10 @@
 
 use fairem_ml::{auc_roc, PlattScaler};
 
+use crate::confusion::ConfusionMatrix;
 use crate::fairness::{Disparity, FairnessMeasure};
 use crate::sensitive::{GroupId, GroupSpace};
-use crate::workload::Workload;
+use crate::workload::{Correspondence, GroupConfusions, Workload};
 
 /// Measure values per group across a threshold grid.
 #[derive(Debug, Clone)]
@@ -58,10 +59,110 @@ impl ThresholdSweep {
     }
 }
 
+/// Count the overall and per-group confusion matrices of `items` at
+/// every point of `grid` in one pass; entry `k` is the count at
+/// `grid[k]`, which may be unsorted and hold duplicates.
+///
+/// Each correspondence lands in bucket `b`, the number of grid points
+/// it clears (`score >= t`; a NaN score clears none), and adds its
+/// weight to its truth class's bucket: 1 overall and, for each listed
+/// group among the set bits of `left | right`, 1 per member side (the
+/// both-sides rule). A correspondence is predicted a match at the
+/// `j`-th smallest grid point iff `b > j`, so suffix sums over the
+/// buckets give every cell at every grid point. Cells are integer sums
+/// converted once to `f64`, which is exact, so each matrix is
+/// bit-identical to recounting the workload at that threshold.
+///
+/// # Panics
+/// If the grid is empty, a grid point is outside `[0, 1]`, or a group
+/// id is 64 or more.
+pub fn grid_confusions(
+    items: &[Correspondence],
+    groups: &[GroupId],
+    grid: &[f64],
+) -> Vec<GroupConfusions> {
+    assert!(!grid.is_empty(), "threshold grid must be non-empty");
+    for &t in grid {
+        assert!((0.0..=1.0).contains(&t), "threshold must be in [0,1]");
+    }
+    let mut sorted = grid.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let buckets = sorted.len() + 1;
+
+    // Slot 0 tallies the overall matrix; each distinct listed group bit
+    // gets the next slot.
+    let mut slot_of_bit = [0usize; 64];
+    let mut slots = 1;
+    let mut mask = 0u64;
+    let group_slots: Vec<usize> = groups
+        .iter()
+        .map(|g| {
+            let bit = g.0 as usize;
+            if slot_of_bit[bit] == 0 {
+                slot_of_bit[bit] = slots;
+                slots += 1;
+                mask |= 1 << bit;
+            }
+            slot_of_bit[bit]
+        })
+        .collect();
+
+    // cells[(slot * 2 + truth) * buckets + bucket]: summed weights.
+    let mut cells = vec![0u64; slots * 2 * buckets];
+    let mut support = vec![0usize; slots];
+    for c in items {
+        let bucket = sorted.partition_point(|&t| t <= c.score);
+        let truth = usize::from(c.truth);
+        cells[truth * buckets + bucket] += 1;
+        let mut bits = (c.left.0 | c.right.0) & mask;
+        while bits != 0 {
+            let bit = bits.trailing_zeros();
+            bits &= bits - 1;
+            let slot = slot_of_bit[bit as usize];
+            let weight = (c.left.0 >> bit & 1) + (c.right.0 >> bit & 1);
+            cells[(slot * 2 + truth) * buckets + bucket] += weight;
+            support[slot] += 1;
+        }
+    }
+
+    // matrices[slot][j]: the slot's matrix at the j-th smallest grid point.
+    let matrices: Vec<Vec<ConfusionMatrix>> = cells
+        .chunks_exact(2 * buckets)
+        .map(|slot| {
+            let (neg, pos) = slot.split_at(buckets);
+            let (negatives, positives) = (neg.iter().sum::<u64>(), pos.iter().sum::<u64>());
+            let (mut fp, mut tp) = (0u64, 0u64);
+            let mut at = vec![ConfusionMatrix::default(); sorted.len()];
+            for j in (0..sorted.len()).rev() {
+                fp += neg[j + 1];
+                tp += pos[j + 1];
+                at[j] = ConfusionMatrix {
+                    tp: tp as f64,
+                    fp: fp as f64,
+                    fn_: (positives - tp) as f64,
+                    tn: (negatives - fp) as f64,
+                };
+            }
+            at
+        })
+        .collect();
+    grid.iter()
+        .map(|&t| {
+            // Copies of `t` read alike: no score clears one but not the next.
+            let j = sorted.partition_point(|&u| u < t);
+            GroupConfusions {
+                overall: matrices[0][j],
+                groups: group_slots.iter().map(|&s| matrices[s][j]).collect(),
+                support: group_slots.iter().map(|&s| support[s]).collect(),
+            }
+        })
+        .collect()
+}
+
 /// Sweep a measure across a threshold grid for the given groups.
 ///
 /// # Panics
-/// If the grid is empty.
+/// If the grid is empty or a grid point is outside `[0, 1]`.
 pub fn sweep(
     workload: &Workload,
     space: &GroupSpace,
@@ -69,24 +170,34 @@ pub fn sweep(
     measure: FairnessMeasure,
     grid: &[f64],
 ) -> ThresholdSweep {
-    assert!(!grid.is_empty(), "threshold grid must be non-empty");
-    let mut overall = Vec::with_capacity(grid.len());
-    let mut per_group: Vec<(String, Vec<f64>)> = groups
-        .iter()
-        .map(|&g| (space.name(g).to_owned(), Vec::with_capacity(grid.len())))
-        .collect();
-    for &t in grid {
-        let w = workload.with_threshold(t);
-        overall.push(measure.value(&w.overall_confusion()));
-        for (gi, &g) in groups.iter().enumerate() {
-            per_group[gi].1.push(measure.value(&w.group_confusion(g)));
-        }
-    }
+    let counts = grid_confusions(&workload.items, groups, grid);
+    sweep_counts(&counts, space, groups, measure, grid)
+}
+
+/// The sweep of one measure read off counts from [`grid_confusions`],
+/// so several measures share one counting pass.
+pub(crate) fn sweep_counts(
+    counts: &[GroupConfusions],
+    space: &GroupSpace,
+    groups: &[GroupId],
+    measure: FairnessMeasure,
+    grid: &[f64],
+) -> ThresholdSweep {
     ThresholdSweep {
         measure,
         thresholds: grid.to_vec(),
-        overall,
-        per_group,
+        overall: counts.iter().map(|c| measure.value(&c.overall)).collect(),
+        per_group: groups
+            .iter()
+            .enumerate()
+            .map(|(gi, &g)| {
+                let values = counts
+                    .iter()
+                    .map(|c| measure.value(&c.groups[gi]))
+                    .collect();
+                (space.name(g).to_owned(), values)
+            })
+            .collect(),
     }
 }
 
@@ -107,14 +218,14 @@ pub fn suggest_threshold(
     fairness_threshold: f64,
     grid: &[f64],
 ) -> Option<f64> {
-    let sw = sweep(workload, space, groups, measure, grid);
-    let disparities = sw.max_disparity(disparity);
+    let counts = grid_confusions(&workload.items, groups, grid);
+    let disparities = sweep_counts(&counts, space, groups, measure, grid).max_disparity(disparity);
     let mut best: Option<(f64, f64)> = None; // (f1, threshold)
     for (i, &t) in grid.iter().enumerate() {
         if disparities[i] > fairness_threshold {
             continue;
         }
-        let f1 = workload.with_threshold(t).overall_confusion().f1();
+        let f1 = counts[i].overall.f1();
         if f1.is_finite() && best.is_none_or(|(bf, _)| f1 > bf) {
             best = Some((f1, t));
         }

@@ -12,6 +12,7 @@ use fairem_rng::{Rng, SeedableRng};
 
 use crate::confusion::ConfusionMatrix;
 use crate::sensitive::{GroupId, GroupVector};
+use crate::threshold::grid_confusions;
 
 /// One scored record pair with ground truth and group encodings.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,6 +29,20 @@ pub struct Correspondence {
     pub left: GroupVector,
     /// Group encoding of the right entity.
     pub right: GroupVector,
+}
+
+/// The confusion matrices one counting pass yields: the workload-wide
+/// matrix plus, for each requested group, its single-paradigm matrix
+/// (both-sides rule) and its support. See [`Workload::group_confusions`]
+/// and [`crate::threshold::grid_confusions`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct GroupConfusions {
+    /// Every correspondence counted once.
+    pub overall: ConfusionMatrix,
+    /// One matrix per requested group, index-aligned with the request.
+    pub groups: Vec<ConfusionMatrix>,
+    /// Correspondences legitimate for each requested group.
+    pub support: Vec<usize>,
 }
 
 /// A workload: correspondences plus the matching threshold that turns
@@ -77,25 +92,27 @@ impl Workload {
     /// Confusion matrix over the whole workload (each correspondence
     /// counted once) — the reference `Pr(α | β)` side of the parity.
     pub fn overall_confusion(&self) -> ConfusionMatrix {
-        let mut cm = ConfusionMatrix::default();
-        for c in &self.items {
-            cm.record(self.prediction(c), c.truth, 1.0);
-        }
-        cm
+        self.group_confusions(&[]).overall
     }
 
-    /// Single-paradigm group confusion matrix: a correspondence is
+    /// The overall matrix plus every listed group's single-paradigm
+    /// matrix and support, from one scan: each correspondence visits
+    /// only the set bits of `left | right`. A correspondence is
     /// legitimate for `g` if either side belongs to `g`, and it counts
     /// once per member side (the both-sides rule).
+    ///
+    /// # Panics
+    /// If a group id is 64 or more.
+    pub fn group_confusions(&self, groups: &[GroupId]) -> GroupConfusions {
+        // One grid point, the workload's own threshold: the grid count
+        // at `t` is exactly the prediction `score >= t`.
+        grid_confusions(&self.items, groups, &[self.threshold]).swap_remove(0)
+    }
+
+    /// Single-paradigm group confusion matrix of one group; see
+    /// [`Workload::group_confusions`].
     pub fn group_confusion(&self, g: GroupId) -> ConfusionMatrix {
-        let mut cm = ConfusionMatrix::default();
-        for c in &self.items {
-            let weight = f64::from(c.left.contains(g)) + f64::from(c.right.contains(g));
-            if weight > 0.0 {
-                cm.record(self.prediction(c), c.truth, weight);
-            }
-        }
-        cm
+        self.group_confusions(&[g]).groups[0]
     }
 
     /// Ablation variant of [`Workload::group_confusion`]: count each
@@ -132,10 +149,7 @@ impl Workload {
     /// Number of correspondences legitimate for `g` under the single
     /// paradigm (support; used to flag insufficient data).
     pub fn group_support(&self, g: GroupId) -> usize {
-        self.items
-            .iter()
-            .filter(|c| c.left.contains(g) || c.right.contains(g))
-            .count()
+        self.group_confusions(&[g]).support[0]
     }
 
     /// Bootstrap-resample a workload of the same size (sampling

@@ -108,6 +108,16 @@ impl SessionSpec {
         )
     }
 
+    /// Token-blocking column for the spec's generator: the citation and
+    /// product tables have no `name` column, so they block on `title`
+    /// (the CLI's `--blocking title`).
+    fn blocking_column(&self) -> &'static str {
+        match self.dataset.as_str() {
+            "citations" | "products" => "title",
+            _ => "name",
+        }
+    }
+
     fn generate(&self) -> GeneratedDataset {
         match self.dataset.as_str() {
             "products" => {
@@ -414,13 +424,14 @@ fn build_session(
         .iter()
         .map(SensitiveAttr::categorical)
         .collect();
-    let config = SuiteConfig {
+    let mut config = SuiteConfig {
         matching_threshold: spec.threshold,
         parallelism,
         cancel: cancel.clone(),
         observe: observe.clone(),
         ..SuiteConfig::fast()
     };
+    config.prep.blocking_columns = vec![spec.blocking_column().to_owned()];
     let mut builder = FairEm360::builder()
         .tables(data.table_a, data.table_b)
         .ground_truth(data.matches)
@@ -524,6 +535,27 @@ mod tests {
             Err(OpenError::Full { max }) => assert_eq!(max, 1),
             other => panic!("expected Full, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn every_dataset_opens_materialized_and_sharded() {
+        let reg = SessionRegistry::new(8);
+        let token = CancelToken::with_budget(Budget::UNLIMITED);
+        let rec = Recorder::disabled();
+        for dataset in ["faculty", "products", "citations", "noflycompas"] {
+            let spec = SessionSpec::resolve(dataset, 0, &[], 0.5, 1).expect("valid spec");
+            let (entry, _) = reg
+                .get_or_build(&spec, Parallelism::Fixed(1), &token, &rec)
+                .unwrap_or_else(|e| panic!("{dataset} does not open: {e:?}"));
+            assert!(entry.session.as_full().is_some(), "{dataset}");
+            assert!(entry.session.test_size() > 0, "{dataset}");
+        }
+        let sharded = SessionSpec::resolve("citations", 0, &[], 0.5, 2).expect("valid spec");
+        let (entry, _) = reg
+            .get_or_build(&sharded, Parallelism::Fixed(1), &token, &rec)
+            .unwrap_or_else(|e| panic!("sharded citations does not open: {e:?}"));
+        assert!(matches!(entry.session, ServedSession::Sharded(_)));
+        assert!(entry.session.test_size() > 0);
     }
 
     fn counter(rec: &Recorder, name: &str) -> u64 {

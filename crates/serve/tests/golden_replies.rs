@@ -88,10 +88,7 @@ fn line(session: &str, req: &str, body: &str) -> String {
 fn check(session: &str, open: &str, sharded: bool) {
     let replies = replay(&script(open, sharded));
     let prefix = format!("{session} | ");
-    let expected: Vec<&str> = FIXTURE
-        .lines()
-        .filter(|l| l.starts_with(&prefix))
-        .collect();
+    let expected: Vec<&str> = FIXTURE.lines().filter(|l| l.starts_with(&prefix)).collect();
     let actual: Vec<String> = replies
         .iter()
         .map(|(req, body)| line(session, req, body))
@@ -122,7 +119,10 @@ fn check(session: &str, open: &str, sharded: bool) {
 }
 
 fn open(dataset: &str, seed: u64, shards: usize) -> String {
-    let mut req = format!("open dataset={dataset} seed={seed} matchers={}", MATCHERS.join(","));
+    let mut req = format!(
+        "open dataset={dataset} seed={seed} matchers={}",
+        MATCHERS.join(",")
+    );
     if shards > 1 {
         req.push_str(&format!(" shards={shards}"));
     }

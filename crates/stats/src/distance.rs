@@ -12,6 +12,11 @@
 //! non-finite values still produce a deterministic (if meaningless)
 //! answer — callers are expected to clamp scores to `[0, 1]` upstream,
 //! as the matcher boundary contract already guarantees.
+//!
+//! [`ks_distance_sorted`] and [`wasserstein_1_sorted`] take samples the
+//! caller already sorted, so comparing many groups against one
+//! reference sorts the reference once; the unsorted entries sort and
+//! delegate to them, so both give the same bits.
 
 use std::cmp::Ordering;
 
@@ -22,12 +27,27 @@ use std::cmp::Ordering;
 /// # Panics
 /// If either sample is empty.
 pub fn ks_distance(a: &[f64], b: &[f64]) -> f64 {
-    assert!(!a.is_empty() && !b.is_empty(), "ks_distance needs non-empty samples");
-    let (sa, sb) = (sorted(a), sorted(b));
+    ks_distance_sorted(&sorted(a), &sorted(b))
+}
+
+/// [`ks_distance`] of two samples already sorted ascending under
+/// `total_cmp`.
+///
+/// # Panics
+/// If either sample is empty (debug builds also check the order).
+pub fn ks_distance_sorted(sa: &[f64], sb: &[f64]) -> f64 {
+    assert!(
+        !sa.is_empty() && !sb.is_empty(),
+        "ks_distance needs non-empty samples"
+    );
+    debug_assert!(
+        is_sorted(sa) && is_sorted(sb),
+        "ks_distance_sorted needs sorted samples"
+    );
     let (n, m) = (sa.len() as f64, sb.len() as f64);
     let (mut i, mut j, mut d) = (0usize, 0usize, 0.0f64);
     while i < sa.len() || j < sb.len() {
-        let x = next_breakpoint(&sa, i, &sb, j);
+        let x = next_breakpoint(sa, i, sb, j);
         while i < sa.len() && sa[i].total_cmp(&x) == Ordering::Equal {
             i += 1;
         }
@@ -51,13 +71,28 @@ pub fn ks_distance(a: &[f64], b: &[f64]) -> f64 {
 /// # Panics
 /// If either sample is empty.
 pub fn wasserstein_1(a: &[f64], b: &[f64]) -> f64 {
-    assert!(!a.is_empty() && !b.is_empty(), "wasserstein_1 needs non-empty samples");
-    let (sa, sb) = (sorted(a), sorted(b));
+    wasserstein_1_sorted(&sorted(a), &sorted(b))
+}
+
+/// [`wasserstein_1`] of two samples already sorted ascending under
+/// `total_cmp`.
+///
+/// # Panics
+/// If either sample is empty (debug builds also check the order).
+pub fn wasserstein_1_sorted(sa: &[f64], sb: &[f64]) -> f64 {
+    assert!(
+        !sa.is_empty() && !sb.is_empty(),
+        "wasserstein_1 needs non-empty samples"
+    );
+    debug_assert!(
+        is_sorted(sa) && is_sorted(sb),
+        "wasserstein_1_sorted needs sorted samples"
+    );
     let (n, m) = (sa.len() as f64, sb.len() as f64);
     let (mut i, mut j, mut total) = (0usize, 0usize, 0.0f64);
     let mut prev: Option<f64> = None;
     while i < sa.len() || j < sb.len() {
-        let x = next_breakpoint(&sa, i, &sb, j);
+        let x = next_breakpoint(sa, i, sb, j);
         if let Some(p) = prev {
             // CDFs are constant on (p, x): height set by counts consumed so far.
             total += (i as f64 / n - j as f64 / m).abs() * (x - p);
@@ -96,6 +131,10 @@ fn sorted(v: &[f64]) -> Vec<f64> {
     let mut s = v.to_vec();
     s.sort_by(f64::total_cmp);
     s
+}
+
+fn is_sorted(v: &[f64]) -> bool {
+    v.is_sorted_by(|a, b| a.total_cmp(b).is_le())
 }
 
 /// Smallest unconsumed value across both sorted samples.
