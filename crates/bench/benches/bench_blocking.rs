@@ -1,11 +1,13 @@
 //! Blocking cost and recall trade-off: token blocking vs
-//! sorted-neighborhood on FacultyMatch (DESIGN.md §4 ablation).
+//! sorted-neighborhood on FacultyMatch (DESIGN.md §4 ablation), plus
+//! token blocking on Citations titles, the dense-overlap case where
+//! candidate emission dominates.
 
 use fairem_bench::crit::{black_box, Criterion};
 use fairem_bench::{criterion_group, criterion_main};
 use fairem_core::blocking::{blocking_recall, sorted_neighborhood, token_blocking};
 use fairem_core::schema::Table;
-use fairem_datasets::{faculty_match, FacultyConfig};
+use fairem_datasets::{citations, faculty_match, CitationsConfig, FacultyConfig};
 
 fn bench_blocking(c: &mut Criterion) {
     let d = faculty_match(&FacultyConfig::default());
@@ -28,6 +30,14 @@ fn bench_blocking(c: &mut Criterion) {
     });
     g.bench_function("sorted_neighborhood_w10", |bch| {
         bch.iter(|| sorted_neighborhood(black_box(&a), black_box(&b), "name", 10))
+    });
+    // Titles share many words, so most candidates are emitted by
+    // several tokens: emission and dedup, not indexing, dominate.
+    let c = citations(&CitationsConfig::default());
+    let ca = Table::from_csv(c.table_a.clone()).unwrap();
+    let cb = Table::from_csv(c.table_b.clone()).unwrap();
+    g.bench_function("token_citations_title", |bch| {
+        bch.iter(|| token_blocking(black_box(&ca), black_box(&cb), &["title"], 200))
     });
     g.finish();
 

@@ -10,10 +10,15 @@
 //!
 //! Token blocking runs as an interned batch kernel: every token is
 //! mapped to a dense `u32` id once (`TokenInterner`), per-row dedup
-//! uses a stamp array instead of a per-row hash set, and pair emission
-//! fans out over the [`Exec`] pool in coarse token-id chunks. The
-//! candidate set is identical to the naive string-keyed formulation —
-//! the final sort + dedup makes emission order immaterial.
+//! uses a stamp array instead of a per-row hash set, and emission fans
+//! out over the [`Exec`] pool row-major, in chunks of A rows. Each A
+//! row collects the B rows of its eligible tokens once (a stamp array
+//! over B rows) and sorts that short list, so the rows concatenate
+//! into a list that is sorted and duplicate-free by construction: no
+//! token's cross-product is materialized and no global sort runs. The
+//! test module's `naive_token_blocking`, the string-keyed
+//! cross-product-then-sort formulation, is the reference the kernel
+//! must reproduce exactly.
 
 use std::collections::HashSet;
 
@@ -87,45 +92,69 @@ pub fn token_blocking(a: &Table, b: &Table, columns: &[&str], max_block: usize) 
     token_blocking_exec(a, b, columns, max_block, &Exec::sequential())
 }
 
-/// One side's inverted index over interned token ids: `rows_of[id]` are
-/// the rows containing token `id` (increasing, duplicate-free).
-fn index_side(t: &Table, columns: &[&str], interner: &mut TokenInterner) -> Vec<Vec<u32>> {
-    let cols: Vec<usize> = columns
-        .iter()
-        .map(|c| {
-            t.column_index(c)
-                // fairem: allow(panic) — documented contract: blocking columns come from validated config
-                .unwrap_or_else(|| panic!("blocking column {c:?} missing"))
-        })
-        .collect();
-    let mut rows_of: Vec<Vec<u32>> = vec![Vec::new(); interner.len()];
-    // Per-row token dedup via a stamp array over token ids (`row + 1`
-    // marks "seen in this row"; 0 is never a stamp).
-    let mut stamp: Vec<u32> = vec![0; interner.len()];
-    for row in 0..t.len() {
-        for &c in &cols {
-            for tok in word_tokens(t.value(row, c)) {
-                let id = interner.intern(&tok) as usize;
-                if rows_of.len() <= id {
-                    rows_of.resize(id + 1, Vec::new());
-                    stamp.resize(id + 1, 0);
-                }
-                if stamp[id] != row as u32 + 1 {
-                    stamp[id] = row as u32 + 1;
-                    rows_of[id].push(row as u32);
+/// One side's token index over interned ids.
+struct SideIndex {
+    /// `rows_of[id]`: the rows containing token `id` (increasing,
+    /// duplicate-free).
+    rows_of: Vec<Vec<u32>>,
+    /// Row `r`'s distinct token ids, first occurrence first, are
+    /// `tokens[row_off[r]..row_off[r + 1]]`.
+    tokens: Vec<u32>,
+    row_off: Vec<usize>,
+}
+
+impl SideIndex {
+    fn build(t: &Table, columns: &[&str], interner: &mut TokenInterner) -> SideIndex {
+        let cols: Vec<usize> = columns
+            .iter()
+            .map(|c| {
+                t.column_index(c)
+                    // fairem: allow(panic) — documented contract: blocking columns come from validated config
+                    .unwrap_or_else(|| panic!("blocking column {c:?} missing"))
+            })
+            .collect();
+        let mut index = SideIndex {
+            rows_of: vec![Vec::new(); interner.len()],
+            tokens: Vec::new(),
+            row_off: vec![0],
+        };
+        // Per-row token dedup via a stamp array over token ids (`row + 1`
+        // marks "seen in this row"; 0 is never a stamp).
+        let mut stamp: Vec<u32> = vec![0; interner.len()];
+        for row in 0..t.len() {
+            for &c in &cols {
+                for tok in word_tokens(t.value(row, c)) {
+                    let id = interner.intern(&tok);
+                    let at = id as usize;
+                    if index.rows_of.len() <= at {
+                        index.rows_of.resize(at + 1, Vec::new());
+                        stamp.resize(at + 1, 0);
+                    }
+                    if stamp[at] != row as u32 + 1 {
+                        stamp[at] = row as u32 + 1;
+                        index.rows_of[at].push(row as u32);
+                        index.tokens.push(id);
+                    }
                 }
             }
+            index.row_off.push(index.tokens.len());
         }
+        index
     }
-    rows_of
+
+    fn tokens_of(&self, row: usize) -> &[u32] {
+        &self.tokens[self.row_off[row]..self.row_off[row + 1]]
+    }
 }
 
 /// The interned token-blocking kernel behind [`token_blocking`] and
-/// [`TokenBlocking`]: index both sides over one interner, pick the
-/// token ids passing the stop-token guard, and emit each id's cross
-/// product over the pool in token-id chunks. Sorting + deduping the
-/// union makes the result independent of emission order, hence
-/// identical for every worker count.
+/// [`TokenBlocking`]: index both sides over one interner, mark the
+/// token ids passing the stop-token guard, then emit row-major over the
+/// pool. Each A row unions the B rows of its eligible tokens through
+/// its chunk's stamp array over B rows and sorts that short list, so
+/// the rows concatenate, in row order, into the sorted duplicate-free
+/// candidate list — identical for every worker count, with no
+/// cross-product ever materialized.
 fn token_blocking_exec(
     a: &Table,
     b: &Table,
@@ -135,34 +164,58 @@ fn token_blocking_exec(
 ) -> CandidatePairs {
     assert!(!columns.is_empty(), "blocking needs at least one column");
     let mut interner = TokenInterner::new();
-    let ia = index_side(a, columns, &mut interner);
-    let ib = index_side(b, columns, &mut interner);
-    let eligible: Vec<usize> = (0..ia.len())
-        .filter(|&id| {
-            let rows_a = &ia[id];
-            let Some(rows_b) = ib.get(id) else {
-                return false;
-            };
-            !rows_a.is_empty()
-                && !rows_b.is_empty()
-                && rows_a.len() * rows_b.len() <= max_block * max_block
+    let ia = SideIndex::build(a, columns, &mut interner);
+    let ib = SideIndex::build(b, columns, &mut interner);
+    // Saturating: a guard of 2^32 or more admits every block rather
+    // than wrapping to a tiny bound.
+    let max_pairs = max_block.saturating_mul(max_block);
+    let eligible: Vec<bool> = ia
+        .rows_of
+        .iter()
+        .enumerate()
+        .map(|(id, rows_a)| {
+            ib.rows_of.get(id).is_some_and(|rows_b| {
+                !rows_a.is_empty()
+                    && !rows_b.is_empty()
+                    && rows_a.len().saturating_mul(rows_b.len()) <= max_pairs
+            })
         })
         .collect();
-    exec.recorder.add("blocking.tokens", eligible.len() as u64);
-    let chunks = exec.pool.par_map(eligible.len(), |k| {
-        let id = eligible[k];
-        let (rows_a, rows_b) = (&ia[id], &ib[id]);
-        let mut part = Vec::with_capacity(rows_a.len() * rows_b.len());
-        for &ra in rows_a {
-            for &rb in rows_b {
-                part.push((ra as usize, rb as usize));
+    exec.recorder.add(
+        "blocking.tokens",
+        eligible.iter().filter(|&&e| e).count() as u64,
+    );
+    // Chunks of A rows, about four per worker. Each chunk owns a stamp
+    // per B row (`a_row + 1` marks "already linked to this A row"; 0 is
+    // never a stamp).
+    let rows_per_chunk = a.len().div_ceil(4 * exec.pool.workers()).max(1);
+    let chunks = exec.pool.par_map(a.len().div_ceil(rows_per_chunk), |k| {
+        let mut stamp = vec![0u32; b.len()];
+        let mut linked: Vec<u32> = Vec::new();
+        let rows = k * rows_per_chunk..((k + 1) * rows_per_chunk).min(a.len());
+        rows.map(|ra| {
+            linked.clear();
+            for &id in ia.tokens_of(ra) {
+                if !eligible[id as usize] {
+                    continue;
+                }
+                for &rb in &ib.rows_of[id as usize] {
+                    if stamp[rb as usize] != ra as u32 + 1 {
+                        stamp[rb as usize] = ra as u32 + 1;
+                        linked.push(rb);
+                    }
+                }
             }
-        }
-        part
+            linked.sort_unstable();
+            linked.to_vec()
+        })
+        .collect::<Vec<Vec<u32>>>()
     });
-    let mut out: CandidatePairs = chunks.into_iter().flatten().collect();
-    out.sort_unstable();
-    out.dedup();
+    let per_row: Vec<Vec<u32>> = chunks.into_iter().flatten().collect();
+    let mut out = Vec::with_capacity(per_row.iter().map(Vec::len).sum());
+    for (ra, linked) in per_row.iter().enumerate() {
+        out.extend(linked.iter().map(|&rb| (ra, rb as usize)));
+    }
     out
 }
 
@@ -259,6 +312,7 @@ mod tests {
     use super::*;
     use fairem_csvio::parse_csv_str;
     use fairem_par::WorkerPool;
+    use fairem_rng::check::{cases, Gen};
 
     /// The pre-interning string-keyed formulation, kept as the
     /// reference the kernel must reproduce exactly.
@@ -292,7 +346,7 @@ mod tests {
         let mut out: CandidatePairs = Vec::new();
         for (tok, rows_a) in &ia {
             let Some(rows_b) = ib.get(tok) else { continue };
-            if rows_a.len() * rows_b.len() > max_block * max_block {
+            if rows_a.len().saturating_mul(rows_b.len()) > max_block.saturating_mul(max_block) {
                 continue;
             }
             for &ra in rows_a {
@@ -360,37 +414,77 @@ mod tests {
         assert!(blocking_recall(&cands, &[]).is_nan());
     }
 
+    /// A CSV table of `rows` rows over `cols` text columns. Cells draw
+    /// from a small vocabulary, so tokens repeat within and across
+    /// rows; some cells are empty and "dept" is a stop token shared by
+    /// most rows.
+    fn random_table(g: &mut Gen, prefix: &str, rows: usize, cols: usize) -> Table {
+        const WORDS: [&str; 8] = ["li", "wei", "john", "smith", "data", "base", "x", "dept"];
+        let header: Vec<String> = (0..cols).map(|c| format!("c{c}")).collect();
+        let mut csv = format!("id,{}\n", header.join(","));
+        for r in 0..rows {
+            csv.push_str(&format!("{prefix}{r}"));
+            for _ in 0..cols {
+                let mut words: Vec<&str> = g.vec(4, |g| *g.pick(&WORDS[..7]));
+                if g.bool(0.7) {
+                    words.push("dept");
+                }
+                if g.bool(0.15) {
+                    words.clear();
+                }
+                csv.push(',');
+                csv.push_str(&words.join(" "));
+            }
+            csv.push('\n');
+        }
+        Table::from_csv(parse_csv_str(&csv).unwrap()).unwrap()
+    }
+
     #[test]
     fn interned_kernel_matches_the_naive_reference() {
-        let (a, b) = tables();
-        // Multi-column, repeated tokens, empty overlap, tight and loose
-        // stop-token guards.
-        let a2 = Table::from_csv(
-            parse_csv_str(
-                "id,name,org\na0,li wei wei,tsinghua\na1,john smith,dept x\na2,dept dept,dept y\n",
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        let b2 = Table::from_csv(
-            parse_csv_str(
-                "id,name,org\nb0,wei li,peking\nb1,jon smith,dept q\nb2,empty,\n",
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        for max_block in [1, 2, 100] {
+        // The stop-token guard squares `max_block`: from 2^32 up the
+        // square overflows, and must saturate (every block kept) rather
+        // than wrap (nearly every block dropped).
+        let (a, b) = (
+            Table::from_csv(parse_csv_str("id,name\na0,li wei\na1,li\n").unwrap()).unwrap(),
+            Table::from_csv(parse_csv_str("id,name\nb0,li\nb1,wei li\n").unwrap()).unwrap(),
+        );
+        for max_block in [200, 1 << 32, usize::MAX] {
             assert_eq!(
                 token_blocking(&a, &b, &["name"], max_block),
-                naive_token_blocking(&a, &b, &["name"], max_block),
+                vec![(0, 0), (0, 1), (1, 0), (1, 1)],
                 "max_block={max_block}"
             );
-            assert_eq!(
-                token_blocking(&a2, &b2, &["name", "org"], max_block),
-                naive_token_blocking(&a2, &b2, &["name", "org"], max_block),
-                "two columns, max_block={max_block}"
-            );
         }
+        let pools: Vec<Exec> = [1, 2, 4]
+            .into_iter()
+            .map(|w| Exec::with_pool(WorkerPool::new(w)))
+            .collect();
+        cases(48, 0xb10c, |g| {
+            let cols = g.usize_in(1, 4);
+            let (na, nb) = (g.usize_in(0, 12), g.usize_in(0, 12));
+            let a = random_table(g, "a", na, cols);
+            let b = random_table(g, "b", nb, cols);
+            let columns: Vec<String> = (0..g.usize_in(1, cols + 1))
+                .map(|c| format!("c{c}"))
+                .collect();
+            let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
+            for max_block in [1, 2, 3, 200, 1 << 32, usize::MAX] {
+                let want = naive_token_blocking(&a, &b, &col_refs, max_block);
+                let blocker = TokenBlocking {
+                    columns: columns.clone(),
+                    max_block,
+                };
+                for exec in &pools {
+                    assert_eq!(
+                        blocker.candidates(&a, &b, exec),
+                        want,
+                        "columns={columns:?} max_block={max_block} workers={}",
+                        exec.pool.workers()
+                    );
+                }
+            }
+        });
     }
 
     #[test]

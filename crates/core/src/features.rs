@@ -15,10 +15,14 @@
 //! ids, q-gram sets, TF-IDF weight vectors). The batch entry point
 //! [`FeatureGenerator::matrix`] then runs integer-slice kernels with
 //! per-chunk scratch buffers over a [`PairBatch`] — no per-pair
-//! normalization, tokenization, or hashing. The scalar per-pair path
-//! ([`FeatureGenerator::features`]) is kept as the reference
-//! implementation; the batch kernels are bit-for-bit identical to it
-//! for every measure (the equivalence suite pins this).
+//! normalization, tokenization, or hashing. The batch kernels are
+//! bit-for-bit identical to the scalar per-pair path
+//! ([`FeatureGenerator::features`]) for every measure (the equivalence
+//! suite pins this). That comparison checks the caching — prepared
+//! cells, interned ids, the Jaro-Winkler memo — and the set and TF-IDF
+//! kernels; it does not check the edit kernels, which both paths call.
+//! Those are pinned to the textbook dynamic-program and flag-scan
+//! references by `fairem-text`'s `tests/kernel_oracle.rs`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -271,10 +275,10 @@ impl FeatureGenerator {
         out
     }
 
-    /// Feature vector for one record pair — the scalar reference path,
+    /// Feature vector for one record pair — the scalar per-pair path,
     /// evaluating measures on the raw cell strings. The batch kernels
     /// behind [`FeatureGenerator::matrix`] are bit-for-bit identical to
-    /// this for every feature.
+    /// this for every feature; both call the same edit kernels.
     pub fn features(&self, a: &Table, a_row: usize, b: &Table, b_row: usize) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.n_features());
         for c in &self.columns {

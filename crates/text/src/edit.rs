@@ -5,29 +5,29 @@
 
 /// Reusable working buffers for the char-slice edit kernels.
 ///
-/// The batch feature path evaluates millions of pairs; allocating DP
-/// rows and match flags per call dominates. A `SimScratch` owns those
-/// buffers so one instance (per worker-pool chunk) amortizes them.
-/// Every kernel fully re-initializes the parts of the scratch it reads,
-/// so outputs never depend on what a previous call left behind — that
-/// invariant is what lets chunked parallel execution stay bit-for-bit
-/// identical to sequential (DESIGN.md, "Columnar execution model").
+/// The batch feature path evaluates millions of pairs; allocating
+/// bit-vector state and match masks per call dominates. A `SimScratch`
+/// owns those buffers so one instance (per worker-pool chunk) amortizes
+/// them. Every kernel re-initializes each entry of the scratch it reads
+/// before reading it, so outputs never depend on what a previous call
+/// left behind — that invariant is what lets chunked parallel execution
+/// stay bit-for-bit identical to sequential (DESIGN.md, "Columnar
+/// execution model").
 ///
 /// The one deliberately persistent part is `jw_memo`, the Monge-Elkan
-/// kernel's Jaro-Winkler cache keyed by interned token-id pairs. Cached
-/// values are pure functions of the id pair within one interner, so
-/// reuse still cannot change any output — but ids from *different*
-/// interners would collide, so a scratch must never outlive the
-/// interner it was used with (the batch path creates scratches per
-/// chunk, well inside that scope).
+/// kernel's direct-mapped Jaro-Winkler cache keyed by interned
+/// token-id pairs. Cached values are pure functions of the id pair
+/// within one interner, so a hit or an overwrite still cannot change
+/// any output — but ids from *different* interners would collide, so a
+/// scratch must never outlive the interner it was used with (the batch
+/// path creates scratches per chunk, well inside that scope).
 #[derive(Debug, Default, Clone)]
 pub struct SimScratch {
-    prev: Vec<u32>,
-    cur: Vec<u32>,
-    b_used: Vec<bool>,
-    a_matched: Vec<char>,
-    b_matched: Vec<char>,
-    pub(crate) jw_memo: std::collections::HashMap<u64, f64>,
+    peq: CharMasks,
+    carry: Vec<u8>,
+    used: Vec<u64>,
+    matched: Vec<u64>,
+    pub(crate) jw_memo: crate::prepared::JwMemo,
 }
 
 impl SimScratch {
@@ -37,8 +37,91 @@ impl SimScratch {
     }
 }
 
+/// Per-char position masks of one string, in strips of 64 positions:
+/// bit `k` of strip `w`'s mask for char `c` is set when
+/// `s[64 * w + k] == c`.
+///
+/// A strip is a table of `rows` masks. Rows `0..128` are the ASCII
+/// chars, row 128 is all-zero for chars absent from `s`, and row
+/// `129 + k` is the `k`-th distinct non-ASCII char of `s`.
+#[derive(Debug, Default, Clone)]
+struct CharMasks {
+    rows: usize,
+    masks: Vec<u64>,
+    wide: Vec<char>,
+}
+
+const ABSENT: usize = 128;
+
+impl CharMasks {
+    /// Index the positions of `s` (non-empty), rewriting every row
+    /// first, so lookups read only bits this call set.
+    fn build(&mut self, s: &[char]) {
+        self.wide.clear();
+        for &c in s {
+            if !c.is_ascii() && !self.wide.contains(&c) {
+                self.wide.push(c);
+            }
+        }
+        self.rows = ABSENT + 1 + self.wide.len();
+        self.masks.clear();
+        self.masks.resize(self.rows * s.len().div_ceil(64), 0);
+        for (k, &c) in s.iter().enumerate() {
+            let at = (k / 64) * self.rows + self.row(c);
+            self.masks[at] |= 1 << (k % 64);
+        }
+    }
+
+    /// The row of `c` within every strip.
+    fn row(&self, c: char) -> usize {
+        if c.is_ascii() {
+            c as usize
+        } else {
+            self.wide
+                .iter()
+                .position(|&w| w == c)
+                .map_or(ABSENT, |k| ABSENT + 1 + k)
+        }
+    }
+
+    /// The strips in position order.
+    fn strips(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.masks.chunks_exact(self.rows)
+    }
+}
+
+/// The horizontal DP delta crossing a strip boundary in one text
+/// column, as stored in `SimScratch::carry`: bit 0 set for +1, bit 1
+/// set for -1, neither for 0.
+const PLUS: u8 = 1;
+
+/// Mask of the `k` lowest bits.
+fn low_bits(k: usize) -> u64 {
+    if k >= 64 {
+        !0
+    } else {
+        (1 << k) - 1
+    }
+}
+
+/// Positions of the set bits of a word, lowest first.
+struct SetBits(u64);
+
+impl Iterator for SetBits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let k = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(k)
+    }
+}
+
 /// Levenshtein distance between two strings, computed over Unicode scalar
-/// values with a two-row dynamic program (O(min) memory).
+/// values with the bit-parallel kernel of [`levenshtein_chars_with`].
 pub fn levenshtein(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
@@ -46,8 +129,18 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
 }
 
 /// Levenshtein distance over pre-split char slices, reusing `scratch`
-/// for the DP rows. This is the batch-kernel entry point; [`levenshtein`]
-/// delegates here, so both paths are the same code.
+/// for the bit vectors. This is the batch-kernel entry point;
+/// [`levenshtein`] delegates here, so both paths are the same code.
+///
+/// Myers' bit-vector recurrence in Hyyrö's formulation (Myers 1999;
+/// Hyyrö 2003). The shorter string is the pattern; its DP rows are cut
+/// into strips of 64. Each strip sweeps the text with its vertical
+/// delta vectors held in two words. In each column it takes the
+/// horizontal delta entering its top row from the strip above (row 0
+/// grows by one per column) and passes on the one leaving its bottom
+/// row. The bottom-right DP cell is the pattern length plus the
+/// horizontal deltas along the pattern's last row: the exact integer
+/// the textbook DP computes, for every length.
 pub fn levenshtein_chars_with(a: &[char], b: &[char], scratch: &mut SimScratch) -> usize {
     // Trim the common prefix and suffix: an optimal edit script never
     // touches them, so the distance of the trimmed middles *is* the
@@ -61,26 +154,40 @@ pub fn levenshtein_chars_with(a: &[char], b: &[char], scratch: &mut SimScratch) 
         .take_while(|(x, y)| x == y)
         .count();
     let (a, b) = (&a[..a.len() - s], &b[..b.len() - s]);
-    // Keep the shorter string on the column axis to minimize memory.
-    let (a, b) = if a.len() < b.len() { (b, a) } else { (a, b) };
-    if b.is_empty() {
-        return a.len();
+    // The shorter string is the pattern: fewer strips.
+    let (text, pattern) = if a.len() < b.len() { (b, a) } else { (a, b) };
+    if pattern.is_empty() {
+        return text.len();
     }
-    let prev = &mut scratch.prev;
-    let cur = &mut scratch.cur;
-    prev.clear();
-    prev.extend(0..=b.len() as u32);
-    cur.clear();
-    cur.resize(b.len() + 1, 0);
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i as u32 + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let cost = u32::from(ca != cb);
-            cur[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(cur[j] + 1);
+    let SimScratch { peq, carry, .. } = scratch;
+    peq.build(pattern);
+    carry.clear();
+    carry.resize(text.len(), PLUS);
+    let strips = pattern.len().div_ceil(64);
+    for (w, strip) in peq.strips().enumerate() {
+        // The strip's bottom row: bit 63, or the pattern's last row.
+        let bottom = if w + 1 == strips {
+            (pattern.len() - 1) % 64
+        } else {
+            63
+        };
+        let (mut vp, mut vn) = (!0u64, 0u64);
+        for (&c, h) in text.iter().zip(carry.iter_mut()) {
+            let (hp_in, hn_in) = (u64::from(*h & 1), u64::from(*h >> 1));
+            let x = strip[peq.row(c)] | hn_in;
+            let d0 = ((x & vp).wrapping_add(vp) ^ vp) | x | vn;
+            let hp = vn | !(d0 | vp);
+            let hn = vp & d0;
+            *h = (((hp >> bottom) & 1) | (((hn >> bottom) & 1) << 1)) as u8;
+            let hp = (hp << 1) | hp_in;
+            let hn = (hn << 1) | hn_in;
+            vp = hn | !(d0 | hp);
+            vn = hp & d0;
         }
-        std::mem::swap(prev, cur);
     }
-    prev[b.len()] as usize
+    let plus: usize = carry.iter().map(|&h| usize::from(h & 1)).sum();
+    let minus: usize = carry.iter().map(|&h| usize::from(h >> 1)).sum();
+    pattern.len() + plus - minus
 }
 
 /// Normalized Levenshtein similarity over char slices: `1 - dist / max_len`,
@@ -158,7 +265,17 @@ pub fn jaro(a: &str, b: &str) -> f64 {
 }
 
 /// Jaro similarity over pre-split char slices, reusing `scratch` for the
-/// match flags and matched-sequence buffers. [`jaro`] delegates here.
+/// position masks and the match bookkeeping. [`jaro`] delegates here.
+///
+/// Each char of `a`, in order, matches the lowest unused position of
+/// `b` holding the same char inside its window: the lowest set bit of
+/// `mask_b[c] & !used & window`. That is exactly the textbook greedy
+/// left-to-right scan, so the match count `m` and the transpositions
+/// `t` are the same integers. The scan runs one 64-position strip of
+/// `b` at a time: a char takes a position in strip `w` only if it took
+/// none in a lower strip, and strip `w`'s used bits change only by its
+/// own takes, so strip-by-strip gives each char the same position as
+/// char-by-char, with each strip's used word kept in a register.
 pub fn jaro_chars_with(a: &[char], b: &[char], scratch: &mut SimScratch) -> f64 {
     if a == b {
         // The full computation on identical inputs yields exactly 1.0
@@ -170,41 +287,64 @@ pub fn jaro_chars_with(a: &[char], b: &[char], scratch: &mut SimScratch) -> f64 
         return 0.0;
     }
     let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let b_used = &mut scratch.b_used;
-    b_used.clear();
-    b_used.resize(b.len(), false);
-    let a_matched = &mut scratch.a_matched;
-    a_matched.clear();
-    let mut matches = 0usize;
-    for (i, &ca) in a.iter().enumerate() {
-        let lo = i.saturating_sub(window);
-        let hi = (i + window + 1).min(b.len());
-        for j in lo..hi {
-            if !b_used[j] && b[j] == ca {
-                b_used[j] = true;
-                matches += 1;
-                a_matched.push(ca);
-                break;
+    let SimScratch {
+        peq, used, matched, ..
+    } = scratch;
+    peq.build(b);
+    used.clear();
+    // Bit i: a[i] has taken a position.
+    matched.clear();
+    matched.resize(a.len().div_ceil(64), 0);
+    for (w, strip) in peq.strips().enumerate() {
+        // a[i] may match b[j] for |i - j| <= window: the chars whose
+        // window meets positions base..base + 64 are first..=last.
+        let base = 64 * w;
+        let first = base.saturating_sub(window);
+        let last = (base + 63 + window).min(a.len() - 1);
+        if first > last {
+            break;
+        }
+        // The window of a[i] within the strip is `hi & !lo`: positions
+        // below i + window + 1 and not below i - window.
+        let mut hi = low_bits(first + window + 1 - base);
+        let mut lo = 0u64;
+        let mut used_w = 0u64;
+        let chunks = matched.iter_mut().enumerate();
+        for (c, word) in chunks.take(last / 64 + 1).skip(first / 64) {
+            let earlier = *word;
+            let mut now = earlier;
+            for i in (64 * c).max(first)..=(64 * c + 63).min(last) {
+                let bit = i % 64;
+                let open = ((earlier >> bit) & 1).wrapping_sub(1);
+                let cand = strip[peq.row(a[i])] & !used_w & hi & !lo & open;
+                let pick = cand & cand.wrapping_neg();
+                used_w |= pick;
+                now |= u64::from(pick != 0) << bit;
+                hi = (hi << 1) | 1;
+                lo = (lo << 1) | u64::from(i + 1 > base + window);
             }
+            *word = now;
+        }
+        used.push(used_w);
+    }
+    // Transpositions: a's matched chars in order against b's chars at
+    // the used positions in order.
+    let mut taken = used
+        .iter()
+        .enumerate()
+        .flat_map(|(w, &bits)| SetBits(bits).map(move |k| 64 * w + k));
+    let (mut matches, mut half_transpositions) = (0usize, 0usize);
+    for (c, &bits) in matched.iter().enumerate() {
+        for k in SetBits(bits) {
+            let j = taken.next();
+            half_transpositions += usize::from(j.map(|j| b[j]) != Some(a[64 * c + k]));
+            matches += 1;
         }
     }
     if matches == 0 {
         return 0.0;
     }
-    // Count transpositions between the matched sequences.
-    let b_matched = &mut scratch.b_matched;
-    b_matched.clear();
-    b_matched.extend(
-        b.iter()
-            .zip(b_used.iter())
-            .filter_map(|(&c, &u)| u.then_some(c)),
-    );
-    let transpositions = a_matched
-        .iter()
-        .zip(b_matched.iter())
-        .filter(|(x, y)| x != y)
-        .count()
-        / 2;
+    let transpositions = half_transpositions / 2;
     let m = matches as f64;
     (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
 }

@@ -10,8 +10,10 @@
 //! `(rank, weight)` vectors with cached norms.
 //!
 //! Every kernel here reproduces the corresponding scalar measure **bit
-//! for bit**: edit kernels share the exact implementation with the
-//! scalar path (see `edit.rs`), set kernels compute the same integer
+//! for bit**: edit kernels are the very functions the scalar path
+//! calls (see `edit.rs`), so the scalar path is no independent check
+//! of them — `tests/kernel_oracle.rs` pins both to the textbook DP and
+//! flag-scan references. Set kernels compute the same integer
 //! cardinalities and exact-integer float sums the `HashMap`-based
 //! scalar code computes (order-independent because every addend and
 //! partial sum is an exactly-representable integer), and the TF-IDF
@@ -340,16 +342,52 @@ fn cosine_counts(
     }
 }
 
+/// Slots of the Monge-Elkan Jaro-Winkler memo: 2^16 slots of 16 bytes,
+/// 1 MiB per scratch, allocated on first use.
+const MEMO_SLOTS: usize = 1 << 16;
+
+/// A direct-mapped Jaro-Winkler cache keyed by the ordered token-id
+/// pair `(x << 32) | y`.
+///
+/// Each key has exactly one slot; a colliding key overwrites it, which
+/// only costs a recomputation later, since every cached value is a
+/// pure function of its key. An empty slot holds key 0, the pair
+/// `(0, 0)`, which is never looked up: equal ids short-circuit to 1.0
+/// before the memo is consulted.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct JwMemo {
+    slots: Vec<(u64, f64)>,
+}
+
+impl JwMemo {
+    /// The cached value of `key`, or `compute()` stored under it.
+    /// `key` must not be 0 (the empty-slot sentinel).
+    fn get_or(&mut self, key: u64, compute: impl FnOnce() -> f64) -> f64 {
+        if self.slots.is_empty() {
+            self.slots = vec![(0, 0.0); MEMO_SLOTS];
+        }
+        // Fibonacci hashing: the top bits of key * 2^64/phi.
+        let at = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_SLOTS.trailing_zeros()))
+            as usize;
+        let slot = &mut self.slots[at];
+        if slot.0 != key {
+            *slot = (key, compute());
+        }
+        slot.1
+    }
+}
+
 /// Monge-Elkan (Jaro-Winkler inner) over occurrence-order token ids,
 /// resolving each token's chars through the interner cache. Token
 /// iteration order and the `fold(0.0, max)` inner reduction replicate
 /// the scalar `monge_elkan(..., jaro_winkler)` exactly.
 ///
 /// Word tokens repeat heavily across cells, so the inner Jaro-Winkler
-/// is memoized in the scratch by id pair. Two bitwise-invisible
-/// shortcuts: equal ids score exactly 1.0 (identical inputs compute to
-/// exactly 1.0), and a row stops scanning once it hits 1.0 (no later
-/// candidate can raise a max already at the kernel's upper bound).
+/// is memoized in the scratch by id pair ([`JwMemo`]). Two
+/// bitwise-invisible shortcuts: equal ids score exactly 1.0 (identical
+/// inputs compute to exactly 1.0), and a row stops scanning once it
+/// hits 1.0 (no later candidate can raise a max already at the
+/// kernel's upper bound).
 fn monge_elkan_ids(
     a: &[u32],
     b: &[u32],
@@ -375,15 +413,9 @@ fn monge_elkan_ids(
                 let sim = if x == y {
                     1.0
                 } else {
-                    let key = (u64::from(x) << 32) | u64::from(y);
-                    match memo.get(&key) {
-                        Some(&v) => v,
-                        None => {
-                            let v = jaro_winkler_chars_with(cx, interner.chars_of(y), scratch);
-                            memo.insert(key, v);
-                            v
-                        }
-                    }
+                    memo.get_or((u64::from(x) << 32) | u64::from(y), || {
+                        jaro_winkler_chars_with(cx, interner.chars_of(y), scratch)
+                    })
                 };
                 best = best.max(sim);
                 if best >= 1.0 {

@@ -43,6 +43,11 @@ FAIREM_JOBS=4 run_tests cargo test -q --workspace
 echo "== lints: clippy, warnings denied, unwrap()/expect() banned outside tests =="
 cargo clippy --workspace -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
+echo "== benches: the opt-in heavy benches compile =="
+# `cargo test` never builds the `heavy` benches, so a kernel API change
+# would let them rot unnoticed; compile them without running.
+cargo bench -q -p fairem-bench --features heavy --no-run
+
 echo "== lints: fairem-lint v2, workspace contracts (DESIGN.md §9) =="
 # Three promises checked here: (a) the workspace is clean under the
 # full rule catalog and every seeded fixture violation still fires
