@@ -1,15 +1,16 @@
 //! Threshold-analysis cost: full-grid sweeps, the shared-curve
 //! distribution audit the serve `calibrate` verb runs, AUC parity, and
-//! per-group calibration.
+//! per-group Platt and isotonic calibration (fit plus remap).
 
 use fairem_bench::crit::{black_box, BenchmarkId, Criterion};
 use fairem_bench::{criterion_group, criterion_main};
-use fairem_core::calibrate::distribution_audit;
+use fairem_core::calibrate::{apply_calibrator, distribution_audit};
 use fairem_core::fairness::{Disparity, FairnessMeasure};
 use fairem_core::schema::Table;
 use fairem_core::sensitive::{GroupId, GroupSpace, GroupVector, SensitiveAttr};
-use fairem_core::threshold::{auc_parity, calibrate_per_group, default_grid, sweep};
+use fairem_core::threshold::{auc_parity, default_grid, sweep};
 use fairem_core::workload::{Correspondence, Workload};
+use fairem_core::{CalibrationSpec, CancelToken, GroupCalibrator, WorkerPool};
 use fairem_csvio::parse_csv_str;
 
 fn setup(n: usize) -> (Workload, GroupSpace, Vec<GroupId>) {
@@ -78,9 +79,21 @@ fn bench_threshold(c: &mut Criterion) {
     g.bench_function("auc_parity", |bch| {
         bch.iter(|| auc_parity(black_box(&w), &space, &groups, Disparity::Subtraction))
     });
-    g.bench_function("calibrate_per_group", |bch| {
-        bch.iter(|| calibrate_per_group(black_box(&w), black_box(&w), &groups))
-    });
+    let pool = WorkerPool::new(1);
+    for spec in [CalibrationSpec::platt(), CalibrationSpec::isotonic()] {
+        g.bench_function(format!("calibrate_{}", spec.kind.name()), |bch| {
+            bch.iter(|| {
+                let fit =
+                    GroupCalibrator::try_fit(spec, black_box(&w), &groups, &pool, &CancelToken::inert());
+                let cal = match fit {
+                    Ok(cal) => cal,
+                    // fairem: allow(panic) — bench harness uses an inert token that cannot interrupt
+                    Err(interrupt) => unreachable!("inert token: {interrupt}"),
+                };
+                apply_calibrator(&cal, black_box(&w), &groups)
+            })
+        });
+    }
     g.finish();
 }
 

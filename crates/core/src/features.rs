@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use fairem_ml::Matrix;
 use fairem_neural::{HashVocab, TokenPair};
-use fairem_par::{CancelToken, ChunkPanic, Interrupt, MemPressure, ParOutcome, WorkerPool};
+use fairem_par::{ChunkPanic, MemPressure, ParOutcome};
 use fairem_text::{
     measure_cells, rel_diff_sim, tfidf_cosine_cells, word_tokens, PreparedColumn, SimScratch,
     StringMeasure, TfIdfCorpus, TokenInterner,
@@ -396,61 +396,6 @@ impl FeatureGenerator {
         }))
     }
 
-    /// Feature matrix via the scalar per-pair path.
-    #[deprecated(note = "use `matrix(&PairBatch, &Exec)`; this scalar path stays as the \
-                         bit-for-bit reference for the equivalence suite")]
-    pub fn matrix_pairs(&self, a: &Table, b: &Table, pairs: &[(usize, usize)]) -> Matrix {
-        let d = self.n_features();
-        let mut m = Matrix::zeros(pairs.len(), d);
-        for (i, &(ra, rb)) in pairs.iter().enumerate() {
-            let f = self.features(a, ra, b, rb);
-            m.row_mut(i).copy_from_slice(&f);
-        }
-        m
-    }
-
-    /// Scalar-path feature matrix fanned out over a worker pool.
-    #[deprecated(note = "use `matrix(&PairBatch, &Exec)` with `Exec::with_pool`")]
-    #[allow(deprecated)]
-    pub fn matrix_with(
-        &self,
-        a: &Table,
-        b: &Table,
-        pairs: &[(usize, usize)],
-        pool: &WorkerPool,
-    ) -> Result<Matrix, ChunkPanic> {
-        match self.matrix_within(a, b, pairs, pool, &CancelToken::inert())? {
-            // fairem: allow(panic) — an inert token never trips; Err is unreachable by construction
-            Err(i) => unreachable!("inert token interrupted feature generation: {i}"),
-            Ok(m) => Ok(m),
-        }
-    }
-
-    /// Cancellable scalar-path feature matrix.
-    #[deprecated(note = "use `matrix(&PairBatch, &Exec)` with `Exec::cancel`")]
-    pub fn matrix_within(
-        &self,
-        a: &Table,
-        b: &Table,
-        pairs: &[(usize, usize)],
-        pool: &WorkerPool,
-        token: &CancelToken,
-    ) -> Result<Result<Matrix, Interrupt>, ChunkPanic> {
-        let d = self.n_features();
-        let rows = match pool.try_par_map_within(pairs.len(), token, |i| {
-            let (ra, rb) = pairs[i];
-            self.features(a, ra, b, rb)
-        })? {
-            ParOutcome::Complete(rows) => rows,
-            ParOutcome::Interrupted { interrupt, .. } => return Ok(Err(interrupt)),
-        };
-        let mut m = Matrix::zeros(pairs.len(), d);
-        for (i, f) in rows.iter().enumerate() {
-            m.row_mut(i).copy_from_slice(f);
-        }
-        Ok(Ok(m))
-    }
-
     /// Tokenize one pair for the neural matchers over the same aligned
     /// columns (one attribute per column) — the scalar reference for
     /// [`FeatureGenerator::tokenize_all`].
@@ -528,7 +473,7 @@ fn parse_num(v: &str) -> f64 {
 mod tests {
     use super::*;
     use fairem_csvio::parse_csv_str;
-    use fairem_par::Budget;
+    use fairem_par::{Budget, WorkerPool};
 
     fn tables() -> (Table, Table) {
         let a = Table::from_csv(
@@ -635,25 +580,6 @@ mod tests {
                     s.iter().zip(p).all(|(x, y)| x.to_bits() == y.to_bits()),
                     "row {i} differs with {workers} workers"
                 );
-            }
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_scalar_shims_agree_with_the_batch_path() {
-        let (a, b) = tables();
-        let g = FeatureGenerator::build(&a, &b, &["country"]);
-        let pairs = all_pairs(&a, &b);
-        let new = complete(g.matrix(&PairBatch::new(&pairs), &Exec::default()));
-        let old = g.matrix_pairs(&a, &b, &pairs);
-        let pooled = g
-            .matrix_with(&a, &b, &pairs, &WorkerPool::new(2))
-            .unwrap();
-        for i in 0..new.rows() {
-            for j in 0..new.cols() {
-                assert_eq!(new.row(i)[j].to_bits(), old.row(i)[j].to_bits());
-                assert_eq!(new.row(i)[j].to_bits(), pooled.row(i)[j].to_bits());
             }
         }
     }

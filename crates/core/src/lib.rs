@@ -86,8 +86,10 @@ pub mod workload;
 
 pub use audit::{AuditConfig, AuditEntry, AuditReport, Auditor};
 pub use blocking::{Blocker, CandidatePairs, SortedNeighborhood, TokenBlocking};
-pub use calibrate::{CalibratedAudit, DistributionAudit, DistributionEntry, FairnessArea};
-pub use fairem_calib::{CalibrationSpec, CalibratorKind, GroupCalibrator};
+pub use calibrate::{
+    CalibratedAudit, CalibrationSpec, CalibratorKind, DistributionAudit, DistributionEntry,
+    FairnessArea, GroupCalibrator,
+};
 pub use ckpt::{fnv1a64, CheckpointStore, ShardRecord, CKPT_SCHEMA};
 pub use confusion::ConfusionMatrix;
 pub use ensemble::{EnsembleExplorer, ParetoPoint};

@@ -12,11 +12,9 @@ use fairem_par::{
     WorkerPool,
 };
 
-use fairem_calib::{CalibrationSpec, GroupCalibrator};
-
 use crate::audit::{AuditReport, Auditor};
 use crate::blocking::Blocker;
-use crate::calibrate::{self, CalibratedAudit};
+use crate::calibrate::{self, CalibratedAudit, CalibrationSpec, GroupCalibrator};
 use crate::ckpt::{fnv1a64, CheckpointStore, ShardRecord};
 use crate::ensemble::EnsembleExplorer;
 use crate::error::{Stage, SuiteError, SuiteResult};
@@ -31,7 +29,7 @@ use crate::matcher::{
 };
 use crate::prep::{default_blocker, prepare_with, PrepConfig, PreparedData};
 use crate::quarantine::QuarantineReport;
-use crate::schema::{SchemaError, Table};
+use crate::schema::Table;
 use crate::sensitive::{GroupId, GroupSpace, GroupVector, SensitiveAttr};
 use crate::shard::{window_len, PairCounts, ShardPlan, ShardPolicy};
 use crate::threshold::{default_grid, grid_confusions};
@@ -94,7 +92,7 @@ pub struct SuiteConfig {
     /// Per-group score-calibration policy (ref \[10\] style). `None`
     /// (the default) audits raw scores only; a spec makes
     /// [`Session::calibrated_audit`] fit and apply a
-    /// [`fairem_calib::GroupCalibrator`] without the caller re-passing
+    /// [`GroupCalibrator`] without the caller re-passing
     /// the spec.
     pub calibration: Option<CalibrationSpec>,
 }
@@ -359,27 +357,6 @@ impl FairEm360 {
         &self.quarantine
     }
 
-    /// Import a Magellan-shaped dataset: two tables, ground-truth match
-    /// id pairs, and the sensitive attributes to audit on. Strict: any
-    /// schema violation is an error. Use [`FairEm360::import_with`] for
-    /// the quarantining (fault-tolerant) path.
-    #[deprecated(note = "use FairEm360::builder()")]
-    pub fn import(
-        table_a: CsvTable,
-        table_b: CsvTable,
-        matches: Vec<(String, String)>,
-        sensitive: Vec<SensitiveAttr>,
-    ) -> Result<FairEm360, SchemaError> {
-        Ok(FairEm360 {
-            table_a: Table::from_csv(table_a)?,
-            table_b: Table::from_csv(table_b)?,
-            matches,
-            sensitive,
-            config: SuiteConfig::default(),
-            quarantine: QuarantineReport::default(),
-        })
-    }
-
     /// Fault-tolerant import: rows with empty or duplicate ids are
     /// quarantined (first occurrence kept) instead of failing the whole
     /// dataset, and the returned [`QuarantineReport`] itemizes every
@@ -436,34 +413,6 @@ impl FairEm360 {
             },
             quarantine,
         ))
-    }
-
-    /// Replace the configuration.
-    pub fn with_config(mut self, config: SuiteConfig) -> FairEm360 {
-        self.config = config;
-        self
-    }
-
-    /// Step 2 (matcher selection) + training: run the Matching-and-
-    /// Evaluation flow with the given integrated matchers, producing a
-    /// [`Session`] holding trained matchers and the scored test split.
-    ///
-    /// # Panics
-    /// On any stage or matcher failure. Use [`FairEm360::try_run`] for
-    /// degraded-mode execution.
-    #[deprecated(note = "use FairEm360::builder() and try_run()")]
-    pub fn run(self, kinds: &[MatcherKind]) -> Session {
-        match self.try_run(kinds) {
-            Ok(session) => {
-                if let Some(f) = session.failures().first() {
-                    // fairem: allow(panic) — documented # Panics contract on the deprecated run() wrapper
-                    panic!("matcher failed: {f}");
-                }
-                session
-            }
-            // fairem: allow(panic) — documented # Panics contract on the deprecated run() wrapper
-            Err(e) => panic!("suite execution failed: {e}"),
-        }
     }
 
     /// Fault-tolerant run: stage panics become [`SuiteError::Stage`],
@@ -788,19 +737,11 @@ impl Front {
 
         // Pseudo-workload over the training split (scores = truth) for
         // train-side representation explanations.
-        let train_workload = Workload::new(
-            train_pairs
-                .iter()
-                .zip(&train_labels)
-                .map(|(&(ra, rb), &y)| Correspondence {
-                    a_row: ra,
-                    b_row: rb,
-                    score: y,
-                    truth: y == 1.0,
-                    left: enc_a[ra],
-                    right: enc_b[rb],
-                })
-                .collect(),
+        let train_workload = split_workload(
+            &train_pairs,
+            &train_labels,
+            train_labels.iter().copied(),
+            (&enc_a, &enc_b),
             0.5,
         );
 
@@ -1048,6 +989,32 @@ impl Front {
             shards: shard_plan.len(),
         })
     }
+}
+
+/// The workload of one split: pair `i` of `pairs` scored `scores[i]`,
+/// a true match when `labels[i] == 1.0`, each side carrying its row's
+/// group encoding from `enc`.
+fn split_workload(
+    pairs: &[(usize, usize)],
+    labels: &[f64],
+    scores: impl IntoIterator<Item = f64>,
+    enc: (&[GroupVector], &[GroupVector]),
+    threshold: f64,
+) -> Workload {
+    let items = pairs
+        .iter()
+        .zip(labels)
+        .zip(scores)
+        .map(|((&(ra, rb), &y), score)| Correspondence {
+            a_row: ra,
+            b_row: rb,
+            score,
+            truth: y == 1.0,
+            left: enc.0[ra],
+            right: enc.1[rb],
+        })
+        .collect();
+    Workload::new(items, threshold)
 }
 
 /// One stage-cut error with no matcher attribution.
@@ -1409,21 +1376,24 @@ impl Session {
     /// (used for ensemble strategies and custom score vectors).
     pub fn workload_from_scores(&self, scores: Vec<f64>) -> Workload {
         assert_eq!(scores.len(), self.test_pairs.len(), "score/test alignment");
-        let items = self
-            .test_pairs
-            .iter()
-            .zip(&self.test_labels)
-            .zip(scores)
-            .map(|((&(ra, rb), &y), score)| Correspondence {
-                a_row: ra,
-                b_row: rb,
-                score,
-                truth: y == 1.0,
-                left: self.enc_a[ra],
-                right: self.enc_b[rb],
-            })
-            .collect();
-        Workload::new(items, self.matching_threshold)
+        self.split_workload(&self.test_pairs, &self.test_labels, scores)
+    }
+
+    /// A workload over one of the session's splits at the session
+    /// threshold: pair `i` scored `scores[i]`.
+    fn split_workload(
+        &self,
+        pairs: &[(usize, usize)],
+        labels: &[f64],
+        scores: Vec<f64>,
+    ) -> Workload {
+        split_workload(
+            pairs,
+            labels,
+            scores,
+            (&self.enc_a, &self.enc_b),
+            self.matching_threshold,
+        )
     }
 
     /// Score the session's test split with any [`Matcher`] (e.g. one
@@ -1579,20 +1549,9 @@ impl Session {
             return Ok(self.matching_threshold);
         }
         let scores = m.score_batch(&self.valid_features, &self.valid_tokens);
-        let items: Vec<Correspondence> = scores
-            .into_iter()
-            .zip(&self.valid_labels)
-            .map(|(score, &y)| Correspondence {
-                a_row: 0,
-                b_row: 0,
-                score,
-                truth: y == 1.0,
-                left: GroupVector::default(),
-                right: GroupVector::default(),
-            })
-            .collect();
+        let valid = self.split_workload(&self.valid_pairs, &self.valid_labels, scores);
         let grid = default_grid();
-        let counts = grid_confusions(&items, &[], &grid);
+        let counts = grid_confusions(&valid.items, &[], &grid);
         let mut best: Option<(f64, f64)> = None; // (f1, threshold)
         for (at, &t) in counts.iter().zip(&grid) {
             let f1 = at.overall.f1();
@@ -1646,14 +1605,11 @@ impl Session {
     }
 
     /// Calibration-based resolution (ref \[10\] style): per-group Platt
-    /// calibration of a matcher's scores fitted on the training split,
-    /// applied to the evaluation workload. Unknown names are a
+    /// calibration ([`CalibrationSpec::platt`], support floor 10) of a
+    /// matcher's scores fitted on the training split, applied to the
+    /// evaluation workload. Unknown names are a
     /// [`SuiteError::UnknownMatcher`].
-    pub fn calibrated_workload(
-        &self,
-        matcher: &str,
-        groups: &[crate::sensitive::GroupId],
-    ) -> SuiteResult<Workload> {
+    pub fn calibrated_workload(&self, matcher: &str, groups: &[GroupId]) -> SuiteResult<Workload> {
         // Score the *training* pairs with the trained matcher to fit the
         // calibrators on held-in data.
         let m = self
@@ -1662,23 +1618,10 @@ impl Session {
             .find(|m| m.name() == matcher)
             .ok_or_else(|| self.unknown_matcher(matcher))?;
         let train_scores = m.score_batch(&self.train_features, &self.train_tokens);
-        let train_items: Vec<Correspondence> = self
-            .train_pairs
-            .iter()
-            .zip(&self.train_labels)
-            .zip(train_scores)
-            .map(|((&(ra, rb), &y), score)| Correspondence {
-                a_row: ra,
-                b_row: rb,
-                score,
-                truth: y == 1.0,
-                left: self.enc_a[ra],
-                right: self.enc_b[rb],
-            })
-            .collect();
-        let train_workload = Workload::new(train_items, self.matching_threshold);
-        Ok(crate::threshold::calibrate_per_group(
-            &train_workload,
+        let train = self.split_workload(&self.train_pairs, &self.train_labels, train_scores);
+        let cal = self.fit_calibrator(CalibrationSpec::platt(), &train, groups)?;
+        Ok(calibrate::apply_calibrator(
+            &cal,
             &self.workload(matcher)?,
             groups,
         ))
@@ -1725,22 +1668,20 @@ impl Session {
         };
         // Same boundary contract as test-time scoring.
         sanitize_scores(&mut scores);
-        let items: Vec<Correspondence> = pairs
-            .iter()
-            .zip(labels.iter())
-            .zip(scores)
-            .map(|((&(ra, rb), &y), score)| Correspondence {
-                a_row: ra,
-                b_row: rb,
-                score,
-                truth: y == 1.0,
-                left: self.enc_a[ra],
-                right: self.enc_b[rb],
-            })
-            .collect();
-        let fit_workload = Workload::new(items, self.matching_threshold);
+        let fit = self.split_workload(pairs, labels, scores);
+        self.fit_calibrator(spec, &fit, groups)
+    }
+
+    /// Fit a [`GroupCalibrator`] on `fit` over the session's worker pool,
+    /// under its recorder and cancellation token.
+    fn fit_calibrator(
+        &self,
+        spec: CalibrationSpec,
+        fit: &Workload,
+        groups: &[GroupId],
+    ) -> SuiteResult<GroupCalibrator> {
         let pool = WorkerPool::with_parallelism(self.parallelism).observe(self.observe.clone());
-        calibrate::fit_on_workload(spec, &fit_workload, groups, &pool, &self.cancel)
+        GroupCalibrator::try_fit(spec, fit, groups, &pool, &self.cancel)
             .map_err(|i| timed_out(Stage::Audit, i))
     }
 
@@ -2118,17 +2059,6 @@ mod tests {
         // Lenient default quarantines instead.
         let suite = FairEm360::builder().tables(bad, good).build().unwrap();
         assert_eq!(suite.quarantine().len(), 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_import_and_run_still_work() {
-        let (a, b, m) = dataset();
-        let s = FairEm360::import(a, b, m, vec![SensitiveAttr::categorical("country")])
-            .unwrap()
-            .with_config(config())
-            .run(&[MatcherKind::DtMatcher]);
-        assert_eq!(s.matcher_names(), vec!["DTMatcher"]);
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! Old-vs-new equivalence suite: the deprecated string-path feature
-//! kernels and the columnar batch kernels must agree **bit for bit** on
+//! Scalar-vs-columnar equivalence suite: the per-pair string-path
+//! features and the columnar batch kernels must agree **bit for bit** on
 //! real generated datasets, for every parallelism policy. These tests
 //! are the refactor's safety net — any drift between the scalar
 //! reference path and the interned hot path fails here first.
-
-#![allow(deprecated)] // comparing the deprecated shims against the new API is the point
 
 use fairem_core::blocking::{
     sorted_neighborhood, token_blocking, Blocker, SortedNeighborhood, TokenBlocking,
@@ -49,6 +47,20 @@ fn sample_pairs(a: &Table, b: &Table, n: usize) -> Vec<(usize, usize)> {
     (0..n).map(|i| (i % a.len(), (i * 7) % b.len())).collect()
 }
 
+/// The scalar oracle: one `FeatureGenerator::features` call per pair.
+fn scalar_matrix(
+    gen: &FeatureGenerator,
+    a: &Table,
+    b: &Table,
+    pairs: &[(usize, usize)],
+) -> Matrix {
+    let mut m = Matrix::zeros(pairs.len(), gen.n_features());
+    for (i, &(ra, rb)) in pairs.iter().enumerate() {
+        m.row_mut(i).copy_from_slice(&gen.features(a, ra, b, rb));
+    }
+    m
+}
+
 fn complete(outcome: ParOutcome<Matrix>) -> Matrix {
     match outcome {
         ParOutcome::Complete(m) => m,
@@ -80,16 +92,10 @@ fn feature_matrices_are_bit_for_bit_identical_across_paths_and_policies() {
         let gen = generator(&d, &a, &b);
         let pairs = sample_pairs(&a, &b, 300);
 
-        // The deprecated per-pair string path is the reference.
-        let reference = gen.matrix_pairs(&a, &b, &pairs);
+        // The per-pair string path is the reference.
+        let reference = scalar_matrix(&gen, &a, &b, &pairs);
         for policy in POLICIES {
-            let pool = WorkerPool::with_parallelism(policy);
-            let pooled = gen
-                .matrix_with(&a, &b, &pairs, &pool)
-                .unwrap_or_else(|p| panic!("{}: old pooled path panicked: {p}", d.name));
-            assert_bitwise_eq(&reference, &pooled, &format!("{} old/{policy:?}", d.name));
-
-            let exec = Exec::with_pool(pool);
+            let exec = Exec::with_pool(WorkerPool::with_parallelism(policy));
             let new = complete(gen.matrix(&PairBatch::new(&pairs), &exec));
             assert_bitwise_eq(&reference, &new, &format!("{} columnar/{policy:?}", d.name));
         }
@@ -106,7 +112,7 @@ fn blocked_candidate_matrices_agree_end_to_end() {
         let pairs = token_blocking(&a, &b, &["title"], 50);
         assert!(!pairs.is_empty(), "{}: blocking produced no candidates", d.name);
 
-        let reference = gen.matrix_pairs(&a, &b, &pairs);
+        let reference = scalar_matrix(&gen, &a, &b, &pairs);
         let new = complete(gen.matrix(&PairBatch::new(&pairs), &Exec::default()));
         assert_bitwise_eq(&reference, &new, &format!("{} blocked", d.name));
     }

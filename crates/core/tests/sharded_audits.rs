@@ -198,7 +198,7 @@ fn corrupt_or_torn_shard_files_are_recomputed_on_resume() {
     let d = dataset();
     let aud = auditor();
     let dir = tmpdir("corrupt");
-    let shards = 3;
+    let shards = 4;
 
     let first = builder(&d)
         .shards(shards)
@@ -209,11 +209,14 @@ fn corrupt_or_torn_shard_files_are_recomputed_on_resume() {
         .unwrap();
     let first_reports = first.audit_all(&aud);
 
-    // Tear one shard file in half and scribble garbage over another.
+    // Tear one shard file in half, scribble garbage over another, and
+    // nest a third deeper than any parser stack.
     let torn = dir.join("shard-1.json");
     let text = fs::read_to_string(&torn).unwrap();
     fs::write(&torn, &text[..text.len() / 2]).unwrap();
     fs::write(dir.join("shard-2.json"), "{not json").unwrap();
+    let deep = format!("{}{}", "[".repeat(300_000), "]".repeat(300_000));
+    fs::write(dir.join("shard-3.json"), deep).unwrap();
 
     let second = builder(&d)
         .shards(shards)
@@ -225,12 +228,12 @@ fn corrupt_or_torn_shard_files_are_recomputed_on_resume() {
         .try_run_sharded(&FLEET)
         .unwrap();
     assert_eq!(counter(second.recorder(), "ckpt.shards_skipped"), 1);
-    assert_eq!(counter(second.recorder(), "ckpt.shards_recomputed"), 2);
+    assert_eq!(counter(second.recorder(), "ckpt.shards_recomputed"), 3);
     for (a, b) in first_reports.iter().zip(second.audit_all(&aud)) {
         assert_reports_identical(a, &b, "corrupt-resume");
     }
     // The recomputed shards were re-committed and are loadable again.
-    assert_eq!(counter(second.recorder(), "ckpt.shards_written"), 2);
+    assert_eq!(counter(second.recorder(), "ckpt.shards_written"), 3);
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -1,9 +1,11 @@
-//! A minimal JSON value model, emitter, and parser.
+//! A minimal JSON value model, emitter, and parser — the workspace's
+//! one JSON substrate.
 //!
-//! Report rendering *produces* JSON (machine-readable audit artifacts);
-//! the parser ([`Json::parse`]) closes the loop for round-trip tests and
-//! config-file ingestion. Object key order is insertion order, which
-//! keeps emitted reports deterministic.
+//! Report rendering *produces* JSON (machine-readable audit artifacts,
+//! checkpoints, serve replies, lint findings); the parser
+//! ([`Json::parse`]) reads them back (checkpoint resume, the lint cache
+//! and `--validate-json`, round-trip tests). Object key order is
+//! insertion order, which keeps emitted documents deterministic.
 
 use std::fmt;
 
@@ -50,10 +52,13 @@ impl Json {
     ///
     /// Standard JSON with two liberties matching the emitter: duplicate
     /// object keys are kept (insertion order), and numbers are `f64`.
+    /// Arrays and objects nest at most 128 levels deep; deeper input is
+    /// an error, not a stack overflow.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             chars: text.chars().peekable(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -83,10 +88,33 @@ impl Json {
         }
     }
 
+    /// The value as a non-negative integer, if it is one that `f64`
+    /// holds exactly (at most 2^53).
+    pub fn as_usize(&self) -> Option<usize> {
+        let n = self.as_num()?;
+        (n.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&n)).then_some(n as usize)
+    }
+
     /// The value as a string slice, if it is one.
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as a boolean, if it is one.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The value's items, if it is an array.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
             _ => None,
         }
     }
@@ -204,9 +232,16 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deeply [`Json::parse`] lets arrays and objects nest. Far above
+/// anything the suite writes (≤ 6 levels), and far below what the
+/// recursive parser needs to overflow a 2 MiB thread stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     chars: std::iter::Peekable<std::str::Chars<'a>>,
     pos: usize,
+    /// Containers open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -262,8 +297,8 @@ impl Parser<'_> {
                 self.literal("alse", Json::Bool(false))
             }
             Some('"') => self.string().map(Json::Str),
-            Some('[') => self.array(),
-            Some('{') => self.object(),
+            Some('[') => self.nested(Self::array),
+            Some('{') => self.nested(Self::object),
             Some(c) if *c == '-' || c.is_ascii_digit() => self.number(),
             Some(c) => {
                 let c = *c;
@@ -271,6 +306,57 @@ impl Parser<'_> {
             }
             None => self.fail("unexpected end of input"),
         }
+    }
+
+    /// Parse one array or object a level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return self.fail(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
+    }
+
+    /// The four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let mut code = 0u32;
+        for _ in 0..4 {
+            let d = self.bump().ok_or(JsonError {
+                pos: self.pos,
+                message: "truncated \\u escape".into(),
+            })?;
+            let digit = d.to_digit(16).ok_or(JsonError {
+                pos: self.pos,
+                message: format!("bad hex digit {d:?}"),
+            })?;
+            code = code * 16 + digit;
+        }
+        Ok(code)
+    }
+
+    /// The character of a `\u` escape whose `\u` is consumed: a UTF-16
+    /// surrogate pair decodes to one character, and a lone surrogate is
+    /// an error.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let mut code = self.hex4()?;
+        if (0xd800..0xdc00).contains(&code) {
+            if self.bump() != Some('\\') || self.bump() != Some('u') {
+                return self.fail("lone high surrogate");
+            }
+            let low = self.hex4()?;
+            if !(0xdc00..0xe000).contains(&low) {
+                return self.fail("bad low surrogate");
+            }
+            code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+        }
+        // Only a lone low surrogate is not a scalar value here.
+        char::from_u32(code).map_or_else(|| self.fail("lone low surrogate"), Ok)
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -289,22 +375,7 @@ impl Parser<'_> {
                     Some('r') => out.push('\r'),
                     Some('b') => out.push('\u{8}'),
                     Some('f') => out.push('\u{c}'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.bump().ok_or(JsonError {
-                                pos: self.pos,
-                                message: "truncated \\u escape".into(),
-                            })?;
-                            let digit = d.to_digit(16).ok_or(JsonError {
-                                pos: self.pos,
-                                message: format!("bad hex digit {d:?}"),
-                            })?;
-                            code = code * 16 + digit;
-                        }
-                        // Surrogates are replaced, matching lenient parsers.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
+                    Some('u') => out.push(self.unicode_escape()?),
                     Some(other) => return self.fail(format!("bad escape \\{other}")),
                     None => return self.fail("unterminated escape"),
                 },
@@ -513,6 +584,87 @@ mod tests {
         assert!(inner.get("b").is_some());
         assert!(j.get("missing").is_none());
         assert!(j.as_num().is_none());
+    }
+
+    #[test]
+    fn accessors_read_integers_bools_and_arrays() {
+        let j = Json::parse(r#"{"n": 42, "f": 0.5, "neg": -1, "b": true, "a": [1, 2]}"#).unwrap();
+        assert_eq!(j.get("n").and_then(Json::as_usize), Some(42));
+        assert_eq!(j.get("f").and_then(Json::as_usize), None);
+        assert_eq!(j.get("neg").and_then(Json::as_usize), None);
+        assert_eq!(j.get("b").and_then(Json::as_bool), Some(true));
+        assert_eq!(
+            j.get("a").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(2)
+        );
+        assert_eq!(j.get("n").and_then(Json::as_arr), None);
+        assert_eq!(Json::Num(9_007_199_254_740_994.0).as_usize(), None);
+    }
+
+    #[test]
+    fn round_trips_nested_values() {
+        let v = Json::obj([
+            ("format", Json::Str("fairem-lint/2".into())),
+            ("n", Json::Num(42.0)),
+            (
+                "findings",
+                Json::arr([Json::obj([
+                    ("file", Json::Str("a/b.rs".into())),
+                    ("ok", Json::Bool(false)),
+                    ("none", Json::Null),
+                ])]),
+            ),
+        ]);
+        assert_eq!(Json::parse(&v.to_string_compact()).unwrap(), v);
+    }
+
+    #[test]
+    fn escapes_round_trip() {
+        let v = Json::Str("quote \" slash \\ nl \n tab \t ctl \u{0001} é".into());
+        assert_eq!(Json::parse(&v.to_string_compact()).unwrap(), v);
+    }
+
+    #[test]
+    fn parses_unicode_escapes_and_surrogates() {
+        assert_eq!(Json::parse(r#""é 😀""#).unwrap(), Json::Str("é 😀".into()));
+        assert_eq!(
+            Json::parse(r#""\u00e9 \ud83d\ude00""#).unwrap(),
+            Json::Str("é 😀".into())
+        );
+        for lone in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ude00""#,
+            r#""\ud83d\u0041""#,
+        ] {
+            assert!(Json::parse(lone).is_err(), "{lone} should not parse");
+        }
+    }
+
+    #[test]
+    fn rejects_malformed_documents() {
+        for bad in ["{", "[1,]", "{\"a\":}", "tru", "1 2", "\"x", "{\"a\" 1}"] {
+            assert!(Json::parse(bad).is_err(), "{bad} should not parse");
+        }
+    }
+
+    #[test]
+    fn integers_render_without_exponent_noise() {
+        assert_eq!(Json::Num(7.0).to_string_compact(), "7");
+        assert_eq!(Json::Num(0.5).to_string_compact(), "0.5");
+        assert_eq!(Json::Num(4e15).to_string_compact(), "4000000000000000");
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.message.contains("nesting"), "{e}");
+        // Far past any stack: still a structured error.
+        assert!(Json::parse(&nest(300_000)).is_err());
+        let objects = "{\"a\":".repeat(300_000);
+        assert!(Json::parse(&objects).is_err());
     }
 
     #[test]

@@ -17,11 +17,12 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use fairem_csvio::Json;
+
 use crate::items::{
     EnumItem, FnItem, ImplItem, ItemIndex, LockEdge, LockField, MetricCall, PathRef, StrConst,
     UseItem,
 };
-use crate::json::{parse, Value};
 use crate::rules::Finding;
 use crate::source::Pragma;
 
@@ -81,14 +82,14 @@ pub fn load(path: &Path) -> BTreeMap<String, FileArtifact> {
     let Ok(body) = std::fs::read_to_string(path) else {
         return BTreeMap::new();
     };
-    let Ok(doc) = parse(&body) else {
+    let Ok(doc) = Json::parse(&body) else {
         return BTreeMap::new();
     };
-    if doc.get("format").and_then(Value::as_str) != Some(FORMAT) {
+    if doc.get("format").and_then(Json::as_str) != Some(FORMAT) {
         return BTreeMap::new();
     }
     let mut out = BTreeMap::new();
-    let Some(files) = doc.get("files").and_then(Value::as_arr) else {
+    let Some(files) = doc.get("files").and_then(Json::as_arr) else {
         return BTreeMap::new();
     };
     for f in files {
@@ -102,149 +103,147 @@ pub fn load(path: &Path) -> BTreeMap<String, FileArtifact> {
 /// Write `artifacts` (tmp + rename, so a crashed run never leaves a
 /// torn cache behind).
 pub fn save(path: &Path, artifacts: &[FileArtifact]) -> Result<(), String> {
-    let doc = Value::Obj(vec![
-        ("format".into(), Value::Str(FORMAT.into())),
+    let doc = Json::obj([
+        ("format", Json::Str(FORMAT.into())),
         (
-            "files".into(),
-            Value::Arr(artifacts.iter().map(artifact_to).collect()),
+            "files",
+            Json::Arr(artifacts.iter().map(artifact_to).collect()),
         ),
     ]);
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, doc.render())
+    std::fs::write(&tmp, doc.to_string_compact())
         .map_err(|e| format!("fairem-lint: cannot write cache {}: {e}", tmp.display()))?;
     std::fs::rename(&tmp, path)
         .map_err(|e| format!("fairem-lint: cannot commit cache {}: {e}", path.display()))
 }
 
-fn s(v: &str) -> Value {
-    Value::Str(v.to_owned())
+fn s(v: &str) -> Json {
+    Json::Str(v.to_owned())
 }
-fn n(v: usize) -> Value {
-    Value::Num(v as f64)
+fn n(v: usize) -> Json {
+    Json::Num(v as f64)
 }
 
-fn artifact_to(a: &FileArtifact) -> Value {
+fn artifact_to(a: &FileArtifact) -> Json {
     let items = &a.items;
-    Value::Obj(vec![
-        ("rel".into(), s(&a.rel)),
-        ("hash".into(), Value::Str(format!("{:016x}", a.hash))),
+    Json::obj([
+        ("rel", s(&a.rel)),
+        ("hash", Json::Str(format!("{:016x}", a.hash))),
         (
-            "raw".into(),
-            Value::Arr(
+            "raw",
+            Json::Arr(
                 a.raw
                     .iter()
-                    .map(|f| {
-                        Value::Arr(vec![n(f.line), s(f.rule), s(&f.msg)])
-                    })
+                    .map(|f| Json::Arr(vec![n(f.line), s(f.rule), s(&f.msg)]))
                     .collect(),
             ),
         ),
         (
-            "pragmas".into(),
-            Value::Arr(
+            "pragmas",
+            Json::Arr(
                 a.pragmas
                     .iter()
                     .map(|p| {
-                        Value::Arr(vec![
+                        Json::Arr(vec![
                             n(p.line),
                             s(&p.rule),
-                            Value::Bool(p.justified),
-                            Value::Bool(p.own_line),
+                            Json::Bool(p.justified),
+                            Json::Bool(p.own_line),
                         ])
                     })
                     .collect(),
             ),
         ),
         (
-            "fns".into(),
-            Value::Arr(
+            "fns",
+            Json::Arr(
                 items
                     .fns
                     .iter()
-                    .map(|f| Value::Arr(vec![s(&f.name), n(f.line), n(f.end_line)]))
+                    .map(|f| Json::Arr(vec![s(&f.name), n(f.line), n(f.end_line)]))
                     .collect(),
             ),
         ),
         (
-            "impls".into(),
-            Value::Arr(
+            "impls",
+            Json::Arr(
                 items
                     .impls
                     .iter()
-                    .map(|i| Value::Arr(vec![s(&i.ty), n(i.line)]))
+                    .map(|i| Json::Arr(vec![s(&i.ty), n(i.line)]))
                     .collect(),
             ),
         ),
         (
-            "uses".into(),
-            Value::Arr(
+            "uses",
+            Json::Arr(
                 items
                     .uses
                     .iter()
-                    .map(|u| Value::Arr(vec![s(&u.path), n(u.line)]))
+                    .map(|u| Json::Arr(vec![s(&u.path), n(u.line)]))
                     .collect(),
             ),
         ),
         (
-            "lock_fields".into(),
-            Value::Arr(
+            "lock_fields",
+            Json::Arr(
                 items
                     .lock_fields
                     .iter()
-                    .map(|f| Value::Arr(vec![s(&f.name), n(f.line)]))
+                    .map(|f| Json::Arr(vec![s(&f.name), n(f.line)]))
                     .collect(),
             ),
         ),
         (
-            "lock_edges".into(),
-            Value::Arr(
+            "lock_edges",
+            Json::Arr(
                 items
                     .lock_edges
                     .iter()
                     .map(|e| {
-                        Value::Arr(vec![
+                        Json::Arr(vec![
                             s(&e.first),
                             s(&e.then),
                             n(e.line),
-                            Value::Bool(e.is_test),
+                            Json::Bool(e.is_test),
                         ])
                     })
                     .collect(),
             ),
         ),
         (
-            "metric_calls".into(),
-            Value::Arr(
+            "metric_calls",
+            Json::Arr(
                 items
                     .metric_calls
                     .iter()
                     .map(|c| {
-                        Value::Arr(vec![
+                        Json::Arr(vec![
                             s(&c.method),
-                            c.name.as_deref().map(s).unwrap_or(Value::Null),
+                            c.name.as_deref().map(s).unwrap_or(Json::Null),
                             n(c.line),
-                            Value::Bool(c.is_test),
+                            Json::Bool(c.is_test),
                         ])
                     })
                     .collect(),
             ),
         ),
         (
-            "enums".into(),
-            Value::Arr(
+            "enums",
+            Json::Arr(
                 items
                     .enums
                     .iter()
                     .map(|e| {
-                        Value::Obj(vec![
-                            ("name".into(), s(&e.name)),
-                            ("line".into(), n(e.line)),
+                        Json::obj([
+                            ("name", s(&e.name)),
+                            ("line", n(e.line)),
                             (
-                                "variants".into(),
-                                Value::Arr(
+                                "variants",
+                                Json::Arr(
                                     e.variants
                                         .iter()
-                                        .map(|(v, l)| Value::Arr(vec![s(v), n(*l)]))
+                                        .map(|(v, l)| Json::Arr(vec![s(v), n(*l)]))
                                         .collect(),
                                 ),
                             ),
@@ -254,39 +253,39 @@ fn artifact_to(a: &FileArtifact) -> Value {
             ),
         ),
         (
-            "str_consts".into(),
-            Value::Arr(
+            "str_consts",
+            Json::Arr(
                 items
                     .str_consts
                     .iter()
-                    .map(|c| Value::Arr(vec![s(&c.name), s(&c.value), n(c.line)]))
+                    .map(|c| Json::Arr(vec![s(&c.name), s(&c.value), n(c.line)]))
                     .collect(),
             ),
         ),
         (
-            "path_refs".into(),
-            Value::Arr(
+            "path_refs",
+            Json::Arr(
                 items
                     .path_refs
                     .iter()
-                    .map(|p| Value::Arr(vec![s(&p.base), s(&p.name), n(p.line)]))
+                    .map(|p| Json::Arr(vec![s(&p.base), s(&p.name), n(p.line)]))
                     .collect(),
             ),
         ),
         (
-            "wildcards".into(),
-            Value::Arr(
+            "wildcards",
+            Json::Arr(
                 items
                     .wildcards
                     .iter()
-                    .map(|(l, t)| Value::Arr(vec![n(*l), Value::Bool(*t)]))
+                    .map(|(l, t)| Json::Arr(vec![n(*l), Json::Bool(*t)]))
                     .collect(),
             ),
         ),
     ])
 }
 
-fn artifact_from(v: &Value) -> Option<FileArtifact> {
+fn artifact_from(v: &Json) -> Option<FileArtifact> {
     let rel = v.get("rel")?.as_str()?.to_owned();
     let hash = u64::from_str_radix(v.get("hash")?.as_str()?, 16).ok()?;
     let mut raw = Vec::new();
@@ -353,7 +352,7 @@ fn artifact_from(v: &Value) -> Option<FileArtifact> {
         items.metric_calls.push(MetricCall {
             method: c.first()?.as_str()?.to_owned(),
             name: match c.get(1)? {
-                Value::Null => None,
+                Json::Null => None,
                 other => Some(other.as_str()?.to_owned()),
             },
             line: c.get(2)?.as_usize()?,
@@ -436,11 +435,11 @@ mod tests {
             pragmas: file.pragmas.clone(),
             items,
         };
-        let doc = Value::Obj(vec![
-            ("format".into(), Value::Str(FORMAT.into())),
-            ("files".into(), Value::Arr(vec![artifact_to(&a)])),
+        let doc = Json::obj([
+            ("format", Json::Str(FORMAT.into())),
+            ("files", Json::Arr(vec![artifact_to(&a)])),
         ]);
-        let back = parse(&doc.render()).unwrap();
+        let back = Json::parse(&doc.to_string_compact()).unwrap();
         let b = artifact_from(back.get("files").unwrap().as_arr().unwrap().first().unwrap())
             .unwrap();
         assert_eq!(b.rel, a.rel);
@@ -453,15 +452,15 @@ mod tests {
 
     #[test]
     fn unknown_rule_invalidates_the_entry() {
-        let v = Value::Obj(vec![
-            ("rel".into(), Value::Str("a.rs".into())),
-            ("hash".into(), Value::Str("00000000000000ff".into())),
+        let v = Json::obj([
+            ("rel", Json::Str("a.rs".into())),
+            ("hash", Json::Str("00000000000000ff".into())),
             (
-                "raw".into(),
-                Value::Arr(vec![Value::Arr(vec![
-                    Value::Num(1.0),
-                    Value::Str("rule_from_the_future".into()),
-                    Value::Str("?".into()),
+                "raw",
+                Json::Arr(vec![Json::Arr(vec![
+                    Json::Num(1.0),
+                    Json::Str("rule_from_the_future".into()),
+                    Json::Str("?".into()),
                 ])]),
             ),
         ]);

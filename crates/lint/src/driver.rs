@@ -25,6 +25,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use fairem_csvio::Json;
 use fairem_obs::Recorder;
 use fairem_par::{Parallelism, WorkerPool};
 
@@ -32,7 +33,6 @@ use crate::cache::{self, FileArtifact};
 use crate::deps;
 use crate::graph::{self, WalkScope};
 use crate::items::ItemIndex;
-use crate::json::Value;
 use crate::rules::{all_rules, Finding};
 use crate::source::SourceFile;
 
@@ -337,27 +337,21 @@ pub fn render_json(report: &LintReport) -> String {
         .findings
         .iter()
         .map(|f| {
-            Value::Obj(vec![
-                ("file".into(), Value::Str(f.rel.clone())),
-                ("line".into(), Value::Num(f.line as f64)),
-                ("rule".into(), Value::Str(f.rule.to_owned())),
-                ("message".into(), Value::Str(f.msg.clone())),
+            Json::obj([
+                ("file", Json::Str(f.rel.clone())),
+                ("line", Json::Num(f.line as f64)),
+                ("rule", Json::Str(f.rule.to_owned())),
+                ("message", Json::Str(f.msg.clone())),
             ])
         })
         .collect();
-    let doc = Value::Obj(vec![
-        ("format".into(), Value::Str("fairem-lint/2".into())),
-        (
-            "files_analyzed".into(),
-            Value::Num(report.files_analyzed as f64),
-        ),
-        (
-            "files_cached".into(),
-            Value::Num(report.files_cached as f64),
-        ),
-        ("findings".into(), Value::Arr(findings)),
+    let doc = Json::obj([
+        ("format", Json::Str("fairem-lint/2".into())),
+        ("files_analyzed", Json::Num(report.files_analyzed as f64)),
+        ("files_cached", Json::Num(report.files_cached as f64)),
+        ("findings", Json::Arr(findings)),
     ]);
-    let mut text = doc.render();
+    let mut text = doc.to_string_compact();
     text.push('\n');
     text
 }
@@ -366,31 +360,31 @@ pub fn render_json(report: &LintReport) -> String {
 /// parses as JSON, carries the format tag, and every finding has the
 /// four required fields. Returns the number of findings.
 pub fn validate_report_json(text: &str) -> Result<usize, String> {
-    let doc = crate::json::parse(text)?;
-    if doc.get("format").and_then(Value::as_str) != Some("fairem-lint/2") {
+    let doc = Json::parse(text).map_err(|e| e.to_string())?;
+    if doc.get("format").and_then(Json::as_str) != Some("fairem-lint/2") {
         return Err("missing or wrong `format` tag (want fairem-lint/2)".to_owned());
     }
     for field in ["files_analyzed", "files_cached"] {
         doc.get(field)
-            .and_then(Value::as_usize)
+            .and_then(Json::as_usize)
             .ok_or_else(|| format!("missing numeric `{field}`"))?;
     }
     let findings = doc
         .get("findings")
-        .and_then(Value::as_arr)
+        .and_then(Json::as_arr)
         .ok_or("missing `findings` array")?;
     for (i, f) in findings.iter().enumerate() {
         f.get("file")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or(format!("finding {i}: missing `file`"))?;
         f.get("line")
-            .and_then(Value::as_usize)
+            .and_then(Json::as_usize)
             .ok_or(format!("finding {i}: missing `line`"))?;
         f.get("rule")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or(format!("finding {i}: missing `rule`"))?;
         f.get("message")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or(format!("finding {i}: missing `message`"))?;
     }
     Ok(findings.len())

@@ -13,7 +13,6 @@
 //! threshold is applied downstream by the suite).
 
 pub mod boosting;
-pub mod calibration;
 pub mod crossval;
 pub mod forest;
 pub mod knn;
@@ -28,7 +27,6 @@ pub mod svm;
 pub mod tree;
 
 pub use boosting::GradientBoostedTrees;
-pub use calibration::{IsotonicCalibrator, PlattScaler};
 pub use crossval::{cross_val_f1, kfold_indices};
 pub use forest::RandomForest;
 pub use knn::KnnClassifier;

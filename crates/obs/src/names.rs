@@ -39,7 +39,7 @@ pub const SPAN_SHARD: &str = "shard";
 pub const SPAN_AUDIT: &str = "audit";
 /// Calibration stage parent (suite-level).
 pub const SPAN_CALIB: &str = "calib";
-/// Per-group calibrator fitting (fairem-calib).
+/// Per-group calibrator fitting (`fairem-core::calibrate`).
 pub const SPAN_CALIB_FIT: &str = "calib.fit";
 /// Ensemble Pareto-frontier enumeration.
 pub const SPAN_ENSEMBLE: &str = "ensemble";

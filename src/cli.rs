@@ -711,7 +711,7 @@ fn cmd_audit(
             ))
         }
         (_, Some(raw)) => {
-            fairem_calib::CalibrationSpec::parse(raw).map_err(|e| err(format!("--calibrate: {e}")))?
+            fairem_core::CalibrationSpec::parse(raw).map_err(|e| err(format!("--calibrate: {e}")))?
         }
         _ => None,
     };

@@ -13,8 +13,6 @@
 //! - [`csvio`] — CSV (RFC 4180) and JSON IO substrate.
 //! - [`stats`] — distributions, hypothesis tests, bootstrap.
 //! - [`ml`] — classic from-scratch matchers (DT, RF, SVM, ...).
-//! - [`calib`] — per-group score calibration (`GroupCalibrator`) behind
-//!   the threshold-independent fairness audits.
 //! - [`neural`] — tape autograd + the four Lite deep-matcher models.
 //! - [`datasets`] — synthetic FacultyMatch / NoFlyCompas generators.
 //! - [`obs`] — hermetic metrics + span tracing (the `--metrics` and
@@ -31,7 +29,6 @@
 
 pub mod cli;
 
-pub use fairem_calib as calib;
 pub use fairem_core as core;
 pub use fairem_csvio as csvio;
 pub use fairem_datasets as datasets;
@@ -46,9 +43,10 @@ pub use fairem_text as text;
 /// Convenience prelude: the types needed for the standard four-step demo
 /// flow (import → matcher selection → audit → resolution).
 pub mod prelude {
-    pub use fairem_calib::{CalibrationSpec, CalibratorKind, GroupCalibrator};
     pub use fairem_core::audit::{AuditConfig, AuditReport, Auditor};
-    pub use fairem_core::calibrate::{CalibratedAudit, DistributionAudit};
+    pub use fairem_core::calibrate::{
+        CalibratedAudit, CalibrationSpec, CalibratorKind, DistributionAudit, GroupCalibrator,
+    };
     pub use fairem_core::ensemble::{EnsembleExplorer, ParetoPoint};
     pub use fairem_core::fairness::{Disparity, FairnessMeasure, Paradigm};
     pub use fairem_core::matcher::{Matcher, MatcherKind, MatcherRegistry};

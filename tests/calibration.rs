@@ -9,7 +9,7 @@
 //! strictly shrinks it — under every parallelism policy, bit for bit.
 
 use fairem360::core::audit::{AuditConfig, Auditor};
-use fairem360::core::calibrate::{apply_calibrator, distribution_audit, fit_on_workload};
+use fairem360::core::calibrate::{apply_calibrator, distribution_audit};
 use fairem360::core::fairness::{Disparity, FairnessMeasure, Paradigm};
 use fairem360::core::schema::Table;
 use fairem360::core::sensitive::{GroupId, GroupSpace, GroupVector, SensitiveAttr};
@@ -17,7 +17,7 @@ use fairem360::core::threshold::default_grid;
 use fairem360::core::workload::{Correspondence, Workload};
 use fairem360::csvio::parse_csv_str;
 use fairem360::par::{CancelToken, Parallelism, WorkerPool};
-use fairem360::prelude::CalibrationSpec;
+use fairem360::prelude::{CalibrationSpec, GroupCalibrator};
 
 fn space() -> GroupSpace {
     let t = Table::from_csv(parse_csv_str("id,g\na1,cn\na2,us\n").expect("valid csv"))
@@ -129,7 +129,7 @@ fn per_group_calibration_strictly_improves_and_is_policy_invariant() {
     let mut audits = Vec::new();
     for policy in [Parallelism::Off, Parallelism::Fixed(1), Parallelism::Fixed(4)] {
         let pool = WorkerPool::with_parallelism(policy);
-        let cal = fit_on_workload(
+        let cal = GroupCalibrator::try_fit(
             CalibrationSpec::isotonic(),
             &w,
             &groups,
@@ -173,7 +173,7 @@ fn per_group_calibration_strictly_improves_and_is_policy_invariant() {
     let auditor = tpr_auditor();
     assert!(any_unfair(&auditor, &w, &sp), "raw fixture is unfair at 0.5");
     let pool = WorkerPool::with_parallelism(Parallelism::Off);
-    let cal = fit_on_workload(
+    let cal = GroupCalibrator::try_fit(
         CalibrationSpec::isotonic(),
         &w,
         &groups,
