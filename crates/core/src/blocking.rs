@@ -185,10 +185,10 @@ fn token_blocking_exec(
         "blocking.tokens",
         eligible.iter().filter(|&&e| e).count() as u64,
     );
-    // Chunks of A rows, about four per worker. Each chunk owns a stamp
-    // per B row (`a_row + 1` marks "already linked to this A row"; 0 is
-    // never a stamp).
-    let rows_per_chunk = a.len().div_ceil(4 * exec.pool.workers()).max(1);
+    // Chunks of A rows, sized like the pool's own chunks. Each chunk
+    // owns a stamp per B row (`a_row + 1` marks "already linked to this
+    // A row"; 0 is never a stamp).
+    let rows_per_chunk = exec.pool.chunk_for(a.len());
     let chunks = exec.pool.par_map(a.len().div_ceil(rows_per_chunk), |k| {
         let mut stamp = vec![0u32; b.len()];
         let mut linked: Vec<u32> = Vec::new();

@@ -453,6 +453,9 @@ impl FairEm360 {
     /// splits, and the trained matchers must see identical data in both
     /// paths, which is what makes the sharded back half bit-for-bit
     /// equivalent to the in-memory one.
+    ///
+    /// A matching threshold outside `[0, 1]` is a [`SuiteError::Config`]
+    /// before any stage runs: no score could be thresholded against it.
     fn run_front(self, kinds: &[MatcherKind]) -> SuiteResult<Front> {
         let FairEm360 {
             table_a,
@@ -462,6 +465,12 @@ impl FairEm360 {
             config,
             mut quarantine,
         } = self;
+        let threshold = config.matching_threshold;
+        if !(0.0..=1.0).contains(&threshold) {
+            return Err(SuiteError::Config {
+                detail: format!("matching threshold must be in [0, 1], got {threshold}"),
+            });
+        }
         let plan = config.fault.clone();
         let obs = config.observe.clone();
         // One token for the whole run: every stage checkpoints it, every
@@ -2044,6 +2053,34 @@ mod tests {
         let err = FairEm360::builder().build().expect_err("must fail");
         assert!(matches!(err, SuiteError::Config { .. }), "{err}");
         assert!(err.to_string().contains(".tables("), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_matching_threshold_is_a_config_error() {
+        for bad in [f64::NAN, -3.0, 1.5, f64::INFINITY] {
+            let config = SuiteConfig {
+                matching_threshold: bad,
+                ..config()
+            };
+            let (a, b, m) = dataset();
+            let sensitive = vec![SensitiveAttr::categorical("country")];
+            let built = FairEm360::builder()
+                .tables(a.clone(), b.clone())
+                .ground_truth(m.clone())
+                .sensitive(sensitive.clone())
+                .config(config.clone())
+                .build()
+                .unwrap();
+            let (imported, _) = FairEm360::import_with(a, b, m, sensitive, config).unwrap();
+            for suite in [built, imported] {
+                match suite.try_run(&[MatcherKind::DtMatcher]) {
+                    Err(SuiteError::Config { detail }) => {
+                        assert!(detail.contains("matching threshold"), "{detail}")
+                    }
+                    other => panic!("threshold {bad}: expected a config error, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,3 +36,61 @@ pub use faculty::{faculty_match, FacultyConfig};
 pub use noflycompas::{nofly_compas, NoFlyConfig};
 pub use products::{wdc_products, ProductsConfig};
 pub use stream::{ScaleConfig, ScaleDataset};
+
+/// The generators [`generate`] builds by name.
+pub const GENERATORS: [&str; 4] = ["faculty", "noflycompas", "products", "citations"];
+
+/// Build the generator named `name` (one of [`GENERATORS`]) at its
+/// default configuration under `seed`; seed 0 keeps the generator's
+/// default seed. `None` for any other name.
+pub fn generate(name: &str, seed: u64) -> Option<GeneratedDataset> {
+    let seeded = |default: u64| if seed == 0 { default } else { seed };
+    Some(match name {
+        "faculty" => {
+            let cfg = FacultyConfig::default();
+            faculty_match(&FacultyConfig {
+                seed: seeded(cfg.seed),
+                ..cfg
+            })
+        }
+        "noflycompas" => {
+            let cfg = NoFlyConfig::default();
+            nofly_compas(&NoFlyConfig {
+                seed: seeded(cfg.seed),
+                ..cfg
+            })
+        }
+        "products" => {
+            let cfg = ProductsConfig::default();
+            wdc_products(&ProductsConfig {
+                seed: seeded(cfg.seed),
+                ..cfg
+            })
+        }
+        "citations" => {
+            let cfg = CitationsConfig::default();
+            citations(&CitationsConfig {
+                seed: seeded(cfg.seed),
+                ..cfg
+            })
+        }
+        _ => return None,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn generate_knows_exactly_the_listed_names_and_seed_zero_is_the_default() {
+        for name in GENERATORS {
+            assert!(generate(name, 1).is_some(), "{name}");
+        }
+        assert!(generate("scale", 0).is_none());
+        assert!(generate("Faculty", 0).is_none());
+        let default = faculty_match(&FacultyConfig::default());
+        let zero = generate("faculty", 0).map(|d| d.table_a);
+        assert_eq!(zero, Some(default.table_a));
+    }
+}

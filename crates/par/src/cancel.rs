@@ -130,7 +130,8 @@ struct Inner {
     flag: AtomicBool,
     /// When this token was created — the budget's epoch.
     started: Instant,
-    /// Absolute wall-clock deadline, if armed.
+    /// Absolute wall-clock deadline, if armed. A budget reaching past
+    /// the clock's range arms none: it could never expire.
     deadline: Option<Instant>,
     /// Step allowance, if armed.
     max_steps: Option<u64>,
@@ -146,7 +147,7 @@ impl Inner {
         Inner {
             flag: AtomicBool::new(false),
             started,
-            deadline: budget.wall.map(|w| started + w),
+            deadline: budget.wall.and_then(|w| started.checked_add(w)),
             max_steps: budget.max_steps,
             steps: AtomicU64::new(0),
             parent,
@@ -531,6 +532,13 @@ mod tests {
         let i = t.checkpoint().expect_err("deadline passed");
         assert_eq!(i.cause, CancelCause::Deadline);
         assert!(i.elapsed >= Duration::from_millis(20));
+    }
+
+    #[test]
+    fn a_deadline_past_the_clock_range_never_trips() {
+        let t = CancelToken::with_budget(Budget::wall(Duration::MAX));
+        assert!(t.checkpoint().is_ok());
+        assert_eq!(t.remaining_wall(), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A from-scratch, std-only parallel execution engine for the suite:
 //! a fixed-size [`WorkerPool`] with chunked [`WorkerPool::par_map`] /
-//! [`WorkerPool::par_for_each`] over index ranges, deterministic result
+//! [`WorkerPool::par_map_within`] over index ranges, deterministic result
 //! ordering (output is identical to sequential execution, bit for bit,
 //! regardless of worker count), and panic capture that integrates with
 //! the suite's degraded-mode error taxonomy.

@@ -173,9 +173,9 @@ impl WorkerPool {
 
     /// The chunk size used for `n` items: roughly four chunks per
     /// worker, so stragglers rebalance without drowning the scheduler
-    /// in tiny chunks.
-    fn chunk_for(&self, n: usize) -> usize {
-        n.div_ceil(self.workers * 4).max(1)
+    /// in tiny chunks. Saturating, so any worker count is safe.
+    pub fn chunk_for(&self, n: usize) -> usize {
+        n.div_ceil(self.workers.saturating_mul(4)).max(1)
     }
 
     /// Run `per_chunk` over chunks of `0..n`, observing `token` (when
@@ -267,21 +267,6 @@ impl WorkerPool {
         Harvest { tagged, n_chunks }
     }
 
-    /// Run `per_chunk` over every chunk of `0..n` and return the
-    /// outputs in chunk order.
-    fn run_chunks<T: Send>(
-        &self,
-        n: usize,
-        per_chunk: impl Fn(Range<usize>) -> T + Sync,
-    ) -> Vec<T> {
-        // Without a token the harvest is always complete.
-        self.harvest(n, None, per_chunk)
-            .tagged
-            .into_iter()
-            .map(|(_, t)| t)
-            .collect()
-    }
-
     /// Stitch a harvest of per-chunk item vectors into a [`ParOutcome`]:
     /// complete when every chunk ran, otherwise the contiguous prefix
     /// plus progress accounting.
@@ -318,33 +303,7 @@ impl WorkerPool {
     /// # Panics
     /// If `f` panics for any index.
     pub fn par_map<T: Send>(&self, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-        match self.try_par_map(n, f) {
-            Ok(out) => out,
-            // fairem: allow(panic) — documented # Panics contract: re-raises a worker panic
-            Err(p) => panic!("{}", p.detail),
-        }
-    }
-
-    /// Like [`WorkerPool::par_map`], but a contained chunk panic is
-    /// returned as a [`ChunkPanic`] (the first failing chunk in chunk
-    /// order) instead of unwinding — the shape stage-level callers need
-    /// to convert into the suite's error taxonomy.
-    pub fn try_par_map<T: Send>(
-        &self,
-        n: usize,
-        f: impl Fn(usize) -> T + Sync,
-    ) -> Result<Vec<T>, ChunkPanic> {
-        let f = &f;
-        let chunks = self.run_chunks(n, move |range| {
-            let r = range.clone();
-            contain(move || r.map(f).collect::<Vec<T>>())
-                .map_err(|detail| ChunkPanic { range, detail })
-        });
-        let mut out = Vec::with_capacity(n);
-        for c in chunks {
-            out.extend(c?);
-        }
-        Ok(out)
+        self.par_map_within(n, &CancelToken::inert(), f).into_done()
     }
 
     /// Parallel map with **per-item** panic isolation: every index gets
@@ -355,21 +314,14 @@ impl WorkerPool {
         n: usize,
         f: impl Fn(usize) -> T + Sync,
     ) -> Vec<Result<T, String>> {
-        self.run_chunks(n, |range| {
+        // Without a token the harvest is always complete.
+        self.harvest(n, None, |range| {
             range.map(|i| contain(|| f(i))).collect::<Vec<_>>()
         })
+        .tagged
         .into_iter()
-        .flatten()
+        .flat_map(|(_, items)| items)
         .collect()
-    }
-
-    /// Chunked parallel loop over `0..n` for side-effecting work whose
-    /// outputs live elsewhere (e.g. thread-safe accumulators).
-    ///
-    /// # Panics
-    /// If `f` panics for any index (first chunk in chunk order wins).
-    pub fn par_for_each(&self, n: usize, f: impl Fn(usize) + Sync) {
-        self.par_map(n, f);
     }
 
     /// Cancellable [`WorkerPool::par_map`]: workers stop pulling chunks
@@ -385,25 +337,11 @@ impl WorkerPool {
         token: &CancelToken,
         f: impl Fn(usize) -> T + Sync,
     ) -> ParOutcome<Vec<T>> {
-        match self.try_par_map_within(n, token, f) {
+        match self.try_par_scratch_within(n, token, || (), |(), i| f(i)) {
             Ok(out) => out,
             // fairem: allow(panic) — documented # Panics contract: re-raises a worker panic
             Err(p) => panic!("{}", p.detail),
         }
-    }
-
-    /// Cancellable [`WorkerPool::try_par_map`]. A contained chunk panic
-    /// takes precedence over an interruption: if any chunk that ran
-    /// panicked, the first such chunk (in chunk order) is returned as
-    /// the error even when the token also tripped.
-    pub fn try_par_map_within<T: Send>(
-        &self,
-        n: usize,
-        token: &CancelToken,
-        f: impl Fn(usize) -> T + Sync,
-    ) -> Result<ParOutcome<Vec<T>>, ChunkPanic> {
-        let f = &f;
-        self.try_par_scratch_within(n, token, || (), move |(), i| f(i))
     }
 
     /// Cancellable chunked map with **per-chunk scratch state**: `init`
@@ -417,8 +355,12 @@ impl WorkerPool {
     /// worker) and `f` must leave no observable state in the scratch
     /// that affects later items beyond what a freshly-`init`ed scratch
     /// would, the stitched output is bit-for-bit identical for every
-    /// worker count and chunk size. Panics and interrupts behave
-    /// exactly as in [`WorkerPool::try_par_map_within`].
+    /// worker count and chunk size.
+    ///
+    /// A panic in `f` is contained and returned as the [`ChunkPanic`] of
+    /// the first failing chunk in chunk order. It takes precedence over
+    /// an interruption: if any chunk that ran panicked, that chunk is
+    /// the error even when the token also tripped.
     pub fn try_par_scratch_within<S, T: Send>(
         &self,
         n: usize,
@@ -442,22 +384,6 @@ impl WorkerPool {
             tagged.push((c, r?));
         }
         Ok(WorkerPool::assemble(Harvest { tagged, n_chunks }, n, token))
-    }
-
-    /// Cancellable [`WorkerPool::par_map_isolated`]: per-item panic
-    /// isolation plus cooperative cancellation between chunks. Panicked
-    /// items are `Err` entries in the outcome (they count as completed
-    /// — the item *ran*, it just failed).
-    pub fn par_map_isolated_within<T: Send>(
-        &self,
-        n: usize,
-        token: &CancelToken,
-        f: impl Fn(usize) -> T + Sync,
-    ) -> ParOutcome<Vec<Result<T, String>>> {
-        let h = self.harvest(n, Some(token), |range| {
-            range.map(|i| contain(|| f(i))).collect::<Vec<_>>()
-        });
-        WorkerPool::assemble(h, n, token)
     }
 }
 
@@ -490,22 +416,25 @@ mod tests {
     fn empty_input_yields_empty_output() {
         let pool = WorkerPool::new(4);
         assert!(pool.par_map(0, |i| i).is_empty());
-        assert_eq!(pool.try_par_map(0, |i| i), Ok(Vec::new()));
+        assert_eq!(
+            pool.try_par_scratch_within(0, &CancelToken::inert(), || (), |(), i| i),
+            Ok(ParOutcome::Complete(Vec::new()))
+        );
         assert!(pool.par_map_isolated(0, |i| i).is_empty());
     }
 
     #[test]
-    fn try_par_map_attributes_the_panicking_chunk() {
-        let pool = WorkerPool::new(4);
-        let err = pool
-            .try_par_map(100, |i| {
-                assert!(i != 57, "item 57 is cursed");
-                i
-            })
-            .expect_err("must fail");
-        assert!(err.range.contains(&57), "{:?}", err.range);
-        assert!(err.detail.contains("cursed"), "{}", err.detail);
-        assert!(err.to_string().contains("panicked"));
+    fn any_worker_count_chunks_without_overflow() {
+        // Four chunks per worker overflows `usize` for these counts;
+        // `usize::MAX / 4 + 1` times four wraps to exactly zero.
+        for workers in [usize::MAX, usize::MAX / 4 + 1] {
+            let pool = WorkerPool::new(workers);
+            assert_eq!(pool.chunk_for(10), 1);
+            assert_eq!(
+                pool.par_map(10, |i| i * 3),
+                (0..10).map(|i| i * 3).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
@@ -533,16 +462,6 @@ mod tests {
     fn par_map_repanics_after_joining() {
         let pool = WorkerPool::new(2);
         let _ = pool.par_map(20, |i| assert!(i != 5, "item 5 detonated"));
-    }
-
-    #[test]
-    fn par_for_each_runs_every_index_exactly_once() {
-        let hits: Vec<AtomicUsize> = (0..257).map(|_| AtomicUsize::new(0)).collect();
-        let pool = WorkerPool::new(4);
-        pool.par_for_each(hits.len(), |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
@@ -619,40 +538,26 @@ mod tests {
     }
 
     #[test]
-    fn panic_wins_over_interruption_in_try_par_map_within() {
+    fn panic_wins_over_interruption_in_try_par_scratch_within() {
         use crate::cancel::CancelToken;
         let pool = WorkerPool::new(1);
         let token = CancelToken::inert();
         let err = pool
-            .try_par_map_within(1000, &token, |i| {
-                if i == 10 {
-                    token.cancel();
-                }
-                assert!(i != 5, "item 5 is cursed");
-                i
-            })
+            .try_par_scratch_within(
+                1000,
+                &token,
+                || (),
+                |(), i| {
+                    if i == 10 {
+                        token.cancel();
+                    }
+                    assert!(i != 5, "item 5 is cursed");
+                    i
+                },
+            )
             .expect_err("chunk panic must surface");
         assert!(err.range.contains(&5), "{:?}", err.range);
         assert!(err.detail.contains("cursed"));
-    }
-
-    #[test]
-    fn isolated_within_keeps_per_item_attribution_under_cancellation() {
-        use crate::cancel::{Budget, CancelToken};
-        let pool = WorkerPool::new(4);
-        let token = CancelToken::with_budget(Budget::UNLIMITED);
-        let outcome = pool.par_map_isolated_within(10, &token, |i| {
-            assert!(i != 3, "injected: item 3 dies");
-            i * 2
-        });
-        match outcome {
-            ParOutcome::Complete(out) => {
-                assert_eq!(out.len(), 10);
-                assert!(out[3].is_err());
-                assert_eq!(out[7].as_ref().copied(), Ok(14));
-            }
-            other => panic!("untripped token must complete: {other:?}"),
-        }
     }
 
     #[test]
@@ -739,6 +644,8 @@ mod tests {
             )
             .expect_err("must fail");
         assert!(err.range.contains(&57), "{:?}", err.range);
+        assert!(err.detail.contains("cursed"), "{}", err.detail);
+        assert!(err.to_string().contains("panicked"));
 
         let token = CancelToken::inert();
         token.cancel();

@@ -1,6 +1,7 @@
 //! Direct tests of the public pool API as an external consumer —
-//! previously `par_map_isolated` attribution and `par_for_each` were
-//! only exercised indirectly through the suite.
+//! previously `par_map_isolated` attribution and `par_map`'s
+//! exactly-once visiting were only exercised indirectly through the
+//! suite.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -40,24 +41,17 @@ fn par_map_isolated_with_no_failures_is_all_ok() {
 }
 
 #[test]
-fn par_for_each_visits_every_index_exactly_once_per_worker_count() {
+fn par_map_visits_every_index_exactly_once_per_worker_count() {
     for workers in [1, 3, 4, 7] {
         let hits: Vec<AtomicUsize> = (0..501).map(|_| AtomicUsize::new(0)).collect();
         let pool = WorkerPool::new(workers);
-        pool.par_for_each(hits.len(), |i| {
+        pool.par_map(hits.len(), |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 1, "workers={workers} i={i}");
         }
     }
-}
-
-#[test]
-#[should_panic(expected = "item 9 detonated")]
-fn par_for_each_surfaces_a_worker_panic() {
-    let pool = WorkerPool::new(4);
-    pool.par_for_each(100, |i| assert!(i != 9, "item 9 detonated"));
 }
 
 #[test]
@@ -132,7 +126,7 @@ fn cancellable_map_accounts_partial_progress() {
     let pool = WorkerPool::new(4);
     let token = CancelToken::with_budget(Budget::UNLIMITED);
     token.cancel();
-    match pool.par_map_isolated_within(100, &token, |i| i) {
+    match pool.par_map_within(100, &token, |i| i) {
         ParOutcome::Interrupted {
             done,
             completed,

@@ -24,10 +24,6 @@ use fairem_core::matcher::MatcherKind;
 use fairem_core::pipeline::{FairEm360, Session, ShardedRun, SuiteConfig};
 use fairem_core::sensitive::{GroupId, SensitiveAttr};
 use fairem_core::{CalibrationSpec, GroupCalibrator, SuiteError};
-use fairem_datasets::{
-    citations, faculty_match, nofly_compas, wdc_products, CitationsConfig, FacultyConfig,
-    GeneratedDataset, NoFlyConfig, ProductsConfig,
-};
 use fairem_obs::Recorder;
 use fairem_par::{CancelToken, Interrupt, Parallelism};
 
@@ -65,7 +61,7 @@ impl SessionSpec {
         threshold: f64,
         shards: usize,
     ) -> Result<SessionSpec, String> {
-        if !matches!(dataset, "faculty" | "products" | "citations" | "noflycompas") {
+        if !fairem_datasets::GENERATORS.contains(&dataset) {
             return Err(format!(
                 "unknown dataset {dataset:?} (expected faculty|products|citations|noflycompas)"
             ));
@@ -115,40 +111,6 @@ impl SessionSpec {
         match self.dataset.as_str() {
             "citations" | "products" => "title",
             _ => "name",
-        }
-    }
-
-    fn generate(&self) -> GeneratedDataset {
-        match self.dataset.as_str() {
-            "products" => {
-                let mut cfg = ProductsConfig::default();
-                if self.seed != 0 {
-                    cfg.seed = self.seed;
-                }
-                wdc_products(&cfg)
-            }
-            "citations" => {
-                let mut cfg = CitationsConfig::default();
-                if self.seed != 0 {
-                    cfg.seed = self.seed;
-                }
-                citations(&cfg)
-            }
-            "noflycompas" => {
-                let mut cfg = NoFlyConfig::default();
-                if self.seed != 0 {
-                    cfg.seed = self.seed;
-                }
-                nofly_compas(&cfg)
-            }
-            // `resolve` pinned the name set; anything else is faculty.
-            _ => {
-                let mut cfg = FacultyConfig::default();
-                if self.seed != 0 {
-                    cfg.seed = self.seed;
-                }
-                faculty_match(&cfg)
-            }
         }
     }
 }
@@ -418,7 +380,11 @@ fn build_session(
     observe: &Recorder,
     checkpoint_root: Option<&std::path::Path>,
 ) -> Result<ServedSession, SuiteError> {
-    let data = spec.generate();
+    let data = fairem_datasets::generate(&spec.dataset, spec.seed).ok_or_else(|| {
+        SuiteError::Config {
+            detail: format!("unknown dataset {:?}", spec.dataset),
+        }
+    })?;
     let sensitive: Vec<SensitiveAttr> = data
         .sensitive
         .iter()

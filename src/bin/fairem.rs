@@ -1,4 +1,4 @@
-//! The `fairem` CLI binary — see `fairem360::cli::USAGE`.
+//! The `fairem` CLI binary — see `fairem360::cli::usage`.
 //!
 //! Exit codes (also listed in the usage text): 0 = success, 1 = usage
 //! error, 2 = data error, 3 = completed but degraded, 4 = a deadline

@@ -2,9 +2,15 @@
 //! audit matchers on Magellan-shaped CSV files (Matching-and-Evaluation),
 //! and audit uploaded score files (Evaluation-Only).
 //!
-//! Argument parsing is hand-rolled (the workspace carries no CLI
-//! dependency); `run` is pure-ish (filesystem only) and returns the
-//! rendered output, so the whole surface is unit-testable.
+//! Each subcommand declares its flags once, in the `COMMANDS` table.
+//! `Args::parse` is the only code that checks argv against it: an
+//! unknown or repeated flag, a value flag without a value, a switch
+//! followed by a bare word and a missing required flag are usage errors
+//! naming the flag and the subcommand. [`usage`] renders its synopsis
+//! from the same table; its notes on the flags are hand-written. The
+//! workspace carries no CLI dependency. `run` is pure-ish (filesystem
+//! only) and returns the rendered output, so the whole surface is
+//! unit-testable.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -19,11 +25,8 @@ use fairem_core::pipeline::FairEm360;
 use fairem_core::report::{audit_json, audit_text, calibrated_audit_json, calibrated_audit_text};
 use fairem_core::sensitive::SensitiveAttr;
 use fairem_core::{Budget, CancelToken, MemBudget, Parallelism, SuiteError};
-use fairem_csvio::{read_csv_file, write_csv_file, write_csv_stream, CsvTable, Json};
-use fairem_datasets::{
-    citations, faculty_match, nofly_compas, wdc_products, CitationsConfig, FacultyConfig,
-    GeneratedDataset, NoFlyConfig, ProductsConfig, ScaleConfig, ScaleDataset,
-};
+use fairem_csvio::{read_csv_file, write_csv_stream, CsvTable, Json};
+use fairem_datasets::{ScaleConfig, ScaleDataset};
 
 /// Process exit code: clean success.
 pub const EXIT_OK: i32 = 0;
@@ -94,13 +97,6 @@ fn suite_exit_code(e: &SuiteError) -> i32 {
     }
 }
 
-fn suite_err(e: SuiteError) -> CliError {
-    CliError {
-        exit: suite_exit_code(&e),
-        message: e.to_string(),
-    }
-}
-
 /// Successful CLI output: the rendered text plus how the run ended
 /// (degraded coverage, budget cuts, external interruption), which
 /// decides the process exit code.
@@ -144,36 +140,150 @@ impl CliOutput {
     }
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-fairem — responsible entity matching suite
+/// One flag a subcommand accepts.
+struct Flag {
+    name: &'static str,
+    /// The placeholder the usage text shows for the flag's value;
+    /// `None` for a switch, which takes no value.
+    value: Option<&'static str>,
+    required: bool,
+}
 
-USAGE:
-  fairem generate --dataset <faculty|noflycompas|products|citations|scale> --out <dir>
-         [--seed <n>] [--rows <n>] [--block-width <n>]
-  fairem audit --table-a <csv> --table-b <csv> --matches <csv> --sensitive <col[,col]>
-         [--matchers <name,..>] [--measures <name,..>] [--paradigm single|pairwise]
-         [--disparity subtraction|division] [--threshold <f>] [--fairness-threshold <f>]
-         [--min-support <n>] [--only-unfair] [--json] [--dump-workload <dir>]
-         [--blocking <col[,col]>] [--blocker token|sorted:<key-col>[:<window>]]
-         [--negative-ratio <f|all>] [--train-frac <f>]
-         [--shards <n>] [--mem-budget <mib>] [--checkpoint-dir <dir>] [--resume]
-         [--calibrate none|platt|isotonic[:min-support]] [--all-thresholds]
-         [--jobs <n|auto>] [--timeout <secs>] [--matcher-timeout <secs>]
-         [--inject-stall <matcher>:<train|score>:<millis>]
-         [--metrics <path>] [--trace]
-  fairem audit-scores --table-a <csv> --table-b <csv> --matches <csv> --scores <csv>
-         --sensitive <col[,col]> [audit options as above]
-  fairem analyze --table-a <csv> --table-b <csv> --matches <csv> --scores <csv>
-         --sensitive <col[,col]> [--measure <name>] [--fairness-threshold <f>]
-         [--jobs <n|auto>]
-  fairem serve [--port <n>] [--max-sessions <n>] [--max-inflight <n>]
-         [--max-cached <n>] [--request-timeout <secs>] [--drain-timeout <secs>]
-         [--metrics <path>] [--checkpoint-dir <dir>] [--jobs <n|auto>]
-  fairem client --addr <host:port> --send \"<cmd>[; <cmd>..]\"
-  fairem storm --addr <host:port> [--clients <n>] [--rounds <n>] [--stall-ms <n>]
-         [--seed <n>]
+/// A flag that must be given, with a value.
+const fn req(name: &'static str, value: &'static str) -> Flag {
+    Flag {
+        name,
+        value: Some(value),
+        required: true,
+    }
+}
 
+/// An optional flag with a value.
+const fn opt(name: &'static str, value: &'static str) -> Flag {
+    Flag {
+        name,
+        value: Some(value),
+        required: false,
+    }
+}
+
+/// An optional switch.
+const fn switch(name: &'static str) -> Flag {
+    Flag {
+        name,
+        value: None,
+        required: false,
+    }
+}
+
+/// A subcommand: the flags it accepts and the function that runs it.
+struct Command {
+    name: &'static str,
+    /// Flag groups, in synopsis order (audit and audit-scores share
+    /// some).
+    flags: &'static [&'static [Flag]],
+    run: fn(&Args, &CancelToken) -> Result<CliOutput, CliError>,
+}
+
+impl Command {
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.flags.iter().flat_map(|group| group.iter())
+    }
+
+    /// The subcommand's synopsis, wrapped at 80 columns.
+    fn synopsis(&self) -> String {
+        let mut out = format!("  fairem {}", self.name);
+        let mut width = out.len();
+        for f in self.flags() {
+            let word = match (f.value, f.required) {
+                (Some(v), true) => format!("--{} {v}", f.name),
+                (Some(v), false) => format!("[--{} {v}]", f.name),
+                (None, _) => format!("[--{}]", f.name),
+            };
+            if width + 1 + word.len() > 80 {
+                out.push_str("\n        ");
+                width = 8;
+            }
+            out.push(' ');
+            out.push_str(&word);
+            width += 1 + word.len();
+        }
+        out
+    }
+}
+
+/// The inputs of every audit-style subcommand.
+#[rustfmt::skip]
+const INPUTS: &[Flag] = &[
+    req("table-a", "<csv>"), req("table-b", "<csv>"), req("matches", "<csv>"),
+    req("sensitive", "<col[,col]>"),
+];
+
+/// The uploaded matcher scores of the Evaluation-Only subcommands.
+const SCORES: &[Flag] = &[req("scores", "<csv>")];
+
+/// Flags that only a fleet the suite trains itself can honour.
+#[rustfmt::skip]
+const FLEET: &[Flag] = &[
+    opt("matchers", "<name,..>"), opt("shards", "<n>"), opt("checkpoint-dir", "<dir>"),
+    switch("resume"), opt("calibrate", "none|platt|isotonic[:min-support]"),
+];
+
+/// The audit options `audit` and `audit-scores` share.
+#[rustfmt::skip]
+const AUDIT: &[Flag] = &[
+    opt("measures", "<name,..>"), opt("paradigm", "single|pairwise"),
+    opt("disparity", "subtraction|division"), opt("threshold", "<f>"),
+    opt("fairness-threshold", "<f>"), opt("min-support", "<n>"),
+    switch("only-unfair"), switch("json"), opt("dump-workload", "<dir>"),
+    opt("blocking", "<col[,col]>"), opt("blocker", "token|sorted:<key-col>[:<window>]"),
+    opt("negative-ratio", "<f|all>"), opt("train-frac", "<f>"), opt("mem-budget", "<mib>"),
+    switch("all-thresholds"), opt("jobs", "<n|auto>"),
+    opt("timeout", "<secs>"), opt("matcher-timeout", "<secs>"),
+    opt("inject-stall", "<matcher>:<train|score>:<millis>"),
+    opt("metrics", "<path>"), switch("trace"),
+];
+
+/// Every subcommand, in usage order.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "generate", run: cmd_generate, flags: &[&[
+        req("dataset", "<faculty|noflycompas|products|citations|scale>"), req("out", "<dir>"),
+        opt("seed", "<n>"), opt("rows", "<n>"), opt("block-width", "<n>"),
+    ]] },
+    Command { name: "audit", run: cmd_audit, flags: &[INPUTS, FLEET, AUDIT] },
+    Command { name: "audit-scores", run: cmd_audit, flags: &[INPUTS, SCORES, AUDIT] },
+    Command { name: "analyze", run: cmd_analyze, flags: &[INPUTS, SCORES, &[
+        opt("measure", "<name>"), opt("fairness-threshold", "<f>"), opt("jobs", "<n|auto>"),
+    ]] },
+    Command { name: "serve", run: cmd_serve, flags: &[&[
+        opt("port", "<n>"), opt("max-sessions", "<n>"), opt("max-inflight", "<n>"),
+        opt("max-cached", "<n>"), opt("request-timeout", "<secs>"), opt("drain-timeout", "<secs>"),
+        opt("metrics", "<path>"), opt("checkpoint-dir", "<dir>"), opt("jobs", "<n|auto>"),
+    ]] },
+    Command { name: "client", run: cmd_client, flags: &[&[
+        req("addr", "<host:port>"), req("send", "\"<cmd>[; <cmd>..]\""),
+    ]] },
+    Command { name: "storm", run: cmd_storm, flags: &[&[
+        req("addr", "<host:port>"), opt("clients", "<n>"), opt("rounds", "<n>"),
+        opt("stall-ms", "<n>"), opt("seed", "<n>"),
+    ]] },
+];
+
+/// The usage text: every subcommand's synopsis, rendered from its flag
+/// table, then the notes on the flags.
+pub fn usage() -> String {
+    let mut out = String::from("fairem — responsible entity matching suite\n\nUSAGE:\n");
+    for c in COMMANDS {
+        out.push_str(&c.synopsis());
+        out.push('\n');
+    }
+    out.push_str(NOTES);
+    out
+}
+
+/// The hand-written part of [`usage`].
+const NOTES: &str = "
 FILES:
   matches csv: header `id_a,id_b`, one ground-truth pair per row
   scores  csv: header `id_a,id_b,score`, your matcher's predictions
@@ -251,7 +361,7 @@ SERVER:
 
 EXIT CODES:
   0    success, full coverage
-  1    usage error (bad flags, unknown command, invalid configuration)
+  1    usage error (bad or unknown flags, unknown command, invalid configuration)
   2    data error (unreadable file, schema violation, every matcher failed)
   3    completed but degraded (matchers failed or input rows quarantined;
        the report lists what is missing)
@@ -260,57 +370,79 @@ EXIT CODES:
   130  interrupted (Ctrl-C); any output is a valid partial result
 ";
 
-/// Simple `--flag value` / `--flag` argument map.
+/// argv checked against one subcommand's flag table.
 struct Args {
-    command: String,
-    flags: Vec<(String, Option<String>)>,
+    command: &'static Command,
+    /// The flags given, in argv order, with their values (`None` for a
+    /// switch).
+    given: Vec<(&'static str, Option<String>)>,
 }
 
 impl Args {
+    /// Find argv's subcommand and check every flag against its table.
     fn parse(argv: &[String]) -> Result<Args, CliError> {
-        let command = argv.first().ok_or_else(|| err(USAGE))?.clone();
-        let mut flags = Vec::new();
-        let mut i = 1;
-        while i < argv.len() {
-            let flag = &argv[i];
-            if !flag.starts_with("--") {
-                return Err(err(format!("unexpected argument {flag:?}\n\n{USAGE}")));
+        let name = argv.first().ok_or_else(|| err(usage()))?;
+        let command = COMMANDS
+            .iter()
+            .find(|c| c.name == name)
+            .ok_or_else(|| err(format!("unknown command {name:?}\n\n{}", usage())))?;
+        let refuse = |problem: String| {
+            err(format!(
+                "fairem {}: {problem}\n\nUSAGE:\n{}",
+                command.name,
+                command.synopsis()
+            ))
+        };
+        let mut given: Vec<(&'static str, Option<String>)> = Vec::new();
+        let mut words = argv.iter().skip(1).peekable();
+        while let Some(word) = words.next() {
+            let Some(name) = word.strip_prefix("--") else {
+                return Err(refuse(format!("unexpected argument {word:?}")));
+            };
+            let Some(flag) = command.flags().find(|f| f.name == name) else {
+                return Err(refuse(format!("unknown flag {word}")));
+            };
+            if given.iter().any(|(n, _)| *n == flag.name) {
+                return Err(refuse(format!("{word} is given more than once")));
             }
-            let name = flag[2..].to_owned();
-            if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                flags.push((name, Some(argv[i + 1].clone())));
-                i += 2;
-            } else {
-                flags.push((name, None));
-                i += 1;
+            match (flag.value, words.next_if(|w| !w.starts_with("--"))) {
+                (Some(placeholder), None) => {
+                    return Err(refuse(format!(
+                        "{word} expects {placeholder}, but no value was given"
+                    )))
+                }
+                (None, Some(bare)) => {
+                    return Err(refuse(format!(
+                        "{word} is a switch and takes no value, got {bare:?}"
+                    )))
+                }
+                (_, value) => given.push((flag.name, value.cloned())),
             }
         }
-        Ok(Args { command, flags })
+        let missing = command
+            .flags()
+            .find(|f| f.required && !given.iter().any(|(n, _)| *n == f.name));
+        if let Some(f) = missing {
+            return Err(refuse(format!("missing required --{}", f.name)));
+        }
+        Ok(Args { command, given })
     }
 
     fn get(&self, name: &str) -> Option<&str> {
-        self.flags
+        self.given
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == name)
             .and_then(|(_, v)| v.as_deref())
     }
 
-    fn required(&self, name: &str) -> Result<&str, CliError> {
-        self.get(name)
-            .ok_or_else(|| err(format!("missing required --{name}\n\n{USAGE}")))
+    /// The value of a flag its table marks required: [`Args::parse`]
+    /// has refused any argv without it.
+    fn required(&self, name: &str) -> &str {
+        self.get(name).unwrap_or_default()
     }
 
     fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| n == name)
-    }
-
-    fn get_f64(&self, name: &str, default: f64) -> Result<f64, CliError> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| err(format!("--{name} expects a number, got {v:?}"))),
-        }
+        self.given.iter().any(|(n, _)| *n == name)
     }
 
     fn get_usize(&self, name: &str, default: usize) -> Result<usize, CliError> {
@@ -320,6 +452,40 @@ impl Args {
                 .parse()
                 .map_err(|_| err(format!("--{name} expects an integer, got {v:?}"))),
         }
+    }
+
+    /// `--name` as a finite number that `ok` accepts, or `None` when
+    /// the flag is absent. An unparseable value is refused as not
+    /// `unit`; a non-finite one, or one `ok` rejects, as not `range`.
+    fn number(
+        &self,
+        name: &str,
+        unit: &str,
+        range: &str,
+        ok: fn(f64) -> bool,
+    ) -> Result<Option<f64>, CliError> {
+        let Some(v) = self.get(name) else {
+            return Ok(None);
+        };
+        let x: f64 = v
+            .parse()
+            .map_err(|_| err(format!("--{name} expects {unit}, got {v:?}")))?;
+        if x.is_finite() && ok(x) {
+            Ok(Some(x))
+        } else {
+            Err(err(format!("--{name} expects {range}, got {v:?}")))
+        }
+    }
+
+    /// `--fairness-threshold`: the largest disparity still judged fair.
+    fn fairness_threshold(&self) -> Result<f64, CliError> {
+        let t = self.number(
+            "fairness-threshold",
+            "a number",
+            "a non-negative number",
+            |t| t >= 0.0,
+        )?;
+        Ok(t.unwrap_or(0.2))
     }
 
     fn jobs(&self) -> Result<Parallelism, CliError> {
@@ -332,28 +498,11 @@ impl Args {
     }
 
     /// Parse `--<name> <secs>` into a wall-clock [`Budget`] (fractional
-    /// seconds allowed). Absent flag → `None`; flag without a value,
-    /// zero/negative/NaN → usage error.
+    /// seconds allowed); `None` when the flag is absent.
     fn wall_budget(&self, name: &str) -> Result<Option<Budget>, CliError> {
-        let Some(v) = self.get(name) else {
-            if self.has(name) {
-                // `--timeout` with no value would otherwise parse as a
-                // bare switch and silently run without a deadline.
-                return Err(err(format!(
-                    "--{name} expects a positive number of seconds, but no value was given"
-                )));
-            }
-            return Ok(None);
-        };
-        let secs: f64 = v
-            .parse()
-            .map_err(|_| err(format!("--{name} expects seconds, got {v:?}")))?;
-        if !secs.is_finite() || secs <= 0.0 {
-            return Err(err(format!(
-                "--{name} expects a positive number of seconds, got {v:?}"
-            )));
-        }
-        Ok(Some(Budget::wall(Duration::from_secs_f64(secs))))
+        let secs = self.number(name, "seconds", "a positive number of seconds", |s| s > 0.0)?;
+        // A budget too long for a `Duration` could never expire anyway.
+        Ok(secs.map(|s| Budget::wall(Duration::try_from_secs_f64(s).unwrap_or(Duration::MAX))))
     }
 }
 
@@ -474,77 +623,28 @@ pub fn run(argv: &[String]) -> Result<CliOutput, CliError> {
 /// completed audits are still rendered and the exit code is
 /// [`EXIT_INTERRUPTED`].
 pub fn run_with_token(argv: &[String], cancel: &CancelToken) -> Result<CliOutput, CliError> {
-    let args = Args::parse(argv)?;
-    match args.command.as_str() {
-        "generate" => cmd_generate(&args),
-        "audit" => cmd_audit(&args, None, cancel),
-        "audit-scores" => {
-            let path = args.required("scores")?.to_owned();
-            cmd_audit(&args, Some(PathBuf::from(path)), cancel)
-        }
-        "analyze" => cmd_analyze(&args, cancel),
-        "serve" => cmd_serve(&args, cancel),
-        "client" => cmd_client(&args),
-        "storm" => cmd_storm(&args),
-        "help" | "--help" | "-h" => Ok(CliOutput::clean(USAGE)),
-        other => Err(err(format!("unknown command {other:?}\n\n{USAGE}"))),
+    if let Some("help" | "--help" | "-h") = argv.first().map(String::as_str) {
+        return Ok(CliOutput::clean(usage()));
     }
+    let args = Args::parse(argv)?;
+    (args.command.run)(&args, cancel)
 }
 
-fn cmd_generate(args: &Args) -> Result<CliOutput, CliError> {
-    let name = args.required("dataset")?;
-    let out = PathBuf::from(args.required("out")?);
+fn cmd_generate(args: &Args, _: &CancelToken) -> Result<CliOutput, CliError> {
+    let name = args.required("dataset");
+    let out = PathBuf::from(args.required("out"));
     let seed = args.get_usize("seed", 0)? as u64;
     if name == "scale" {
         return cmd_generate_scale(args, &out, seed);
     }
-    let dataset: GeneratedDataset = match name {
-        "faculty" => {
-            let mut cfg = FacultyConfig::default();
-            if seed != 0 {
-                cfg.seed = seed;
-            }
-            faculty_match(&cfg)
-        }
-        "noflycompas" => {
-            let mut cfg = NoFlyConfig::default();
-            if seed != 0 {
-                cfg.seed = seed;
-            }
-            nofly_compas(&cfg)
-        }
-        "products" => {
-            let mut cfg = ProductsConfig::default();
-            if seed != 0 {
-                cfg.seed = seed;
-            }
-            wdc_products(&cfg)
-        }
-        "citations" => {
-            let mut cfg = CitationsConfig::default();
-            if seed != 0 {
-                cfg.seed = seed;
-            }
-            citations(&cfg)
-        }
-        other => return Err(err(format!("unknown dataset {other:?}"))),
-    };
-    std::fs::create_dir_all(&out).map_err(|e| data_err(format!("cannot create {out:?}: {e}")))?;
-    let write = |name: &str, table: &CsvTable| -> Result<(), CliError> {
-        let path = out.join(name);
-        write_csv_file(&path, table).map_err(|e| data_err(format!("writing {path:?}: {e}")))
-    };
-    write("tableA.csv", &dataset.table_a)?;
-    write("tableB.csv", &dataset.table_b)?;
-    let matches = CsvTable {
-        header: vec!["id_a".into(), "id_b".into()],
-        rows: dataset
-            .matches
-            .iter()
-            .map(|(a, b)| vec![a.clone(), b.clone()])
-            .collect(),
-    };
-    write("matches.csv", &matches)?;
+    let dataset = fairem_datasets::generate(name, seed)
+        .ok_or_else(|| err(format!("unknown dataset {name:?}")))?;
+    let (a, b) = (&dataset.table_a, &dataset.table_b);
+    let ids = ["id_a", "id_b"].map(String::from);
+    let pair = |(a, b): &(String, String)| vec![a.clone(), b.clone()];
+    write_rows(&out, "tableA.csv", &a.header, a.rows.iter().cloned())?;
+    write_rows(&out, "tableB.csv", &b.header, b.rows.iter().cloned())?;
+    write_rows(&out, "matches.csv", &ids, dataset.matches.iter().map(pair))?;
     Ok(CliOutput::clean(format!(
         "wrote {} (|A|={}, |B|={}, matches={}, sensitive={:?}) to {}",
         dataset.name,
@@ -570,31 +670,35 @@ fn cmd_generate_scale(args: &Args, out: &Path, seed: u64) -> Result<CliOutput, C
         return Err(err("--rows and --block-width must be positive"));
     }
     let d = ScaleDataset::new(cfg);
-    std::fs::create_dir_all(out).map_err(|e| data_err(format!("cannot create {out:?}: {e}")))?;
-    let stream = |name: &str,
-                  header: Vec<String>,
-                  rows: &mut dyn Iterator<Item = Vec<String>>|
-     -> Result<u64, CliError> {
-        let path = out.join(name);
-        let f = std::fs::File::create(&path)
-            .map_err(|e| data_err(format!("cannot create {path:?}: {e}")))?;
-        let mut w = std::io::BufWriter::new(f);
-        write_csv_stream(&mut w, &header, rows)
-            .map_err(|e| data_err(format!("writing {path:?}: {e}")))
-    };
-    let rows_a = stream("tableA.csv", d.header(), &mut d.rows_a())?;
-    let rows_b = stream("tableB.csv", d.header(), &mut d.rows_b())?;
-    let matches = stream(
-        "matches.csv",
-        vec!["id_a".into(), "id_b".into()],
-        &mut d.matches().map(|(a, b)| vec![a, b]),
-    )?;
+    let ids = ["id_a", "id_b"].map(String::from);
+    let rows_a = write_rows(out, "tableA.csv", &d.header(), d.rows_a())?;
+    let rows_b = write_rows(out, "tableB.csv", &d.header(), d.rows_b())?;
+    let pairs = d.matches().map(|(a, b)| vec![a, b]);
+    let matches = write_rows(out, "matches.csv", &ids, pairs)?;
     Ok(CliOutput::clean(format!(
         "wrote ScaleMatch (|A|={rows_a}, |B|={rows_b}, matches={matches}, sensitive={:?}, ~{} candidate pairs) to {}",
         d.sensitive(),
         d.candidate_estimate(),
         out.display()
     )))
+}
+
+/// Write `header` and `rows` as CSV to `dir/name`, creating `dir` if
+/// needed. Returns the number of data rows.
+fn write_rows(
+    dir: &Path,
+    name: &str,
+    header: &[String],
+    rows: impl Iterator<Item = Vec<String>>,
+) -> Result<u64, CliError> {
+    std::fs::create_dir_all(dir).map_err(|e| data_err(format!("cannot create {dir:?}: {e}")))?;
+    let path = dir.join(name);
+    let f = std::fs::File::create(&path)
+        .map_err(|e| data_err(format!("cannot create {path:?}: {e}")))?;
+    let mut w = std::io::BufWriter::new(f);
+    write_csv_stream(&mut w, header, rows)
+        .and_then(|n| std::io::Write::flush(&mut w).map(|()| n))
+        .map_err(|e| data_err(format!("writing {path:?}: {e}")))
 }
 
 fn read_table(path: &str) -> Result<CsvTable, CliError> {
@@ -642,20 +746,31 @@ fn run_err(e: SuiteError, cancel: &CancelToken) -> CliError {
     }
 }
 
-fn cmd_audit(
-    args: &Args,
-    scores_path: Option<PathBuf>,
-    cancel: &CancelToken,
-) -> Result<CliOutput, CliError> {
-    let table_a = read_table(args.required("table-a")?)?;
-    let table_b = read_table(args.required("table-b")?)?;
-    let matches = read_matches(args.required("matches")?)?;
-    let sensitive: Vec<SensitiveAttr> = args
-        .required("sensitive")?
-        .split(',')
-        .map(|c| SensitiveAttr::categorical(c.trim()))
-        .collect();
+/// A suite builder loaded with the tables, ground truth and sensitive
+/// attributes the `INPUTS` flags name.
+fn inputs(args: &Args) -> Result<fairem_core::pipeline::SuiteBuilder, CliError> {
+    let sensitive = args.required("sensitive").split(',');
+    Ok(FairEm360::builder()
+        .tables(
+            read_table(args.required("table-a"))?,
+            read_table(args.required("table-b"))?,
+        )
+        .ground_truth(read_matches(args.required("matches"))?)
+        .sensitive(sensitive.map(|c| SensitiveAttr::categorical(c.trim()))))
+}
 
+/// `fairem audit`, and `fairem audit-scores` — the only subcommand whose
+/// table declares `--scores` — for the Evaluation-Only flow.
+fn cmd_audit(args: &Args, cancel: &CancelToken) -> Result<CliOutput, CliError> {
+    let scores_path = args.get("scores");
+    let fleet = match args.get("matchers") {
+        Some(raw) => parse_list(raw, "matcher")?,
+        None => vec![
+            MatcherKind::DtMatcher,
+            MatcherKind::RfMatcher,
+            MatcherKind::LinRegMatcher,
+        ],
+    };
     let measures: Vec<FairnessMeasure> = match args.get("measures") {
         None => FairnessMeasure::PAPER_FIVE.to_vec(),
         Some(raw) => parse_list(raw, "measure")?,
@@ -670,13 +785,12 @@ fn cmd_audit(
         "division" => Disparity::Division,
         other => return Err(err(format!("unknown disparity {other:?}"))),
     };
-    let matching_threshold = args.get_f64("threshold", 0.5)?;
     let audit_measures = measures.clone();
     let auditor = Auditor::new(AuditConfig {
         paradigm,
         measures,
         disparity,
-        fairness_threshold: args.get_f64("fairness-threshold", 0.2)?,
+        fairness_threshold: args.fairness_threshold()?,
         min_support: args.get_usize("min-support", 10)?,
         only_unfair: args.has("only-unfair"),
         pairwise_attr: 0,
@@ -685,14 +799,7 @@ fn cmd_audit(
     // Observability: `--metrics <path>` and/or `--trace` swap the inert
     // default recorder for a live one. With neither flag the recorder
     // stays disabled and the run is bit-for-bit what it always was.
-    let metrics_path = match (args.has("metrics"), args.get("metrics")) {
-        (true, None) => {
-            return Err(err(
-                "--metrics expects an output path, but no value was given",
-            ))
-        }
-        (_, v) => v.map(PathBuf::from),
-    };
+    let metrics_path = args.get("metrics").map(PathBuf::from);
     let trace = args.has("trace");
     let observe = if metrics_path.is_some() || trace {
         fairem_core::Recorder::enabled()
@@ -704,27 +811,24 @@ fn cmd_audit(
     // per-group calibrator; `--all-thresholds` appends the
     // threshold-independent distribution audit (with a calibrated column
     // when a calibrator is configured).
-    let calibrate_spec = match (args.has("calibrate"), args.get("calibrate")) {
-        (true, None) => {
-            return Err(err(
-                "--calibrate expects none|platt|isotonic[:min-support], but no value was given",
-            ))
-        }
-        (_, Some(raw)) => {
-            fairem_core::CalibrationSpec::parse(raw).map_err(|e| err(format!("--calibrate: {e}")))?
-        }
-        _ => None,
+    let calibrate_spec = match args.get("calibrate") {
+        Some(raw) => fairem_core::CalibrationSpec::parse(raw)
+            .map_err(|e| err(format!("--calibrate: {e}")))?,
+        None => None,
     };
     let all_thresholds = args.has("all-thresholds");
 
     let mut config = fairem_core::pipeline::SuiteConfig {
-        matching_threshold,
+        // The suite itself refuses a threshold outside [0, 1].
+        matching_threshold: args
+            .number("threshold", "a number", "a finite number", |_| true)?
+            .unwrap_or(0.5),
         parallelism: args.jobs()?,
         cancel: cancel.clone(),
         observe: observe.clone(),
+        calibration: calibrate_spec,
         ..Default::default()
     };
-    config.calibration = calibrate_spec;
     if let Some(budget) = args.wall_budget("timeout")? {
         config.budget = budget;
     }
@@ -740,30 +844,22 @@ fn cmd_audit(
     if let Some(spec) = args.get("blocker") {
         config.blocker = parse_blocker(spec)?;
     }
-    if let Some(v) = args.get("negative-ratio") {
-        config.prep.negative_ratio = if v == "all" {
-            f64::INFINITY
-        } else {
-            let r: f64 = v.parse().map_err(|_| {
-                err(format!("--negative-ratio expects a number or `all`, got {v:?}"))
-            })?;
-            if !r.is_finite() || r < 0.0 {
-                return Err(err(format!(
-                    "--negative-ratio expects a non-negative number or `all`, got {v:?}"
-                )));
-            }
-            r
-        };
+    if args.get("negative-ratio") == Some("all") {
+        config.prep.negative_ratio = f64::INFINITY;
+    } else if let Some(r) = args.number(
+        "negative-ratio",
+        "a number or `all`",
+        "a non-negative number or `all`",
+        |r| r >= 0.0,
+    )? {
+        config.prep.negative_ratio = r;
     }
-    if let Some(v) = args.get("train-frac") {
-        let f: f64 = v
-            .parse()
-            .map_err(|_| err(format!("--train-frac expects a fraction, got {v:?}")))?;
-        if !(f > 0.0 && f < 1.0) {
-            return Err(err(format!(
-                "--train-frac must be strictly between 0 and 1, got {v:?}"
-            )));
-        }
+    if let Some(f) = args.number(
+        "train-frac",
+        "a fraction",
+        "a fraction strictly between 0 and 1",
+        |f| f > 0.0 && f < 1.0,
+    )? {
         config.prep.train_frac = f;
     }
     let shards = args.get_usize("shards", 1)?;
@@ -771,70 +867,35 @@ fn cmd_audit(
         return Err(err("--shards must be at least 1"));
     }
     config.shard.shards = shards;
-    match (args.has("checkpoint-dir"), args.get("checkpoint-dir")) {
-        (true, None) => {
-            return Err(err(
-                "--checkpoint-dir expects a directory path, but no value was given",
-            ))
-        }
-        (_, Some(dir)) => config.shard.checkpoint_dir = Some(PathBuf::from(dir)),
-        _ => {}
-    }
+    config.shard.checkpoint_dir = args.get("checkpoint-dir").map(PathBuf::from);
     config.shard.resume = args.has("resume");
     if config.shard.resume && config.shard.checkpoint_dir.is_none() {
         return Err(err("--resume requires --checkpoint-dir"));
     }
-    match (args.has("mem-budget"), args.get("mem-budget")) {
-        (true, None) => {
-            return Err(err(
-                "--mem-budget expects a size in MiB, but no value was given",
-            ))
-        }
-        (_, Some(v)) => {
-            let mib: f64 = v
-                .parse()
-                .map_err(|_| err(format!("--mem-budget expects MiB, got {v:?}")))?;
-            if !mib.is_finite() || mib <= 0.0 {
-                return Err(err(format!(
-                    "--mem-budget expects a positive number of MiB, got {v:?}"
-                )));
-            }
-            config.mem_budget = MemBudget::bytes((mib * 1024.0 * 1024.0) as u64);
-        }
-        _ => {}
+    if let Some(mib) = args.number("mem-budget", "MiB", "a positive number of MiB", |m| m > 0.0)? {
+        config.mem_budget = MemBudget::bytes((mib * 1024.0 * 1024.0) as u64);
     }
     let sharded = shards > 1 || config.shard.checkpoint_dir.is_some();
+    if sharded && args.has("dump-workload") {
+        return Err(err(
+            "--dump-workload needs materialized score vectors; drop --shards/--checkpoint-dir",
+        ));
+    }
+    if sharded && (calibrate_spec.is_some() || all_thresholds) {
+        return Err(err(
+            "--calibrate/--all-thresholds need materialized score vectors; \
+             drop --shards/--checkpoint-dir",
+        ));
+    }
     // Fault-tolerant import (the builder's default): malformed rows are
     // quarantined (and listed in the output) instead of failing the
     // whole audit.
-    let suite = FairEm360::builder()
-        .tables(table_a, table_b)
-        .ground_truth(matches)
-        .sensitive(sensitive)
-        .config(config)
-        .build()
-        .map_err(suite_err)?;
+    let suite = inputs(args)?.config(config).build();
+    let suite = suite.map_err(|e| run_err(e, cancel))?;
 
     if sharded {
-        if scores_path.is_some() {
-            return Err(err(
-                "--shards/--checkpoint-dir are not supported with audit-scores \
-                 (uploaded scores need the materialized pairing)",
-            ));
-        }
-        if args.has("dump-workload") {
-            return Err(err(
-                "--dump-workload needs materialized score vectors; drop --shards/--checkpoint-dir",
-            ));
-        }
-        if calibrate_spec.is_some() || all_thresholds {
-            return Err(err(
-                "--calibrate/--all-thresholds need materialized score vectors; \
-                 drop --shards/--checkpoint-dir",
-            ));
-        }
         let run = suite
-            .try_run_sharded(&matcher_kinds(args)?)
+            .try_run_sharded(&fleet)
             .map_err(|e| run_err(e, cancel))?;
         let reports = run.audit_all(&auditor);
         let mut text = render_audit_output(
@@ -863,39 +924,23 @@ fn cmd_audit(
                 w: &fairem_core::workload::Workload|
      -> Result<(), CliError> {
         let Some(dir) = &dump_path else { return Ok(()) };
-        std::fs::create_dir_all(dir).map_err(|e| data_err(format!("cannot create {dir:?}: {e}")))?;
-        let table = CsvTable {
-            header: ["id_a", "id_b", "score", "truth", "prediction"]
-                .map(String::from)
-                .to_vec(),
-            rows: w
-                .items
-                .iter()
-                .map(|c| {
-                    vec![
-                        session.table_a.id(c.a_row).to_owned(),
-                        session.table_b.id(c.b_row).to_owned(),
-                        format!("{:.6}", c.score),
-                        c.truth.to_string(),
-                        w.prediction(c).to_string(),
-                    ]
-                })
-                .collect(),
-        };
-        let path = dir.join(format!("workload_{matcher}.csv"));
-        write_csv_file(&path, &table).map_err(|e| data_err(format!("writing {path:?}: {e}")))
+        let header = ["id_a", "id_b", "score", "truth", "prediction"].map(String::from);
+        let rows = w.items.iter().map(|c| {
+            vec![
+                session.table_a.id(c.a_row).to_owned(),
+                session.table_b.id(c.b_row).to_owned(),
+                format!("{:.6}", c.score),
+                c.truth.to_string(),
+                w.prediction(c).to_string(),
+            ]
+        });
+        write_rows(dir, &format!("workload_{matcher}.csv"), &header, rows).map(drop)
     };
 
     let (session, reports, audit_interrupt, calibrated) = if let Some(scores_path) = scores_path {
         // Evaluation-Only: train nothing beyond the cheapest matcher
         // (needed to build the test pairing), then audit the uploads.
-        if calibrate_spec.is_some() {
-            return Err(err(
-                "--calibrate fits on a trained fleet's validation split; \
-                 it cannot be combined with audit-scores",
-            ));
-        }
-        let ext = read_external_scores(&scores_path)?;
+        let ext = read_external_scores(scores_path)?;
         let session = suite
             .try_run(&[MatcherKind::DtMatcher])
             .map_err(|e| run_err(e, cancel))?;
@@ -927,11 +972,9 @@ fn cmd_audit(
         };
         (session, reports, None, calibrated)
     } else {
-        let session = suite
-            .try_run(&matcher_kinds(args)?)
-            .map_err(|e| run_err(e, cancel))?;
+        let session = suite.try_run(&fleet).map_err(|e| run_err(e, cancel))?;
         for name in session.matcher_names() {
-            let w = session.workload(name).map_err(suite_err)?;
+            let w = session.workload(name).map_err(|e| run_err(e, cancel))?;
             dump(&session, name, &w)?;
         }
         let (reports, interrupt) = session.try_audit_all(&auditor);
@@ -999,10 +1042,6 @@ fn cmd_audit(
         }
     }
 
-    let degraded = session.is_degraded() || !session.quarantine().is_empty();
-    let timed_out = audit_interrupt.is_some()
-        || session.failures().iter().any(|f| f.interrupt().is_some());
-    let interrupted = cancel.cancel_requested();
     let mut text = render_audit_output(
         args.has("json"),
         &reports,
@@ -1017,22 +1056,11 @@ fn cmd_audit(
     append_observability(&mut text, &observe, trace, args.has("json"), metrics_path.as_deref())?;
     Ok(CliOutput {
         text,
-        degraded,
-        timed_out,
-        interrupted,
+        degraded: session.is_degraded() || !session.quarantine().is_empty(),
+        timed_out: audit_interrupt.is_some()
+            || session.failures().iter().any(|f| f.interrupt().is_some()),
+        interrupted: cancel.cancel_requested(),
     })
-}
-
-/// The default or `--matchers`-selected fleet.
-fn matcher_kinds(args: &Args) -> Result<Vec<MatcherKind>, CliError> {
-    match args.get("matchers") {
-        None => Ok(vec![
-            MatcherKind::DtMatcher,
-            MatcherKind::RfMatcher,
-            MatcherKind::LinRegMatcher,
-        ]),
-        Some(raw) => parse_list(raw, "matcher"),
-    }
 }
 
 /// Render the audit report text/JSON shared by the materialized and
@@ -1130,9 +1158,8 @@ fn append_observability(
     Ok(())
 }
 
-fn read_external_scores(path: &Path) -> Result<ExternalScores, CliError> {
-    let t =
-        read_csv_file(path).map_err(|e| data_err(format!("reading {}: {e}", path.display())))?;
+fn read_external_scores(path: &str) -> Result<ExternalScores, CliError> {
+    let t = read_table(path)?;
     let ia = t
         .column_index("id_a")
         .ok_or_else(|| data_err("scores csv needs id_a"))?;
@@ -1157,31 +1184,22 @@ fn read_external_scores(path: &Path) -> Result<ExternalScores, CliError> {
 fn cmd_analyze(args: &Args, cancel: &CancelToken) -> Result<CliOutput, CliError> {
     use fairem_core::threshold::{auc_parity, default_grid, suggest_threshold, sweep};
 
-    let table_a = read_table(args.required("table-a")?)?;
-    let table_b = read_table(args.required("table-b")?)?;
-    let matches = read_matches(args.required("matches")?)?;
-    let sensitive: Vec<SensitiveAttr> = args
-        .required("sensitive")?
-        .split(',')
-        .map(|c| SensitiveAttr::categorical(c.trim()))
-        .collect();
     let measure: FairnessMeasure = args
         .get("measure")
         .unwrap_or("TPRP")
         .parse()
         .map_err(|e| err(format!("bad measure: {e}")))?;
-    let fairness_threshold = args.get_f64("fairness-threshold", 0.2)?;
-    let ext = read_external_scores(Path::new(args.required("scores")?))?;
+    let fairness_threshold = args.fairness_threshold()?;
+    let parallelism = args.jobs()?;
+    let builder = inputs(args)?;
+    let ext = read_external_scores(args.required("scores"))?;
 
-    let suite = FairEm360::builder()
-        .tables(table_a, table_b)
-        .ground_truth(matches)
-        .sensitive(sensitive)
-        .parallelism(args.jobs()?)
+    let suite = builder
+        .parallelism(parallelism)
         .cancel_token(cancel.clone())
         .strict()
         .build()
-        .map_err(suite_err)?;
+        .map_err(|e| run_err(e, cancel))?;
     let session = suite
         .try_run(&[MatcherKind::DtMatcher])
         .map_err(|e| run_err(e, cancel))?;
@@ -1242,27 +1260,13 @@ fn cmd_serve(args: &Args, cancel: &CancelToken) -> Result<CliOutput, CliError> {
     let drain_budget = args
         .wall_budget("drain-timeout")?
         .unwrap_or(Budget::wall(Duration::from_secs(5)));
-    let metrics_path = match (args.has("metrics"), args.get("metrics")) {
-        (true, None) => {
-            return Err(err(
-                "--metrics expects an output path, but no value was given",
-            ))
-        }
-        (_, v) => v.map(PathBuf::from),
-    };
+    let metrics_path = args.get("metrics").map(PathBuf::from);
     let recorder = if metrics_path.is_some() {
         fairem_core::Recorder::enabled()
     } else {
         fairem_core::Recorder::disabled()
     };
-    let checkpoint_dir = match (args.has("checkpoint-dir"), args.get("checkpoint-dir")) {
-        (true, None) => {
-            return Err(err(
-                "--checkpoint-dir expects a directory path, but no value was given",
-            ))
-        }
-        (_, v) => v.map(PathBuf::from),
-    };
+    let checkpoint_dir = args.get("checkpoint-dir").map(PathBuf::from);
     let config = fairem_serve::ServeConfig {
         addr: format!("127.0.0.1:{port}"),
         max_sessions: args.get_usize("max-sessions", 64)?,
@@ -1284,29 +1288,24 @@ fn cmd_serve(args: &Args, cancel: &CancelToken) -> Result<CliOutput, CliError> {
         std::fs::write(path, summary.snapshot.to_json())
             .map_err(|e| err(format!("writing metrics to {}: {e}", path.display())))?;
     }
-    let timed_out = !summary.drain_clean;
     Ok(CliOutput {
-        text: summary.render(),
-        degraded: false,
-        timed_out,
-        interrupted: false,
+        timed_out: !summary.drain_clean,
+        ..CliOutput::clean(summary.render())
     })
 }
 
 /// `fairem client`: scripted peer for one connection — sends each
 /// `;`-separated command from `--send` and prints the replies.
-fn cmd_client(args: &Args) -> Result<CliOutput, CliError> {
-    let addr = args.required("addr")?;
-    let script = args.required("send")?;
+fn cmd_client(args: &Args, _: &CancelToken) -> Result<CliOutput, CliError> {
+    let addr = args.required("addr");
+    let script = args.required("send");
     let mut client = fairem_serve::Client::connect(addr, Duration::from_secs(60))
         .map_err(|e| data_err(format!("connect {addr}: {e}")))?;
     let mut text = format!("hello: {}\n", client.hello);
     if fairem_serve::Client::status_of(&client.hello) != "ok" {
         return Ok(CliOutput {
-            text,
             degraded: true,
-            timed_out: false,
-            interrupted: false,
+            ..CliOutput::clean(text)
         });
     }
     let mut degraded = false;
@@ -1326,18 +1325,16 @@ fn cmd_client(args: &Args) -> Result<CliOutput, CliError> {
         }
     }
     Ok(CliOutput {
-        text,
         degraded,
-        timed_out: false,
-        interrupted: false,
+        ..CliOutput::clean(text)
     })
 }
 
 /// `fairem storm`: the mixed-traffic storm driver against a live
 /// server. A dirty storm (transport failures, determinism violations,
 /// or exhausted retries) exits 3 so scripts can assert cleanliness.
-fn cmd_storm(args: &Args) -> Result<CliOutput, CliError> {
-    let addr = args.required("addr")?;
+fn cmd_storm(args: &Args, _: &CancelToken) -> Result<CliOutput, CliError> {
+    let addr = args.required("addr");
     let config = fairem_serve::StormConfig {
         clients: args.get_usize("clients", 16)?,
         rounds: args.get_usize("rounds", 2)?,
@@ -1347,16 +1344,15 @@ fn cmd_storm(args: &Args) -> Result<CliOutput, CliError> {
     };
     let report = fairem_serve::run_storm(addr, &config);
     Ok(CliOutput {
-        text: report.render(),
         degraded: !report.is_clean(),
-        timed_out: false,
-        interrupted: false,
+        ..CliOutput::clean(report.render())
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fairem_csvio::write_csv_file;
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| (*x).to_owned()).collect()
@@ -1373,6 +1369,201 @@ mod tests {
     fn help_prints_usage() {
         let out = run(&args(&["help"])).unwrap().text;
         assert!(out.contains("USAGE"));
+    }
+
+    #[test]
+    fn help_lists_every_flag_under_its_subcommand() {
+        let help = run(&args(&["help"])).unwrap().text;
+        for c in COMMANDS {
+            let start = help
+                .find(&format!("\n  fairem {} ", c.name))
+                .unwrap_or_else(|| panic!("no synopsis for {}:\n{help}", c.name));
+            // The synopsis: its first line plus the indented continuations.
+            let synopsis: Vec<&str> = help[start + 1..]
+                .lines()
+                .enumerate()
+                .take_while(|(i, l)| *i == 0 || l.starts_with("         "))
+                .map(|(_, l)| l)
+                .collect();
+            let synopsis = synopsis.join(" ");
+            for f in c.flags() {
+                let shown = match f.value {
+                    Some(v) if f.required => format!(" --{} {v}", f.name),
+                    Some(v) => format!("[--{} {v}]", f.name),
+                    None => format!("[--{}]", f.name),
+                };
+                let name = c.name;
+                assert!(
+                    synopsis.contains(&shown),
+                    "{name}: no {shown} in {synopsis}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn flags_outside_a_subcommands_table_are_usage_errors() {
+        let inputs = "--table-a a --table-b b --matches m --sensitive c";
+        #[rustfmt::skip]
+        let cases: &[(&str, &[&str], &str)] = &[
+            ("audit", &["--treshold", "0.9"], "unknown flag --treshold"),
+            ("audit", &["--shard", "4"], "unknown flag --shard"),
+            ("audit", &["--json", "out.json"], "--json is a switch"),
+            ("audit", &["--threshold", "0.3", "--threshold", "0.7"], "--threshold is given"),
+            ("audit-scores", &["--scores", "s.csv", "--matchers", "DTMatcher"], "--matchers"),
+            ("audit-scores", &["--scores", "s.csv", "--shards", "2"], "--shards"),
+            ("audit-scores", &["--scores", "s.csv", "--calibrate", "platt"], "--calibrate"),
+            ("analyze", &["--scores", "s.csv", "--threshold", "0.7"], "--threshold"),
+            ("serve", &["--max-sesions", "1"], "unknown flag --max-sesions"),
+            ("generate", &["--dataset", "faculty", "--out", "o", "--jobs", "2"], "--jobs"),
+            ("audit", &["--"], "unknown flag --"),
+            ("audit", &["--timeout", "--json"], "--timeout expects <secs>"),
+            ("audit", &["stray"], "unexpected argument \"stray\""),
+            ("audit-scores", &[], "missing required --scores"),
+        ];
+        for (cmd, extra, needle) in cases {
+            let mut argv = vec![*cmd];
+            if !matches!(*cmd, "serve" | "generate") {
+                argv.extend(inputs.split(' '));
+            }
+            argv.extend(*extra);
+            // No file above exists: every case is refused before any IO.
+            let e = run(&args(&argv)).unwrap_err();
+            assert_eq!(e.exit, EXIT_USAGE, "{argv:?}: {}", e.message);
+            let first = e.message.lines().next().unwrap_or_default();
+            assert!(
+                first.starts_with(&format!("fairem {cmd}: ")) && first.contains(needle),
+                "{argv:?}: {first}"
+            );
+        }
+    }
+
+    #[test]
+    fn bad_threshold_values_are_usage_errors() {
+        let dir = tmpdir("bad_thresholds");
+        let out = dir.to_str().unwrap();
+        run(&args(&["generate", "--dataset", "faculty", "--out", out])).unwrap();
+        let matches = read_table(dir.join("matches.csv").to_str().unwrap()).unwrap();
+        let scores = CsvTable {
+            header: vec!["id_a".into(), "id_b".into(), "score".into()],
+            rows: matches
+                .rows
+                .iter()
+                .map(|r| vec![r[0].clone(), r[1].clone(), "0.9".into()])
+                .collect(),
+        };
+        write_csv_file(&dir.join("scores.csv"), &scores).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+        let check = |cmd: &str, flag: &str, bad: &str| {
+            let mut argv = args(&[cmd, "--sensitive", "country", flag, bad]);
+            for (f, file) in [("--table-a", "tableA.csv"), ("--table-b", "tableB.csv")] {
+                argv.extend([f.to_owned(), path(file)]);
+            }
+            argv.extend(["--matches".to_owned(), path("matches.csv")]);
+            if cmd != "audit" {
+                argv.extend(["--scores".to_owned(), path("scores.csv")]);
+            }
+            let e = run(&argv).unwrap_err();
+            let why = format!("{cmd} {flag} {bad}: {}", e.message);
+            assert_eq!(e.exit, EXIT_USAGE, "{why}");
+            assert!(e.message.contains("threshold"), "{why}");
+        };
+        // NaN and inf are refused as flags; 1.5 and -3 by the suite itself.
+        for cmd in ["audit", "audit-scores"] {
+            for bad in ["NaN", "1.5", "-3", "inf"] {
+                check(cmd, "--threshold", bad);
+            }
+        }
+        for cmd in ["audit", "audit-scores", "analyze"] {
+            for bad in ["NaN", "-1", "inf", "-inf"] {
+                check(cmd, "--fairness-threshold", bad);
+            }
+        }
+    }
+
+    /// The front end under seeded random input: argv built from each
+    /// subcommand's table with misspellings, bare `--`,
+    /// repeats, junk words and random values, plus random specs for the
+    /// value parsers. Every case ends in `Ok` or a usage error; none
+    /// reaches file IO or a run.
+    #[test]
+    fn seeded_fuzz_of_the_front_end_never_panics() {
+        use fairem_rng::check::{cases, Gen};
+        // Words the value parsers know, numbers at their edges, and junk.
+        const PIECES: &str = "token sorted title DTMatcher LinRegMatcher train score none \
+            platt isotonic auto all 0 1 2 -1 0.5 1e308 1e400 NaN inf -inf \
+            18446744073709551616 4611686018427387904 é _";
+        fn word(g: &mut Gen) -> String {
+            let pieces: Vec<&str> = PIECES.split_whitespace().chain(["", " "]).collect();
+            let sep = *g.pick(&[":", ",", "", "."]);
+            let parts: Vec<&str> = (0..g.usize_in(1, 4)).map(|_| *g.pick(&pieces)).collect();
+            parts.join(sep)
+        }
+        cases(600, 0xF1A6_7AB1, |g| {
+            let command = g.pick(COMMANDS);
+            let flags: Vec<&Flag> = command.flags().collect();
+            let mut argv = vec![command.name.to_owned()];
+            // Half the cases are well formed: every required flag and a
+            // random set of the others, once each, with random values.
+            let well_formed = g.bool(0.5);
+            for flag in flags.iter().filter(|_| well_formed) {
+                if flag.required || g.bool(0.5) {
+                    argv.push(format!("--{}", flag.name));
+                    if flag.value.is_some() {
+                        argv.push(word(g));
+                    }
+                }
+            }
+            let noise = if well_formed { 0 } else { g.usize_in(1, 10) };
+            for _ in 0..noise {
+                let flag = *g.pick(&flags);
+                match g.usize_in(0, 8) {
+                    0 => {
+                        let mut name = flag.name.to_owned();
+                        name.remove(g.usize_in(0, name.len()));
+                        argv.push(format!("--{name}"));
+                    }
+                    1 => argv.push("--".to_owned()),
+                    2 => argv.push(word(g)),
+                    3 => {
+                        let again = g.pick(&argv).clone();
+                        argv.push(again);
+                    }
+                    _ => {
+                        argv.push(format!("--{}", flag.name));
+                        if flag.value.is_some() || g.bool(0.1) {
+                            argv.push(word(g));
+                        }
+                    }
+                }
+            }
+            let refusals = match Args::parse(&argv) {
+                Err(e) => {
+                    assert!(!well_formed, "{argv:?}: {}", e.message);
+                    vec![e]
+                }
+                Ok(parsed) => {
+                    let mut refusals: Vec<CliError> = Vec::new();
+                    for f in command.flags() {
+                        refusals.extend(parsed.get_usize(f.name, 0).err());
+                        refusals.extend(parsed.number(f.name, "", "", |_| true).err());
+                        refusals.extend(parsed.wall_budget(f.name).err());
+                    }
+                    refusals.extend(parsed.jobs().err());
+                    refusals.extend(parsed.fairness_threshold().err());
+                    refusals
+                }
+            };
+            let spec = word(g);
+            let plan = fairem_core::FaultPlan::default();
+            let stall = parse_inject_stall(&spec, plan).err();
+            let _ = fairem_core::CalibrationSpec::parse(&spec);
+            let _ = Parallelism::parse_jobs(&spec);
+            let parsers = [parse_blocker(&spec).err(), stall];
+            for e in refusals.into_iter().chain(parsers.into_iter().flatten()) {
+                assert_eq!(e.exit, EXIT_USAGE, "{argv:?} / {spec:?}: {}", e.message);
+            }
+        });
     }
 
     #[test]
