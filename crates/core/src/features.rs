@@ -13,16 +13,26 @@
 //! ids ([`TokenInterner`]) and storing each column as a
 //! struct-of-arrays [`PreparedColumn`] (normalized chars, word-token
 //! ids, q-gram sets, TF-IDF weight vectors). The batch entry point
-//! [`FeatureGenerator::matrix`] then runs integer-slice kernels with
-//! per-chunk scratch buffers over a [`PairBatch`] — no per-pair
-//! normalization, tokenization, or hashing. The batch kernels are
-//! bit-for-bit identical to the scalar per-pair path
-//! ([`FeatureGenerator::features`]) for every measure (the equivalence
-//! suite pins this). That comparison checks the caching — prepared
-//! cells, interned ids, the Jaro-Winkler memo — and the set and TF-IDF
-//! kernels; it does not check the edit kernels, which both paths call.
-//! Those are pinned to the textbook dynamic-program and flag-scan
-//! references by `fairem-text`'s `tests/kernel_oracle.rs`.
+//! [`FeatureGenerator::matrix`] then runs integer-slice kernels over a
+//! [`PairBatch`] — no per-pair normalization, tokenization, or hashing.
+//!
+//! The batch is evaluated **feature-major**: the work item is one
+//! (feature, pair) cell, numbered `k · n + i` for feature `k` of pair
+//! `i`, so a pool chunk runs one measure over a long run of
+//! consecutive pairs and writes a contiguous stretch of a
+//! column-major buffer. One serial transpose turns that buffer into
+//! the row-major [`Matrix`] the matchers read. Running a measure over
+//! thousands of pairs before switching to the next one is what makes
+//! this faster than computing each pair's whole feature vector in
+//! turn (DESIGN.md §6a); the values are the same bits either way.
+//!
+//! The batch kernels are bit-for-bit identical to the scalar per-pair
+//! path ([`FeatureGenerator::features`]) for every measure (the
+//! equivalence suite pins this). That comparison checks the caching —
+//! prepared cells, interned ids, the Jaro-Winkler memo — and the
+//! layout; the kernels themselves are pinned to textbook references
+//! by `fairem-text`'s `tests/kernel_oracle.rs`: the dynamic-program
+//! and flag-scan edit measures, and naive set and TF-IDF measures.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -62,6 +72,16 @@ struct AlignedColumn {
     kind: ColKind,
     /// Index into the kind-matching prepared-column store.
     slot: usize,
+}
+
+/// One column of the feature matrix: the measure and the prepared
+/// column slot it reads.
+#[derive(Debug, Clone, Copy)]
+enum Feature {
+    RelDiff(usize),
+    Exact(usize),
+    Text(StringMeasure, usize),
+    TfIdf(usize),
 }
 
 /// A numeric column prepared once at build time: parsed values, interned
@@ -116,6 +136,8 @@ struct Interned {
 #[derive(Debug, Clone)]
 pub struct FeatureGenerator {
     columns: Vec<AlignedColumn>,
+    /// The matrix columns in feature order.
+    features: Vec<Feature>,
     tfidf: TfIdfCorpus,
     interned: Arc<Interned>,
 }
@@ -233,8 +255,20 @@ impl FeatureGenerator {
                 doc_freq.insert(interner.resolve(id as u32).to_owned(), count as usize);
             }
         }
+        let features = columns
+            .iter()
+            .flat_map(|c| match c.kind {
+                ColKind::Numeric => vec![Feature::RelDiff(c.slot), Feature::Exact(c.slot)],
+                ColKind::Text => TEXT_MEASURES
+                    .iter()
+                    .map(|&m| Feature::Text(m, c.slot))
+                    .chain([Feature::TfIdf(c.slot)])
+                    .collect(),
+            })
+            .collect();
         FeatureGenerator {
             columns,
+            features,
             tfidf: TfIdfCorpus::from_parts(doc_freq, n_docs),
             interned: Arc::new(Interned {
                 interner,
@@ -246,13 +280,7 @@ impl FeatureGenerator {
 
     /// Number of features per pair.
     pub fn n_features(&self) -> usize {
-        self.columns
-            .iter()
-            .map(|c| match c.kind {
-                ColKind::Numeric => 2,
-                ColKind::Text => TEXT_MEASURES.len() + 1,
-            })
-            .sum()
+        self.features.len()
     }
 
     /// Stable feature names (`column.measure`).
@@ -301,38 +329,55 @@ impl FeatureGenerator {
         out
     }
 
-    /// One row of the batch kernel: same features as
-    /// [`FeatureGenerator::features`], computed from the prepared
-    /// columns with `scratch` reused across the chunk.
-    fn row_features(&self, ra: usize, rb: usize, scratch: &mut SimScratch, out: &mut Vec<f64>) {
+    /// One cell of the batch kernel: `feature` of the pair `(ra, rb)`,
+    /// the value [`FeatureGenerator::features`] puts in that column,
+    /// computed from the prepared columns with `scratch` reused across
+    /// the chunk.
+    fn cell(&self, feature: Feature, (ra, rb): (usize, usize), scratch: &mut SimScratch) -> f64 {
         let it = &*self.interned;
-        for c in &self.columns {
-            match c.kind {
-                ColKind::Numeric => {
-                    let (na, nb) = &it.numeric[c.slot];
-                    out.push(rel_diff_sim(na.value[ra], nb.value[rb]));
-                    let exact = na.cell[ra] == nb.cell[rb] && !na.empty[ra];
-                    out.push(if exact { 1.0 } else { 0.0 });
+        match feature {
+            Feature::RelDiff(slot) => {
+                let (na, nb) = &it.numeric[slot];
+                rel_diff_sim(na.value[ra], nb.value[rb])
+            }
+            Feature::Exact(slot) => {
+                let (na, nb) = &it.numeric[slot];
+                let exact = na.cell[ra] == nb.cell[rb] && !na.empty[ra];
+                if exact {
+                    1.0
+                } else {
+                    0.0
                 }
-                ColKind::Text => {
-                    let (pa, pb) = &it.text[c.slot];
-                    for m in TEXT_MEASURES {
-                        out.push(measure_cells(m, pa, ra, pb, rb, &it.interner, scratch));
-                    }
-                    out.push(tfidf_cosine_cells(pa, ra, pb, rb));
-                }
+            }
+            Feature::Text(m, slot) => {
+                let (pa, pb) = &it.text[slot];
+                measure_cells(m, pa, ra, pb, rb, &it.interner, scratch)
+            }
+            Feature::TfIdf(slot) => {
+                let (pa, pb) = &it.text[slot];
+                tfidf_cosine_cells(pa, ra, pb, rb)
             }
         }
     }
 
     /// Feature matrix for a batch of pairs, run under `exec`.
     ///
-    /// The pool chunks the batch, each chunk reuses one scratch buffer,
-    /// and rows are stitched in pair order — the result is bit-for-bit
-    /// identical for any worker count, and bit-for-bit the scalar
-    /// [`FeatureGenerator::features`] per row. Cancellation/budget
-    /// expiry surfaces as [`ParOutcome::Interrupted`] carrying the rows
-    /// finished before the cut.
+    /// The pool chunks the batch's (feature, pair) cells in
+    /// feature-major order, so each chunk runs one measure over a run
+    /// of consecutive pairs with one scratch buffer; the column-major
+    /// result is transposed into the row-major matrix. The result is
+    /// bit-for-bit identical for any worker count, and bit-for-bit the
+    /// scalar [`FeatureGenerator::features`] per row.
+    ///
+    /// Cancellation/budget expiry surfaces as
+    /// [`ParOutcome::Interrupted`]. A pair's row is complete only once
+    /// its last feature ran, so a cut before the last feature's run
+    /// began leaves no complete row. The contract:
+    /// - `done` is a row prefix, bit for bit the first rows of the
+    ///   complete matrix, and may be empty;
+    /// - `total` is the pair count;
+    /// - `completed` counts whole pairs' worth of finished cells, and
+    ///   `done.rows() <= completed <= total`.
     ///
     /// # Panics
     /// Re-raises a panic that escaped feature evaluation on a worker
@@ -355,18 +400,31 @@ impl FeatureGenerator {
     }
 
     /// [`FeatureGenerator::matrix`] with failures returned as values:
-    /// contained worker panics as [`MatrixError::Panic`], and memory
-    /// budget refusals as [`MatrixError::Mem`].
+    /// contained worker panics as [`MatrixError::Panic`] (its range
+    /// numbers cells `k · n + i`, not pairs), and memory budget
+    /// refusals as [`MatrixError::Mem`].
     ///
     /// The build declares a transient footprint of twice the matrix
-    /// cost (per-chunk staging rows plus the stitched matrix) against
-    /// `exec.mem` before computing anything; the hold is released when
-    /// the call returns, so callers that keep the result resident take
-    /// their own one-matrix hold.
+    /// cost (the column-major buffer plus the transposed matrix)
+    /// against `exec.mem` before computing anything; the hold is
+    /// released when the call returns, so callers that keep the result
+    /// resident take their own one-matrix hold.
     pub fn try_matrix(
         &self,
         batch: &PairBatch,
         exec: &Exec,
+    ) -> Result<ParOutcome<Matrix>, MatrixError> {
+        self.try_matrix_probed(batch, exec, |_| ())
+    }
+
+    /// [`FeatureGenerator::try_matrix`], calling `probe(t)` before cell
+    /// `t` is evaluated: the seam a test uses to cut the region at a
+    /// chosen cell.
+    fn try_matrix_probed(
+        &self,
+        batch: &PairBatch,
+        exec: &Exec,
+        probe: impl Fn(usize) + Sync,
     ) -> Result<ParOutcome<Matrix>, MatrixError> {
         let _build_hold = exec
             .mem
@@ -376,24 +434,29 @@ impl FeatureGenerator {
         let token = exec.run_token();
         let d = self.n_features();
         let pairs = batch.pairs;
-        let outcome = exec.pool.try_par_scratch_within(
-            pairs.len(),
-            &token,
-            SimScratch::new,
-            |scratch, i| {
-                let (ra, rb) = pairs[i];
-                let mut row = Vec::with_capacity(d);
-                self.row_features(ra, rb, scratch, &mut row);
-                row
+        let n = pairs.len();
+        let outcome =
+            exec.pool
+                .try_par_scratch_within(d * n, &token, SimScratch::new, |scratch, t| {
+                    probe(t);
+                    self.cell(self.features[t / n], pairs[t % n], scratch)
+                })?;
+        Ok(match outcome {
+            ParOutcome::Complete(cols) => ParOutcome::Complete(transpose(&cols, n, d, n)),
+            ParOutcome::Interrupted {
+                done,
+                completed,
+                interrupt,
+                ..
+            } => ParOutcome::Interrupted {
+                // Row `i` is whole once cell `(d - 1) · n + i`, its last
+                // feature, is inside the finished prefix.
+                done: transpose(&done, n, d, done.len().saturating_sub((d - 1) * n)),
+                completed: completed / d,
+                total: n,
+                interrupt,
             },
-        )?;
-        Ok(outcome.map(|rows| {
-            let mut m = Matrix::zeros(rows.len(), d);
-            for (i, f) in rows.iter().enumerate() {
-                m.row_mut(i).copy_from_slice(f);
-            }
-            m
-        }))
+        })
     }
 
     /// Tokenize one pair for the neural matchers over the same aligned
@@ -467,6 +530,16 @@ fn all_numeric(t: &Table, col: usize) -> bool {
 
 fn parse_num(v: &str) -> f64 {
     v.parse().unwrap_or(f64::NAN)
+}
+
+/// The first `rows` rows of the row-major `n × d` matrix whose cells
+/// `cols` holds column-major (feature `k` of pair `i` at `k · n + i`).
+fn transpose(cols: &[f64], n: usize, d: usize, rows: usize) -> Matrix {
+    let mut data = Vec::with_capacity(rows * d);
+    for i in 0..rows {
+        data.extend((0..d).map(|k| cols[k * n + i]));
+    }
+    Matrix::from_flat(rows, d, data)
 }
 
 #[cfg(test)]
@@ -597,6 +670,62 @@ mod tests {
                 assert!(done.rows() < pairs.len());
             }
             ParOutcome::Complete(_) => panic!("zero budget must interrupt"),
+        }
+    }
+
+    #[test]
+    fn mid_region_cancel_leaves_a_row_prefix_of_the_complete_matrix() {
+        let (a, b) = tables();
+        let g = FeatureGenerator::build(&a, &b, &["country"]);
+        let pairs: Vec<(usize, usize)> = (0..100).flat_map(|_| all_pairs(&a, &b)).collect();
+        let batch = PairBatch::new(&pairs);
+        let full = complete(g.matrix(&batch, &Exec::default()));
+        let (n, d) = (pairs.len(), g.n_features());
+        // Cuts inside the first feature's run, inside a middle one, just
+        // before the last one and inside it.
+        for cut in [0, n / 2, 4 * n + 7, (d - 1) * n - 1, (d - 1) * n + 50] {
+            for workers in [1, 4] {
+                let exec = Exec::with_pool(WorkerPool::new(workers));
+                let outcome = g
+                    .try_matrix_probed(&batch, &exec, |t| {
+                        if t == cut {
+                            exec.cancel.cancel();
+                        }
+                    })
+                    .expect("no panics injected");
+                let ctx = format!("cut at cell {cut}, {workers} worker(s)");
+                let (done, completed) = match outcome {
+                    ParOutcome::Interrupted {
+                        done,
+                        completed,
+                        total,
+                        ..
+                    } => {
+                        assert_eq!(total, n, "{ctx}");
+                        (done, completed)
+                    }
+                    // Every chunk had been pulled when the cut came.
+                    ParOutcome::Complete(m) => (m, n),
+                };
+                assert!(done.rows() <= completed && completed <= n, "{ctx}");
+                assert_eq!(done.cols(), d, "{ctx}");
+                for i in 0..done.rows() {
+                    let (x, y) = (done.row(i), full.row(i));
+                    assert!(
+                        x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits()),
+                        "{ctx}: row {i} differs from the complete matrix"
+                    );
+                }
+                if workers == 1 {
+                    // One worker finishes the cut chunk and stops: the
+                    // prefix ends at that chunk's end, and only the
+                    // part of it past the last feature's start is rows.
+                    let chunk = exec.pool.chunk_for(d * n);
+                    let end = ((cut / chunk + 1) * chunk).min(d * n);
+                    assert_eq!(completed, end / d, "{ctx}");
+                    assert_eq!(done.rows(), end.saturating_sub((d - 1) * n), "{ctx}");
+                }
+            }
         }
     }
 

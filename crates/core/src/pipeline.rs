@@ -843,8 +843,9 @@ impl Front {
         let mut merged: Vec<PairCounts> = fleet.iter().map(|_| PairCounts::new()).collect();
         let mut clamped_scores: u64 = 0;
         let mut dead: Vec<bool> = vec![false; fleet.len()];
-        // Transient build bytes per pair (the staging-plus-matrix factor
-        // `try_matrix` declares) — drives the deterministic window width.
+        // Transient build bytes per pair (the column buffer plus the
+        // matrix, the two copies `try_matrix` declares) — drives the
+        // deterministic window width.
         let per_pair = 2 * features.matrix_cost(1);
 
         for shard in shard_plan.shards() {

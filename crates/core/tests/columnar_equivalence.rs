@@ -11,23 +11,44 @@ use fairem_core::features::FeatureGenerator;
 use fairem_core::schema::Table;
 use fairem_core::{Exec, PairBatch, ParOutcome, Parallelism, WorkerPool};
 use fairem_datasets::{
-    citations, wdc_products, CitationsConfig, GeneratedDataset, ProductsConfig,
+    citations, wdc_products, CitationsConfig, GeneratedDataset, ProductsConfig, ScaleConfig,
+    ScaleDataset,
 };
 use fairem_ml::Matrix;
 use fairem_neural::HashVocab;
 
-/// The parallelism policies the results must be invariant under.
-const POLICIES: [Parallelism; 3] = [
+/// The parallelism policies the results must be invariant under. Odd
+/// worker counts put chunk boundaries at odd places inside a feature's
+/// run of pairs.
+const POLICIES: [Parallelism; 5] = [
     Parallelism::Off,
     Parallelism::Fixed(1),
+    Parallelism::Fixed(3),
     Parallelism::Fixed(4),
+    Parallelism::Fixed(7),
 ];
 
+/// Batch lengths from empty up: short batches give chunks of a single
+/// cell and put chunk boundaries inside one feature's run.
+const SHORT_BATCHES: [usize; 4] = [0, 1, 2, 13];
+
+/// Products, Citations, and the scale generator, whose repeated
+/// part-name tokens keep hitting the Monge-Elkan memo across runs.
 fn datasets() -> Vec<GeneratedDataset> {
     vec![
         wdc_products(&ProductsConfig::small()),
         citations(&CitationsConfig::small()),
+        ScaleDataset::new(ScaleConfig::tiny()).materialize(),
     ]
+}
+
+/// The text column the blocking checks key on.
+fn key_column(d: &GeneratedDataset) -> &'static str {
+    if d.table_a.header.iter().any(|c| c == "title") {
+        "title"
+    } else {
+        "name"
+    }
 }
 
 fn tables(d: &GeneratedDataset) -> (Table, Table) {
@@ -90,14 +111,21 @@ fn feature_matrices_are_bit_for_bit_identical_across_paths_and_policies() {
     for d in datasets() {
         let (a, b) = tables(&d);
         let gen = generator(&d, &a, &b);
-        let pairs = sample_pairs(&a, &b, 300);
+        for len in SHORT_BATCHES.into_iter().chain([300]) {
+            let pairs = sample_pairs(&a, &b, len);
 
-        // The per-pair string path is the reference.
-        let reference = scalar_matrix(&gen, &a, &b, &pairs);
-        for policy in POLICIES {
-            let exec = Exec::with_pool(WorkerPool::with_parallelism(policy));
-            let new = complete(gen.matrix(&PairBatch::new(&pairs), &exec));
-            assert_bitwise_eq(&reference, &new, &format!("{} columnar/{policy:?}", d.name));
+            // The per-pair string path is the reference.
+            let reference = scalar_matrix(&gen, &a, &b, &pairs);
+            for policy in POLICIES {
+                let exec = Exec::with_pool(WorkerPool::with_parallelism(policy));
+                let new = complete(gen.matrix(&PairBatch::new(&pairs), &exec));
+                assert_eq!(new.cols(), gen.n_features(), "{}: width", d.name);
+                assert_bitwise_eq(
+                    &reference,
+                    &new,
+                    &format!("{} columnar/{policy:?}/{len} pairs", d.name),
+                );
+            }
         }
     }
 }
@@ -109,7 +137,7 @@ fn blocked_candidate_matrices_agree_end_to_end() {
     for d in datasets() {
         let (a, b) = tables(&d);
         let gen = generator(&d, &a, &b);
-        let pairs = token_blocking(&a, &b, &["title"], 50);
+        let pairs = token_blocking(&a, &b, &[key_column(&d)], 50);
         assert!(!pairs.is_empty(), "{}: blocking produced no candidates", d.name);
 
         let reference = scalar_matrix(&gen, &a, &b, &pairs);
@@ -122,10 +150,11 @@ fn blocked_candidate_matrices_agree_end_to_end() {
 fn candidate_sets_are_identical_across_blockers_and_policies() {
     for d in datasets() {
         let (a, b) = tables(&d);
+        let key = key_column(&d);
         for max_block in [2, 10, 50] {
-            let reference = token_blocking(&a, &b, &["title"], max_block);
+            let reference = token_blocking(&a, &b, &[key], max_block);
             let blocker = TokenBlocking {
-                columns: vec!["title".to_owned()],
+                columns: vec![key.to_owned()],
                 max_block,
             };
             for policy in POLICIES {
@@ -139,9 +168,9 @@ fn candidate_sets_are_identical_across_blockers_and_policies() {
             }
         }
 
-        let reference = sorted_neighborhood(&a, &b, "title", 8);
+        let reference = sorted_neighborhood(&a, &b, key, 8);
         let blocker = SortedNeighborhood {
-            key_column: "title".to_owned(),
+            key_column: key.to_owned(),
             window: 8,
         };
         for policy in POLICIES {

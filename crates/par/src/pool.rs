@@ -47,9 +47,9 @@ impl std::error::Error for ChunkPanic {}
 ///
 /// Generic over the *collected* output `C`, not the per-item type: pool
 /// primitives produce `ParOutcome<Vec<T>>`, while higher-level batch
-/// APIs that stitch items into a richer container (e.g. a feature
-/// `Matrix`) return `ParOutcome<Matrix>` via [`ParOutcome::map`] —
-/// the partial-progress semantics carry through unchanged.
+/// APIs that stitch items into a richer container return that
+/// container (the feature matrix returns `ParOutcome<Matrix>`, with
+/// its accounting in rows).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParOutcome<C> {
     /// Every item ran; the output is bit-for-bit the sequential result.
@@ -89,28 +89,6 @@ impl<C> ParOutcome<C> {
             ParOutcome::Interrupted { interrupt, .. } => Some(interrupt),
         }
     }
-
-    /// Transform the collected output while preserving the outcome
-    /// shape and progress accounting. This is how batch APIs lift a
-    /// `ParOutcome<Vec<Row>>` into a `ParOutcome<Matrix>`: `f` runs on
-    /// the complete result *and* on an interrupted prefix, so it must
-    /// be meaningful for both (a prefix of rows is a prefix matrix).
-    pub fn map<D>(self, f: impl FnOnce(C) -> D) -> ParOutcome<D> {
-        match self {
-            ParOutcome::Complete(v) => ParOutcome::Complete(f(v)),
-            ParOutcome::Interrupted {
-                done,
-                completed,
-                total,
-                interrupt,
-            } => ParOutcome::Interrupted {
-                done: f(done),
-                completed,
-                total,
-                interrupt,
-            },
-        }
-    }
 }
 
 /// Chunk outputs harvested from a (possibly interrupted) region:
@@ -135,13 +113,31 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// A pool with exactly `workers` workers (clamped to at least 1),
-    /// carrying the inert (disabled) recorder.
+    /// A pool with `workers` workers, carrying the inert (disabled)
+    /// recorder. The count is clamped to at least 1 and at most four
+    /// per hardware thread, so no worker count can make one region
+    /// spawn a thread per item.
     pub fn new(workers: usize) -> WorkerPool {
+        // The bound is never below 4, so small pools, which audits and
+        // the ensemble explorer build on every call, skip the hardware
+        // query (tens of microseconds).
+        let workers = if workers <= 4 {
+            workers.max(1)
+        } else {
+            workers.min(WorkerPool::max_workers())
+        };
         WorkerPool {
-            workers: workers.max(1),
+            workers,
             recorder: Recorder::disabled(),
         }
+    }
+
+    /// The most workers a pool runs: four per hardware thread. A region
+    /// plans about four chunks per worker, so this many workers already
+    /// give every hardware thread sixteen chunks to pull. At least 4 on
+    /// any host, so `Fixed(4)` always races four threads.
+    fn max_workers() -> usize {
+        4 * std::thread::available_parallelism().map_or(1, |n| n.get())
     }
 
     /// A pool sized by a [`Parallelism`] policy.
@@ -424,9 +420,24 @@ mod tests {
     }
 
     #[test]
+    fn worker_counts_are_bounded_by_the_hardware() {
+        // Checked on the pool's configuration alone: nothing here
+        // spawns a thread.
+        let bound = WorkerPool::max_workers();
+        assert!(bound >= 4, "Fixed(4) must always get four workers");
+        assert_eq!(WorkerPool::new(usize::MAX).workers(), bound);
+        assert_eq!(WorkerPool::new(bound + 1).workers(), bound);
+        assert_eq!(WorkerPool::new(4).workers(), 4);
+        assert_eq!(
+            WorkerPool::with_parallelism(Parallelism::Fixed(usize::MAX)).workers(),
+            bound
+        );
+    }
+
+    #[test]
     fn any_worker_count_chunks_without_overflow() {
-        // Four chunks per worker overflows `usize` for these counts;
-        // `usize::MAX / 4 + 1` times four wraps to exactly zero.
+        // Unclamped, four chunks per worker would overflow `usize` for
+        // these counts (`usize::MAX / 4 + 1` times four wraps to zero).
         for workers in [usize::MAX, usize::MAX / 4 + 1] {
             let pool = WorkerPool::new(workers);
             assert_eq!(pool.chunk_for(10), 1);
@@ -658,33 +669,6 @@ mod tests {
                 assert_eq!(total, 500);
             }
             ParOutcome::Complete(_) => panic!("pre-tripped token must interrupt"),
-        }
-    }
-
-    #[test]
-    fn outcome_map_preserves_shape_and_accounting() {
-        use crate::cancel::{CancelCause, CancelToken};
-        let complete: ParOutcome<Vec<usize>> = ParOutcome::Complete(vec![1, 2, 3]);
-        assert_eq!(complete.map(|v| v.len()), ParOutcome::Complete(3));
-        let token = CancelToken::inert();
-        token.cancel();
-        let cut: ParOutcome<Vec<usize>> = ParOutcome::Interrupted {
-            done: vec![1, 2],
-            completed: 2,
-            total: 10,
-            interrupt: token.interrupt(),
-        };
-        match cut.map(|v| v.len()) {
-            ParOutcome::Interrupted {
-                done,
-                completed,
-                total,
-                interrupt,
-            } => {
-                assert_eq!((done, completed, total), (2, 2, 10));
-                assert_eq!(interrupt.cause, CancelCause::Cancelled);
-            }
-            ParOutcome::Complete(_) => panic!("map must preserve the interrupted shape"),
         }
     }
 

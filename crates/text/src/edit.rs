@@ -5,22 +5,26 @@
 
 /// Reusable working buffers for the char-slice edit kernels.
 ///
-/// The batch feature path evaluates millions of pairs; allocating
-/// bit-vector state and match masks per call dominates. A `SimScratch`
-/// owns those buffers so one instance (per worker-pool chunk) amortizes
-/// them. Every kernel re-initializes each entry of the scratch it reads
-/// before reading it, so outputs never depend on what a previous call
-/// left behind — that invariant is what lets chunked parallel execution
-/// stay bit-for-bit identical to sequential (DESIGN.md, "Columnar
-/// execution model").
+/// The batch feature path evaluates millions of (feature, pair) cells;
+/// allocating bit-vector state and match masks per call dominates. A
+/// `SimScratch` owns those buffers, and the batch path gives each
+/// worker-pool chunk a fresh one. A chunk is a stretch of the
+/// feature-major cell order, so its scratch serves one measure over a
+/// run of consecutive pairs (more than one measure only where the chunk
+/// crosses a feature boundary). Every kernel re-initializes each entry
+/// of the scratch it reads before reading it, so outputs never depend
+/// on what a previous call left behind — that invariant is what lets
+/// chunked parallel execution stay bit-for-bit identical to sequential
+/// (DESIGN.md, "Columnar execution model").
 ///
 /// The one deliberately persistent part is `jw_memo`, the Monge-Elkan
 /// kernel's direct-mapped Jaro-Winkler cache keyed by interned
-/// token-id pairs. Cached values are pure functions of the id pair
-/// within one interner, so a hit or an overwrite still cannot change
-/// any output — but ids from *different* interners would collide, so a
-/// scratch must never outlive the interner it was used with (the batch
-/// path creates scratches per chunk, well inside that scope).
+/// token-id pairs, allocated on the first Monge-Elkan call. Cached
+/// values are pure functions of the id pair within one interner, so a
+/// hit or an overwrite still cannot change any output — but ids from
+/// *different* interners would collide, so a scratch must never outlive
+/// the interner it was used with (the batch path drops each scratch
+/// with its chunk, well inside that scope).
 #[derive(Debug, Default, Clone)]
 pub struct SimScratch {
     peq: CharMasks,

@@ -1,4 +1,4 @@
-//! Reference oracles for the edit kernels.
+//! Reference oracles for the similarity kernels.
 //!
 //! Levenshtein and Jaro are bit-vector kernels shared by the scalar API
 //! (`levenshtein`, `jaro`, `StringMeasure::eval`) and the columnar
@@ -9,11 +9,20 @@
 //! empty and one-char inputs, non-ASCII chars, repeated chars and
 //! tokens, and lengths on both sides of the 64-, 128- and 192-char
 //! block boundaries.
+//!
+//! The set and TF-IDF kernels (`measure_cells` for word Jaccard, 3-gram
+//! Jaccard and word cosine, and `tfidf_cosine_cells`) run on interned
+//! id slices, sorted multisets and precomputed weight vectors. They
+//! are pinned here to naive versions over `BTreeSet`/`BTreeMap`s of
+//! token strings, recounted from the raw cells on every call, bit for
+//! bit except for the sign of a zero result.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use fairem_rng::check::{cases, Gen};
 use fairem_text::{
     jaro, jaro_winkler, levenshtein, measure_cells, monge_elkan, normalize, normalized_levenshtein,
-    word_tokens, PreparedColumn, SimScratch, StringMeasure, TokenInterner,
+    tfidf_cosine_cells, word_tokens, PreparedColumn, SimScratch, StringMeasure, TokenInterner,
 };
 
 /// Levenshtein distance by the two-row dynamic program.
@@ -314,5 +323,158 @@ fn memo_evictions_only_recompute() {
         let a = vec![side(g, 'a'), "a1 a2 b3".to_owned()];
         let b = vec![side(g, 'a'), side(g, 'b')];
         assert_cells_match_oracles(&a, &b, &[StringMeasure::MongeElkan], 2);
+    });
+}
+
+/// The distinct `#`-padded 3-grams of `s`: `##s##` cut into every
+/// three-char window; none for the empty string.
+fn naive_qgrams(s: &str) -> BTreeSet<String> {
+    if s.is_empty() {
+        return BTreeSet::new();
+    }
+    let padded: Vec<char> = format!("##{s}##").chars().collect();
+    padded.windows(3).map(|w| w.iter().collect()).collect()
+}
+
+/// `|A ∩ B| / |A ∪ B|`, and 1 when both sets are empty.
+fn naive_jaccard(a: &BTreeSet<String>, b: &BTreeSet<String>) -> f64 {
+    if a.is_empty() && b.is_empty() {
+        return 1.0;
+    }
+    a.intersection(b).count() as f64 / a.union(b).count() as f64
+}
+
+/// Token counts as a term-frequency vector.
+fn term_counts(tokens: &[String]) -> BTreeMap<String, f64> {
+    let mut tf = BTreeMap::new();
+    for t in tokens {
+        *tf.entry(t.clone()).or_insert(0.0) += 1.0;
+    }
+    tf
+}
+
+/// `a · b / (|a| |b|)`, with the dot product and the norms summed in
+/// token order; 1 when both vectors are empty and 0 when one is.
+fn naive_cosine(a: &BTreeMap<String, f64>, b: &BTreeMap<String, f64>) -> f64 {
+    if a.is_empty() && b.is_empty() {
+        return 1.0;
+    }
+    if a.is_empty() || b.is_empty() {
+        return 0.0;
+    }
+    let mut dot = 0.0;
+    for (t, x) in a {
+        if let Some(y) = b.get(t) {
+            dot += x * y;
+        }
+    }
+    let norm = |v: &BTreeMap<String, f64>| v.values().map(|w| w * w).sum::<f64>().sqrt();
+    (dot / (norm(a) * norm(b))).clamp(0.0, 1.0)
+}
+
+/// The TF-IDF vector of a raw cell over the corpus `docs`: the count
+/// of each raw word token times its smoothed inverse document frequency
+/// `ln((1 + N) / (1 + df)) + 1`, with `df` recounted over `docs`.
+fn naive_tfidf(docs: &[String], cell: &str) -> BTreeMap<String, f64> {
+    let mut v = term_counts(&word_tokens(cell));
+    for (t, w) in &mut v {
+        let df = docs.iter().filter(|d| word_tokens(d).contains(t)).count();
+        *w *= ((1.0 + docs.len() as f64) / (1.0 + df as f64)).ln() + 1.0;
+    }
+    v
+}
+
+/// The bits of `x`, with both zeros as one value. Whether a kernel
+/// returns 0.0 or -0.0 for disjoint inputs is a convention it shares
+/// with its scalar twin (`columnar_equivalence.rs` pins it); the
+/// oracles pin every other bit.
+fn bits(x: f64) -> u64 {
+    if x == 0.0 {
+        0
+    } else {
+        x.to_bits()
+    }
+}
+
+/// Cells for the set kernels: words from one vocabulary both sides
+/// share, so cells overlap, with repeats, mixed case and punctuation
+/// between words; some cells are empty, blank or unrelated strings.
+fn word_cells(g: &mut Gen, vocab: &[String]) -> Vec<String> {
+    g.vec_len(1, 7, |g| match g.usize_in(0, 8) {
+        0 => String::new(),
+        1 => "  ".to_owned(),
+        2 => any_string(g),
+        _ => {
+            let mut cell = String::new();
+            for k in 0..g.usize_in(1, 9) {
+                if k > 0 {
+                    let sep: &&str = g.pick(&[" ", ", ", "-", "  ", "/"]);
+                    cell.push_str(sep);
+                }
+                let w = g.pick(vocab);
+                if g.bool(0.3) {
+                    cell.push_str(&w.to_uppercase());
+                } else {
+                    cell.push_str(w);
+                }
+            }
+            cell
+        }
+    })
+}
+
+#[test]
+fn set_and_tfidf_kernels_match_the_naive_measures() {
+    cases(160, 0x0e75, |g| {
+        let vocab = g.vec_len(2, 8, |g| {
+            let len = g.usize_in(1, 6);
+            string_of(g, len)
+        });
+        let (a, b) = (word_cells(g, &vocab), word_cells(g, &vocab));
+        let mut interner = TokenInterner::new();
+        let mut col_a = PreparedColumn::prepare(a.iter().map(String::as_str), &mut interner);
+        let mut col_b = PreparedColumn::prepare(b.iter().map(String::as_str), &mut interner);
+        // The corpus is every cell of both sides.
+        let mut df = Vec::new();
+        let n_docs = col_a.accumulate_doc_freq(&mut df) + col_b.accumulate_doc_freq(&mut df);
+        df.resize(interner.len(), 0);
+        let rank = interner.string_ranks();
+        col_a.finish_tfidf(&df, n_docs, &rank);
+        col_b.finish_tfidf(&df, n_docs, &rank);
+        let docs: Vec<String> = a.iter().chain(&b).cloned().collect();
+
+        let mut scratch = SimScratch::new();
+        for (i, ra) in a.iter().enumerate() {
+            for (j, rb) in b.iter().enumerate() {
+                let (na, nb) = (normalize(ra), normalize(rb));
+                let (wa, wb) = (word_tokens(&na), word_tokens(&nb));
+                let set = |w: &[String]| w.iter().cloned().collect::<BTreeSet<_>>();
+                let want = [
+                    (
+                        StringMeasure::JaccardWords,
+                        naive_jaccard(&set(&wa), &set(&wb)),
+                    ),
+                    (
+                        StringMeasure::JaccardQgrams,
+                        naive_jaccard(&naive_qgrams(&na), &naive_qgrams(&nb)),
+                    ),
+                    (
+                        StringMeasure::CosineWords,
+                        naive_cosine(&term_counts(&wa), &term_counts(&wb)),
+                    ),
+                ];
+                for (m, w) in want {
+                    let got = measure_cells(m, &col_a, i, &col_b, j, &interner, &mut scratch);
+                    assert_eq!(bits(got), bits(w), "{m} on {ra:?} vs {rb:?}: {got} vs {w}");
+                }
+                let got = tfidf_cosine_cells(&col_a, i, &col_b, j);
+                let w = naive_cosine(&naive_tfidf(&docs, ra), &naive_tfidf(&docs, rb));
+                assert_eq!(
+                    bits(got),
+                    bits(w),
+                    "tfidf on {ra:?} vs {rb:?}: {got} vs {w}"
+                );
+            }
+        }
     });
 }
