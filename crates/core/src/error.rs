@@ -4,7 +4,7 @@
 //! carrying the [`Stage`] it failed in and a structured cause, replacing
 //! the scattered panics the suite grew up with. Matcher-level failures
 //! are deliberately *not* errors: they degrade the session (see
-//! [`crate::matcher::MatcherStatus`]) and only escalate to
+//! [`crate::matcher::MatcherFailure`]) and only escalate to
 //! [`SuiteError::AllMatchersFailed`] when no matcher survives.
 
 use crate::matcher::MatcherFailure;

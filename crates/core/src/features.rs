@@ -431,16 +431,18 @@ impl FeatureGenerator {
             .try_hold(2 * self.matrix_cost(batch.len()))
             .map_err(MatrixError::Mem)?;
         exec.recorder.add("features.pairs", batch.len() as u64);
-        let token = exec.run_token();
         let d = self.n_features();
         let pairs = batch.pairs;
         let n = pairs.len();
-        let outcome =
-            exec.pool
-                .try_par_scratch_within(d * n, &token, SimScratch::new, |scratch, t| {
-                    probe(t);
-                    self.cell(self.features[t / n], pairs[t % n], scratch)
-                })?;
+        let outcome = exec.pool.try_par_scratch_within(
+            d * n,
+            &exec.cancel,
+            SimScratch::new,
+            |scratch, t| {
+                probe(t);
+                self.cell(self.features[t / n], pairs[t % n], scratch)
+            },
+        )?;
         Ok(match outcome {
             ParOutcome::Complete(cols) => ParOutcome::Complete(transpose(&cols, n, d, n)),
             ParOutcome::Interrupted {
@@ -546,7 +548,7 @@ fn transpose(cols: &[f64], n: usize, d: usize, rows: usize) -> Matrix {
 mod tests {
     use super::*;
     use fairem_csvio::parse_csv_str;
-    use fairem_par::{Budget, WorkerPool};
+    use fairem_par::{Budget, CancelToken, WorkerPool};
 
     fn tables() -> (Table, Table) {
         let a = Table::from_csv(
@@ -663,7 +665,7 @@ mod tests {
         let g = FeatureGenerator::build(&a, &b, &["country"]);
         let pairs = all_pairs(&a, &b);
         // A zero-step budget trips at the first inter-chunk checkpoint.
-        let exec = Exec::sequential().budget(Budget::steps(0));
+        let exec = Exec::sequential().cancel(CancelToken::with_budget(Budget::steps(0)));
         match g.matrix(&PairBatch::new(&pairs), &exec) {
             ParOutcome::Interrupted { done, total, .. } => {
                 assert_eq!(total, pairs.len());

@@ -97,7 +97,7 @@ pub use error::{Stage, SuiteError, SuiteResult};
 pub use exec::{Exec, PairBatch};
 pub use fault::{FaultPlan, FaultSite};
 pub use fairness::{Disparity, FairnessMeasure, Paradigm};
-pub use matcher::{FailureCause, Matcher, MatcherFailure, MatcherKind, MatcherRegistry, MatcherStatus};
+pub use matcher::{FailureCause, Matcher, MatcherFailure, MatcherKind, MatcherRegistry};
 pub use fairem_obs::{Recorder, Snapshot, SpanStatus};
 pub use fairem_par::{
     Budget, CancelToken, Interrupt, MemBudget, MemTracker, ParOutcome, Parallelism, WorkerPool,

@@ -460,20 +460,6 @@ impl std::fmt::Display for MatcherFailure {
     }
 }
 
-/// Outcome of one matcher's train/score lifecycle under isolation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MatcherStatus {
-    /// Trained and scored; part of the surviving fleet.
-    Ok,
-    /// Died; the session continues without it.
-    Failed {
-        /// Stage the matcher died in.
-        stage: Stage,
-        /// Captured cause.
-        reason: String,
-    },
-}
-
 /// Clamp a matcher's raw scores to the `[0, 1]` contract at the matcher
 /// boundary: NaN becomes 0.0 (predicted non-match — the conservative
 /// reading of "no usable evidence"), ±inf and out-of-range values clamp

@@ -193,29 +193,6 @@ impl SuiteBuilder {
         self
     }
 
-    /// Fault-injection plan (shorthand for mutating
-    /// [`SuiteConfig::fault`]).
-    pub fn fault_plan(mut self, plan: FaultPlan) -> SuiteBuilder {
-        self.config.fault = plan;
-        self
-    }
-
-    /// Whole-suite budget (shorthand for mutating
-    /// [`SuiteConfig::budget`]). When it expires, `try_run` returns
-    /// [`SuiteError::TimedOut`] at the next checkpoint.
-    pub fn budget(mut self, budget: Budget) -> SuiteBuilder {
-        self.config.budget = budget;
-        self
-    }
-
-    /// Per-matcher budget (shorthand for mutating
-    /// [`SuiteConfig::matcher_budget`]). An expiry cuts only that
-    /// matcher; the session degrades and the survivors are audited.
-    pub fn matcher_budget(mut self, budget: Budget) -> SuiteBuilder {
-        self.config.matcher_budget = budget;
-        self
-    }
-
     /// External cancellation handle (shorthand for mutating
     /// [`SuiteConfig::cancel`]): trip it from another thread — e.g. a
     /// Ctrl-C handler — to wind the run down cooperatively.

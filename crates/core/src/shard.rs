@@ -37,13 +37,6 @@ pub struct ShardPolicy {
     pub resume: bool,
 }
 
-impl ShardPolicy {
-    /// True when this policy requests the sharded execution path.
-    pub fn is_sharded(&self) -> bool {
-        self.shards > 1
-    }
-}
-
 /// One contiguous shard of the test pair space: `[start, end)` indices
 /// into the test split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

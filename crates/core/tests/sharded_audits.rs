@@ -42,7 +42,7 @@ fn builder(d: &GeneratedDataset) -> SuiteBuilder {
     let sensitive = d
         .sensitive
         .iter()
-        .map(|c| fairem_core::sensitive::SensitiveAttr::categorical(c));
+        .map(fairem_core::sensitive::SensitiveAttr::categorical);
     FairEm360::builder()
         .tables(d.table_a.clone(), d.table_b.clone())
         .ground_truth(d.matches.clone())
@@ -309,7 +309,7 @@ fn memory_budget_fences_the_materialized_path_but_not_the_sharded_one() {
         .unwrap();
     let sharded_peak = gauge(sharded.recorder(), "mem.peak_bytes").unwrap() as u64;
     assert!(
-        sharded_peak <= peak - 1,
+        sharded_peak < peak,
         "sharded peak {sharded_peak} must stay under the {peak}-byte fence"
     );
     for (a, b) in unlimited.audit_all(&aud).iter().zip(sharded.audit_all(&aud)) {

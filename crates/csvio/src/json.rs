@@ -3,8 +3,8 @@
 //!
 //! Report rendering *produces* JSON (machine-readable audit artifacts,
 //! checkpoints, serve replies, lint findings); the parser
-//! ([`Json::parse`]) reads them back (checkpoint resume, the lint cache
-//! and `--validate-json`, round-trip tests). Object key order is
+//! ([`Json::parse`]) reads them back (checkpoint resume, lint's
+//! `--validate-json`, round-trip tests). Object key order is
 //! insertion order, which keeps emitted documents deterministic.
 
 use std::fmt;

@@ -1,40 +1,37 @@
 //! The analysis engine: parallel per-file analysis over the
-//! `fairem-par` [`WorkerPool`], an incremental artifact cache, the
-//! cross-file rule pass, pragma suppression with a stale-pragma
-//! audit, and deterministic finding order.
+//! `fairem-par` [`WorkerPool`], the cross-file rule pass, pragma
+//! suppression with a stale-pragma audit, and deterministic finding
+//! order.
 //!
 //! Pipeline per run:
 //!
 //! 1. **Collect** — walk the workspace (or the requested subpaths)
 //!    into a sorted file list.
-//! 2. **Analyze** — `par_map` over the files: hash each file's bytes
-//!    (FNV-1a) and either replay the cached [`FileArtifact`] or lex /
-//!    parse / run the per-file rules. Chunk-index stitching makes the
-//!    artifact vector order-identical under any `FAIREM_JOBS`.
+//! 2. **Analyze** — `par_map` over the files: lex / parse / run the
+//!    per-file rules on every file, every run. Chunk-index stitching
+//!    makes the artifact vector order-identical under any
+//!    `FAIREM_JOBS`.
 //! 3. **Relate** — run the cross-file rules ([`crate::graph`]) over
-//!    the item indexes. Always recomputed: one changed file can
-//!    change every cross-file conclusion.
+//!    the item indexes.
 //! 4. **Suppress** — apply `fairem: allow` pragmas to the combined
 //!    findings, counting uses; a justified pragma that suppressed
 //!    nothing becomes a `stale_pragma` finding, and malformed pragmas
 //!    stay findings in their own right.
 //! 5. **Order** — sort by `(file, line, rule, msg)` and dedupe, so
-//!    cold/warm and jobs=1/N runs emit bit-identical output.
+//!    jobs=1/N runs emit bit-identical output.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use fairem_csvio::Json;
-use fairem_obs::Recorder;
 use fairem_par::{Parallelism, WorkerPool};
 
-use crate::cache::{self, FileArtifact};
 use crate::deps;
 use crate::graph::{self, WalkScope};
 use crate::items::ItemIndex;
 use crate::rules::{all_rules, Finding};
-use crate::source::SourceFile;
+use crate::source::{Pragma, SourceFile};
 
 /// Known rule names, for pragma validation.
 pub fn rule_names() -> Vec<&'static str> {
@@ -44,37 +41,22 @@ pub fn rule_names() -> Vec<&'static str> {
     names
 }
 
-/// Engine knobs. [`Default`] is a sequential-policy-free run: `Auto`
-/// parallelism (honors `FAIREM_JOBS`), no cache, inert recorder.
-pub struct LintOptions {
-    /// Worker policy for the per-file pass.
-    pub parallelism: Parallelism,
-    /// Incremental cache file; `None` analyzes everything cold.
-    pub cache_path: Option<PathBuf>,
-    /// Observability sink for the `lint.files_{analyzed,cached}`
-    /// counters (the disabled recorder is inert).
-    pub recorder: Recorder,
-}
-
-impl Default for LintOptions {
-    fn default() -> LintOptions {
-        LintOptions {
-            parallelism: Parallelism::Auto,
-            cache_path: None,
-            recorder: Recorder::disabled(),
-        }
-    }
-}
-
-/// A lint run's findings plus the cache accounting the warm-run
-/// identity check in `check.sh` asserts on.
+/// A lint run's findings plus the number of files it analyzed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LintReport {
     pub findings: Vec<Finding>,
-    /// Files analyzed from scratch this run.
+    /// Files analyzed this run.
     pub files_analyzed: u64,
-    /// Files replayed from the incremental cache.
-    pub files_cached: u64,
+}
+
+/// One file's per-file analysis: everything the later passes need.
+struct FileArtifact {
+    /// Workspace-relative path (finding prefix).
+    rel: String,
+    /// Local-rule findings **before** pragma suppression.
+    raw: Vec<Finding>,
+    pragmas: Vec<Pragma>,
+    items: ItemIndex,
 }
 
 /// Lint the workspace rooted at `root`. When `subpaths` is non-empty,
@@ -82,15 +64,15 @@ pub struct LintReport {
 /// how the fixture set is scanned despite being skipped by the
 /// default walk.
 pub fn lint(root: &Path, subpaths: &[PathBuf]) -> Result<Vec<Finding>, String> {
-    lint_with(root, subpaths, &LintOptions::default()).map(|r| r.findings)
+    lint_with(root, subpaths, Parallelism::Auto).map(|r| r.findings)
 }
 
-/// Full-control entry point: [`lint`] plus parallelism policy,
-/// incremental cache, and metric counters.
+/// [`lint`] under an explicit parallelism policy, with the count of
+/// analyzed files beside the findings.
 pub fn lint_with(
     root: &Path,
     subpaths: &[PathBuf],
-    opts: &LintOptions,
+    parallelism: Parallelism,
 ) -> Result<LintReport, String> {
     let mut files: Vec<PathBuf> = Vec::new();
     if subpaths.is_empty() {
@@ -113,32 +95,16 @@ pub fn lint_with(
             .any(|p| p.components().any(|c| c.as_os_str() == "fixtures")),
     };
 
-    let cached: BTreeMap<String, FileArtifact> = match &opts.cache_path {
-        Some(p) => cache::load(p),
-        None => BTreeMap::new(),
-    };
+    let pool = WorkerPool::with_parallelism(parallelism);
+    let mut artifacts = pool
+        .par_map(files.len(), |i| analyze(root, &files[i]))
+        .into_iter()
+        .collect::<Result<Vec<FileArtifact>, String>>()?;
 
-    let pool = WorkerPool::with_parallelism(opts.parallelism);
-    let analyzed: Vec<Result<(FileArtifact, bool), String>> =
-        pool.par_map(files.len(), |i| analyze(root, &files[i], &cached));
-
-    let mut artifacts: Vec<FileArtifact> = Vec::with_capacity(analyzed.len());
-    let mut files_analyzed = 0u64;
-    let mut files_cached = 0u64;
-    for r in analyzed {
-        let (a, was_cached) = r?;
-        if was_cached {
-            files_cached += 1;
-        } else {
-            files_analyzed += 1;
-        }
-        artifacts.push(a);
-    }
-
-    // Cross-file pass over every item index, cached or fresh.
+    // Cross-file pass over every item index.
     let indexed: Vec<(String, ItemIndex)> = artifacts
-        .iter()
-        .map(|a| (a.rel.clone(), a.items.clone()))
+        .iter_mut()
+        .map(|a| (a.rel.clone(), std::mem::take(&mut a.items)))
         .collect();
     let global = graph::global_findings(&indexed, scope);
 
@@ -234,46 +200,24 @@ pub fn lint_with(
     });
     findings.dedup_by(|a, b| a.rel == b.rel && a.line == b.line && a.rule == b.rule);
 
-    if let Some(p) = &opts.cache_path {
-        cache::save(p, &artifacts)?;
-    }
-    opts.recorder.add("lint.files_analyzed", files_analyzed);
-    opts.recorder.add("lint.files_cached", files_cached);
-
     Ok(LintReport {
         findings,
-        files_analyzed,
-        files_cached,
+        files_analyzed: artifacts.len() as u64,
     })
 }
 
-/// Analyze one file: replay the cached artifact when the content hash
-/// matches, else lex/parse/run the per-file rules.
-fn analyze(
-    root: &Path,
-    path: &Path,
-    cached: &BTreeMap<String, FileArtifact>,
-) -> Result<(FileArtifact, bool), String> {
+/// Analyze one file: lex, parse and run the per-file rules.
+fn analyze(root: &Path, path: &Path) -> Result<FileArtifact, String> {
     let rel = relpath(root, path);
     let src = fs::read_to_string(path)
         .map_err(|e| format!("fairem-lint: cannot read {}: {e}", path.display()))?;
-    let hash = cache::fnv1a(src.as_bytes());
-    if let Some(hit) = cached.get(&rel) {
-        if hit.hash == hash {
-            return Ok((hit.clone(), true));
-        }
-    }
     if path.file_name().is_some_and(|n| n == "Cargo.toml") {
-        return Ok((
-            FileArtifact {
-                rel: rel.clone(),
-                hash,
-                raw: deps::check_manifest(&rel, &src),
-                pragmas: Vec::new(),
-                items: ItemIndex::default(),
-            },
-            false,
-        ));
+        return Ok(FileArtifact {
+            raw: deps::check_manifest(&rel, &src),
+            rel,
+            pragmas: Vec::new(),
+            items: ItemIndex::default(),
+        });
     }
     let file = SourceFile::parse(&rel, &src);
     let mut raw: Vec<Finding> = Vec::new();
@@ -281,16 +225,12 @@ fn analyze(
         rule.check(&file, &mut raw);
     }
     let items = ItemIndex::parse(&file);
-    Ok((
-        FileArtifact {
-            rel,
-            hash,
-            raw,
-            pragmas: file.pragmas,
-            items,
-        },
-        false,
-    ))
+    Ok(FileArtifact {
+        rel,
+        raw,
+        pragmas: file.pragmas,
+        items,
+    })
 }
 
 /// The default walk covers every `.rs` file and `Cargo.toml` under the
@@ -332,6 +272,8 @@ fn relpath(root: &Path, path: &Path) -> String {
 }
 
 /// Serialize a report in the machine-readable `fairem-lint/2` schema.
+/// `files_cached` stays in the schema and is always 0: every run
+/// analyzes every file.
 pub fn render_json(report: &LintReport) -> String {
     let findings = report
         .findings
@@ -348,7 +290,7 @@ pub fn render_json(report: &LintReport) -> String {
     let doc = Json::obj([
         ("format", Json::Str("fairem-lint/2".into())),
         ("files_analyzed", Json::Num(report.files_analyzed as f64)),
-        ("files_cached", Json::Num(report.files_cached as f64)),
+        ("files_cached", Json::Num(0.0)),
         ("findings", Json::Arr(findings)),
     ]);
     let mut text = doc.to_string_compact();

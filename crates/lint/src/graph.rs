@@ -347,7 +347,7 @@ mod tests {
              fn ab(&self) { let g = self.a.lock().unwrap(); let h = self.b.lock().unwrap(); let _ = (g, h); }\n\
              }\n",
         );
-        let clean = global_findings(&[decl.clone()], PARTIAL);
+        let clean = global_findings(std::slice::from_ref(&decl), PARTIAL);
         assert!(clean.iter().all(|f| f.rule != "lock_order"), "{clean:#?}");
 
         let reverse = items(

@@ -96,7 +96,7 @@ pub struct PathRef {
 }
 
 /// Everything the cross-file rules can ask about one file.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default)]
 pub struct ItemIndex {
     pub fns: Vec<FnItem>,
     pub impls: Vec<ImplItem>,

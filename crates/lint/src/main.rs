@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! fairem-lint [--root DIR] [--expect MANIFEST] [--jobs N|auto]
-//!             [--cache FILE] [--format text|json] [--metrics FILE]
-//!             [SUBPATH...]
+//!             [--format text|json] [SUBPATH...]
 //! fairem-lint --validate-json FILE
 //! ```
 //!
@@ -13,12 +12,9 @@
 //! any finding survives, 0 when clean.
 //!
 //! `--jobs` sets the per-file parallelism (default: `FAIREM_JOBS`,
-//! else auto). `--cache FILE` enables the incremental cache: unchanged
-//! files (by FNV-1a content hash) replay their stored artifacts
-//! instead of re-lexing. `--format json` emits the machine-readable
-//! `fairem-lint/2` document; `--validate-json FILE` checks such a
-//! document and exits 0/1. `--metrics FILE` writes a `fairem-obs`
-//! snapshot with the `lint.files_{analyzed,cached}` counters.
+//! else auto). Every run analyzes every file. `--format json` emits
+//! the machine-readable `fairem-lint/2` document; `--validate-json
+//! FILE` checks such a document and exits 0/1.
 //!
 //! `--expect MANIFEST` compares the findings against an expectation
 //! file (one `file:line rule` per line, `#` comments allowed) and
@@ -30,17 +26,13 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fairem_lint::LintOptions;
-use fairem_obs::Recorder;
 use fairem_par::Parallelism;
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut root: Option<PathBuf> = None;
     let mut expect: Option<PathBuf> = None;
-    let mut jobs: Option<Parallelism> = None;
-    let mut cache: Option<PathBuf> = None;
-    let mut metrics: Option<PathBuf> = None;
+    let mut jobs = Parallelism::Auto;
     let mut format = Format::Text;
     let mut subpaths: Vec<PathBuf> = Vec::new();
     while let Some(arg) = args.next() {
@@ -54,16 +46,8 @@ fn main() -> ExitCode {
                 None => return usage("--expect needs a manifest file"),
             },
             "--jobs" => match args.next().as_deref().and_then(Parallelism::parse_jobs) {
-                Some(p) => jobs = Some(p),
+                Some(p) => jobs = p,
                 None => return usage("--jobs needs N or `auto`"),
-            },
-            "--cache" => match args.next() {
-                Some(v) => cache = Some(PathBuf::from(v)),
-                None => return usage("--cache needs a file path"),
-            },
-            "--metrics" => match args.next() {
-                Some(v) => metrics = Some(PathBuf::from(v)),
-                None => return usage("--metrics needs a file path"),
             },
             "--format" => match args.next().as_deref() {
                 Some("text") => format = Format::Text,
@@ -95,33 +79,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let opts = LintOptions {
-        parallelism: jobs
-            .or_else(Parallelism::from_env)
-            .unwrap_or(Parallelism::Auto),
-        cache_path: cache,
-        recorder: if metrics.is_some() {
-            Recorder::enabled()
-        } else {
-            Recorder::disabled()
-        },
-    };
-
-    let report = match fairem_lint::lint_with(&root, &subpaths, &opts) {
+    let report = match fairem_lint::lint_with(&root, &subpaths, jobs) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::from(2);
         }
     };
-
-    if let Some(path) = metrics {
-        let body = opts.recorder.snapshot().to_json();
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("fairem-lint: cannot write metrics {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
 
     if let Some(manifest_path) = expect {
         let manifest = match std::fs::read_to_string(&manifest_path) {
@@ -156,8 +120,8 @@ fn main() -> ExitCode {
             }
             if report.findings.is_empty() {
                 println!(
-                    "fairem-lint: workspace clean ({} analyzed, {} cached)",
-                    report.files_analyzed, report.files_cached
+                    "fairem-lint: workspace clean ({} analyzed)",
+                    report.files_analyzed
                 );
             }
         }
@@ -178,7 +142,7 @@ enum Format {
 }
 
 const USAGE: &str = "usage: fairem-lint [--root DIR] [--expect MANIFEST] [--jobs N|auto] \
-[--cache FILE] [--format text|json] [--metrics FILE] [SUBPATH...]\n       \
+[--format text|json] [SUBPATH...]\n       \
 fairem-lint --validate-json FILE";
 
 fn usage(msg: &str) -> ExitCode {

@@ -10,7 +10,7 @@ use crate::lexer::{lex, mask, Class};
 /// suppression in the tree records *why* the contract is waived. A
 /// pragma covers its own line and, when it stands on a comment-only
 /// line, the line below it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Pragma {
     /// 1-based line the pragma appears on.
     pub line: usize,

@@ -1,13 +1,10 @@
 //! Engine guarantees: findings are bit-identical across parallelism
-//! policies and across cold/warm cache runs, the cache actually
-//! replays unchanged files (and invalidates changed ones), and the
-//! `fairem-lint/2` JSON emitter round-trips through the validator.
+//! policies, and the `fairem-lint/2` JSON emitter round-trips through
+//! the validator.
 
-use std::fs;
 use std::path::{Path, PathBuf};
 
-use fairem_lint::{lint_with, render_json, validate_report_json, LintOptions};
-use fairem_obs::Recorder;
+use fairem_lint::{lint_with, render_json, validate_report_json};
 use fairem_par::Parallelism;
 
 fn workspace_root() -> PathBuf {
@@ -18,122 +15,21 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// A throwaway root with one violating and one clean file. Unique per
-/// test (no shared tempdir state), cleaned up on drop.
-struct Scratch {
-    root: PathBuf,
-}
-
-impl Scratch {
-    fn new(tag: &str) -> Scratch {
-        let root = std::env::temp_dir().join(format!(
-            "fairem-lint-engine-{}-{tag}",
-            std::process::id()
-        ));
-        let _ = fs::remove_dir_all(&root);
-        let src = root.join("src");
-        fs::create_dir_all(&src).expect("scratch dir");
-        fs::write(
-            src.join("bad.rs"),
-            "pub fn cmp(a: f64, b: f64) -> Option<std::cmp::Ordering> {\n    a.partial_cmp(&b)\n}\n",
-        )
-        .expect("bad.rs");
-        fs::write(src.join("ok.rs"), "pub fn fine() -> u64 {\n    7\n}\n").expect("ok.rs");
-        Scratch { root }
-    }
-    fn cache(&self) -> PathBuf {
-        self.root.join("lint.cache")
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.root);
-    }
-}
-
 #[test]
 fn findings_are_identical_across_parallelism_policies() {
     let root = workspace_root();
-    let sub = PathBuf::from("crates/lint/tests/fixtures");
-    let one = lint_with(
-        &root,
-        &[sub.clone()],
-        &LintOptions {
-            parallelism: Parallelism::Fixed(1),
-            ..LintOptions::default()
-        },
-    )
-    .expect("jobs=1 run");
-    let four = lint_with(
-        &root,
-        &[sub],
-        &LintOptions {
-            parallelism: Parallelism::Fixed(4),
-            ..LintOptions::default()
-        },
-    )
-    .expect("jobs=4 run");
+    let sub = [PathBuf::from("crates/lint/tests/fixtures")];
+    let one = lint_with(&root, &sub, Parallelism::Fixed(1)).expect("jobs=1 run");
+    let four = lint_with(&root, &sub, Parallelism::Fixed(4)).expect("jobs=4 run");
     assert!(!one.findings.is_empty());
     assert_eq!(one.findings, four.findings, "jobs=1 vs jobs=4 diverged");
-}
-
-#[test]
-fn warm_cache_replays_files_with_identical_findings() {
-    let scratch = Scratch::new("warm");
-    let opts = LintOptions {
-        parallelism: Parallelism::Fixed(2),
-        cache_path: Some(scratch.cache()),
-        recorder: Recorder::enabled(),
-    };
-    let cold = lint_with(&scratch.root, &[], &opts).expect("cold run");
-    assert_eq!(cold.files_cached, 0);
-    assert!(cold.files_analyzed >= 2, "{cold:?}");
-    assert!(cold.findings.iter().any(|f| f.rule == "float_order"));
-
-    let warm = lint_with(&scratch.root, &[], &opts).expect("warm run");
-    assert!(warm.files_cached > 0, "{warm:?}");
-    assert_eq!(warm.files_analyzed, 0, "{warm:?}");
-    assert_eq!(cold.findings, warm.findings, "cold vs warm diverged");
-
-    // The recorder accumulated both runs' counters.
-    let json = opts.recorder.snapshot().to_json();
-    assert!(json.contains("lint.files_analyzed"), "{json}");
-    assert!(json.contains("lint.files_cached"), "{json}");
-}
-
-#[test]
-fn changed_files_are_invalidated_not_replayed() {
-    let scratch = Scratch::new("invalidate");
-    let opts = LintOptions {
-        cache_path: Some(scratch.cache()),
-        ..LintOptions::default()
-    };
-    let cold = lint_with(&scratch.root, &[], &opts).expect("cold run");
-    assert!(cold.findings.iter().any(|f| f.rule == "float_order"));
-
-    // Fix the violation; the edited file must be re-analyzed and its
-    // stale cached finding must not survive.
-    fs::write(
-        scratch.root.join("src/bad.rs"),
-        "pub fn cmp(a: f64, b: f64) -> std::cmp::Ordering {\n    a.total_cmp(&b)\n}\n",
-    )
-    .expect("rewrite bad.rs");
-    let warm = lint_with(&scratch.root, &[], &opts).expect("post-edit run");
-    assert_eq!(warm.files_analyzed, 1, "{warm:?}");
-    assert!(warm.files_cached >= 1, "{warm:?}");
-    assert!(
-        !warm.findings.iter().any(|f| f.rule == "float_order"),
-        "stale cached finding survived an edit: {:#?}",
-        warm.findings
-    );
 }
 
 #[test]
 fn json_report_round_trips_through_the_validator() {
     let root = workspace_root();
     let sub = PathBuf::from("crates/lint/tests/fixtures");
-    let report = lint_with(&root, &[sub], &LintOptions::default()).expect("fixture run");
+    let report = lint_with(&root, &[sub], Parallelism::Auto).expect("fixture run");
     let body = render_json(&report);
     let n = validate_report_json(&body).expect("emitted JSON validates");
     assert_eq!(n, report.findings.len());

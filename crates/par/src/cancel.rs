@@ -33,8 +33,8 @@ use std::time::{Duration, Instant};
 /// A time/step allowance for a region of work.
 ///
 /// The default budget is unlimited; [`Budget::wall`] and
-/// [`Budget::steps`] arm the two limits independently and
-/// [`Budget::and_steps`] combines them.
+/// [`Budget::steps`] arm the two limits independently, and a struct
+/// literal arms both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Budget {
     /// Maximum wall-clock time, measured from token creation.
@@ -69,12 +69,6 @@ impl Budget {
             wall: None,
             max_steps: Some(max),
         }
-    }
-
-    /// Add a step limit to this budget.
-    pub fn and_steps(mut self, max: u64) -> Budget {
-        self.max_steps = Some(max);
-        self
     }
 
     /// True when neither limit is armed.
@@ -597,7 +591,10 @@ mod tests {
     fn budget_builders_compose() {
         assert!(Budget::UNLIMITED.is_unlimited());
         assert!(Budget::default().is_unlimited());
-        let b = Budget::wall_ms(500).and_steps(10);
+        let b = Budget {
+            max_steps: Some(10),
+            ..Budget::wall_ms(500)
+        };
         assert_eq!(b.wall, Some(Duration::from_millis(500)));
         assert_eq!(b.max_steps, Some(10));
         assert!(!b.is_unlimited());

@@ -12,7 +12,7 @@
 //! - [`Parallelism`] — the user-facing policy (`Off` / `Auto` /
 //!   `Fixed(n)`), threaded through `SuiteConfig` and the CLI `--jobs`
 //!   flag. `Auto` consults the `FAIREM_JOBS` environment variable before
-//!   falling back to the hardware thread count.
+//!   falling back to the hardware thread count, once per process.
 //! - [`contain`] — the panic-containment primitive (drop-guarded quiet
 //!   hook + `catch_unwind`) shared by the pool and by
 //!   `fairem-core::fault::guard`.

@@ -1,9 +1,18 @@
 //! The user-facing parallelism policy.
 
+use std::sync::OnceLock;
+
 /// Environment variable consulted by [`Parallelism::Auto`] (and the
 /// test gate in `scripts/check.sh`): a worker count, or `auto`/`0` for
 /// hardware detection.
 pub const JOBS_ENV: &str = "FAIREM_JOBS";
+
+/// The hardware threads available to this process, queried once: the
+/// query reads cgroup files, and pools are built per request.
+pub(crate) fn hardware_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// How much parallelism a suite run may use.
 ///
@@ -16,6 +25,7 @@ pub enum Parallelism {
     /// Strictly sequential: no worker threads are spawned at all.
     Off,
     /// Use `FAIREM_JOBS` if set, else one worker per hardware thread.
+    /// Resolved once per process.
     #[default]
     Auto,
     /// Exactly `n` workers (clamped to at least 1).
@@ -42,8 +52,8 @@ impl Parallelism {
     /// counts are honored as-is; everything else — `0`, negatives,
     /// unparseable text — falls back to [`Parallelism::Auto`] and the
     /// second element carries a warning for the caller to surface.
-    /// Split out from [`Parallelism::from_env`] so the fallback policy
-    /// is unit-testable without touching process environment.
+    /// Split out from the `Auto` resolution so the fallback policy is
+    /// unit-testable without touching process environment.
     pub fn interpret_env_jobs(raw: &str) -> (Parallelism, Option<String>) {
         match Parallelism::parse_jobs(raw) {
             Some(p @ Parallelism::Fixed(_)) => (p, None),
@@ -63,32 +73,29 @@ impl Parallelism {
     }
 
     /// The policy armed by the environment, if any. Invalid values fall
-    /// back to [`Parallelism::Auto`] with a one-time stderr warning
-    /// rather than being silently ignored.
-    pub fn from_env() -> Option<Parallelism> {
+    /// back to [`Parallelism::Auto`] with a stderr warning rather than
+    /// being silently ignored; `Auto` reads the environment once, so
+    /// the warning prints at most once.
+    fn from_env() -> Option<Parallelism> {
         let raw = std::env::var(JOBS_ENV).ok()?;
         let (policy, warning) = Parallelism::interpret_env_jobs(&raw);
         if let Some(w) = warning {
-            // Warn once per process: `workers()` re-reads the env on
-            // every parallel region and repeating the line is noise.
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| eprintln!("{w}"));
+            eprintln!("{w}");
         }
         Some(policy)
     }
 
-    /// The worker count this policy resolves to on this machine. `Auto`
-    /// re-reads the environment on every call, so a policy stored in a
-    /// long-lived config tracks `FAIREM_JOBS` changes.
+    /// The worker count this policy resolves to on this machine.
     pub fn workers(self) -> usize {
+        static AUTO: OnceLock<usize> = OnceLock::new();
         match self {
             Parallelism::Off => 1,
             Parallelism::Fixed(n) => n.max(1),
-            Parallelism::Auto => match Parallelism::from_env() {
+            Parallelism::Auto => *AUTO.get_or_init(|| match Parallelism::from_env() {
                 Some(Parallelism::Fixed(n)) => n.max(1),
                 // `FAIREM_JOBS=auto`/`0` or unset: hardware count.
-                _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            },
+                _ => hardware_threads(),
+            }),
         }
     }
 

@@ -20,7 +20,7 @@ use fairem_obs::Recorder;
 
 use crate::cancel::{CancelToken, Interrupt};
 use crate::contain::contain;
-use crate::parallelism::Parallelism;
+use crate::parallelism::{hardware_threads, Parallelism};
 
 /// A contained panic, attributed to the chunk of work it escaped from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,16 +118,8 @@ impl WorkerPool {
     /// per hardware thread, so no worker count can make one region
     /// spawn a thread per item.
     pub fn new(workers: usize) -> WorkerPool {
-        // The bound is never below 4, so small pools, which audits and
-        // the ensemble explorer build on every call, skip the hardware
-        // query (tens of microseconds).
-        let workers = if workers <= 4 {
-            workers.max(1)
-        } else {
-            workers.min(WorkerPool::max_workers())
-        };
         WorkerPool {
-            workers,
+            workers: workers.clamp(1, WorkerPool::max_workers()),
             recorder: Recorder::disabled(),
         }
     }
@@ -137,7 +129,7 @@ impl WorkerPool {
     /// give every hardware thread sixteen chunks to pull. At least 4 on
     /// any host, so `Fixed(4)` always races four threads.
     fn max_workers() -> usize {
-        4 * std::thread::available_parallelism().map_or(1, |n| n.get())
+        4 * hardware_threads()
     }
 
     /// A pool sized by a [`Parallelism`] policy.

@@ -382,7 +382,7 @@ mod tests {
     #[test]
     fn unterminated_and_oversize_headers_are_bounded() {
         let mut r = FrameReader::new();
-        r.feed(&vec![b'x'; MAX_HEADER + 10]);
+        r.feed(&[b'x'; MAX_HEADER + 10]);
         let got = drain(&mut r);
         assert!(
             matches!(got[0], Err(ProtoError::UnterminatedHeader)),
@@ -499,7 +499,7 @@ mod tests {
         let mut r = FrameReader::new();
         let mut frames: Vec<String> = Vec::new();
         let mut strikes = 0u32;
-        let mut pump = |r: &mut FrameReader, frames: &mut Vec<String>, strikes: &mut u32| {
+        let pump = |r: &mut FrameReader, frames: &mut Vec<String>, strikes: &mut u32| {
             for f in drain(r) {
                 match f {
                     Ok(b) => frames.push(b),

@@ -19,8 +19,9 @@ use fairem360::core::matcher::MatcherKind;
 use fairem360::core::pipeline::{FairEm360, SuiteConfig};
 use fairem360::core::prep::PrepConfig;
 use fairem360::core::sensitive::{GroupId, SensitiveAttr};
+use fairem360::core::Parallelism;
 use fairem360::datasets::{faculty_match, FacultyConfig};
-use fairem_lint::{lint_with, render_json, LintOptions};
+use fairem_lint::{lint_with, render_json};
 
 const FIXTURE: &str = include_str!("golden_outputs.txt");
 
@@ -187,7 +188,7 @@ fn lint_json_over_the_fixtures_is_golden() {
     let report = lint_with(
         root,
         &[PathBuf::from("crates/lint/tests/fixtures")],
-        &LintOptions::default(),
+        Parallelism::Auto,
     )
     .expect("fixture run");
     check("lint render_json crates/lint/tests/fixtures", &render_json(&report));
