@@ -147,7 +147,7 @@ impl CheckpointStore {
     }
 
     /// Commit a shard's results: serialize, write `shard-<idx>.json.tmp`,
-    /// fsync-free atomic `rename` into place.
+    /// `sync_all` it, then atomically `rename` it into place.
     pub fn store_shard(&self, index: usize, record: &ShardRecord) -> Result<(), SuiteError> {
         let v = Json::obj([
             ("schema", Json::Str(CKPT_SCHEMA.into())),

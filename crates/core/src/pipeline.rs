@@ -448,15 +448,22 @@ impl FairEm360 {
                 detail: format!("matching threshold must be in [0, 1], got {threshold}"),
             });
         }
-        let plan = config.fault.clone();
-        let obs = config.observe.clone();
-        // One token for the whole run: every stage checkpoints it, every
-        // matcher trains/scores under a child of it, and the session
-        // keeps it so audits and ensembles observe the same handle.
-        let suite_token = config.cancel.child(config.budget);
+        // The one execution context every stage runs under: the suite
+        // pool; one token for the whole run (every stage checkpoints it,
+        // every matcher trains and scores under a child of it, and the
+        // session keeps it so audits and ensembles observe the same
+        // handle); the suite recorder; and the run's memory account
+        // (unlimited trackers record but never reject, so budget-free
+        // runs are bit-for-bit unchanged).
+        let pool = WorkerPool::with_parallelism(config.parallelism).observe(config.observe.clone());
+        let exec = Exec::with_pool(pool)
+            .cancel(config.cancel.child(config.budget))
+            .observe(config.observe.clone())
+            .mem(MemTracker::with_budget(config.mem_budget));
+        let (obs, token, plan) = (&exec.recorder, &exec.cancel, &config.fault);
 
         let prep_span = obs.span("prep");
-        suite_token.checkpoint().map_err(|i| {
+        token.checkpoint().map_err(|i| {
             cut_span(&prep_span, &i);
             timed_out(Stage::Prep, i)
         })?;
@@ -471,17 +478,6 @@ impl FairEm360 {
         let enc_a = space.encode_table(&table_a);
         let enc_b = space.encode_table(&table_b);
         drop(prep_span);
-
-        // The one execution context every batch stage runs under: the
-        // suite pool and token, unlimited per-call budget (the suite
-        // budget lives on the token itself), the suite recorder, and the
-        // run's memory account (unlimited trackers record but never
-        // reject, so budget-free runs are bit-for-bit unchanged).
-        let pool = WorkerPool::with_parallelism(config.parallelism).observe(obs.clone());
-        let exec = Exec::with_pool(pool.clone())
-            .cancel(suite_token.clone())
-            .observe(obs.clone())
-            .mem(MemTracker::with_budget(config.mem_budget));
 
         let blocking_span = obs.span("blocking");
         let blocker: std::sync::Arc<dyn Blocker> = match &config.blocker {
@@ -515,11 +511,11 @@ impl FairEm360 {
         let exclude: Vec<&str> = space.attrs().iter().map(|a| a.column.as_str()).collect();
         let build_span = obs.span("features");
         build_span.note("build generator");
-        suite_token.checkpoint().map_err(|i| {
+        token.checkpoint().map_err(|i| {
             cut_span(&build_span, &i);
             timed_out(Stage::FeatureGen, i)
         })?;
-        plan.stall_if_armed(FaultSite::FeatureGen, None, &suite_token)
+        plan.stall_if_armed(FaultSite::FeatureGen, None, token)
             .map_err(|i| {
                 cut_span(&build_span, &i);
                 timed_out(Stage::FeatureGen, i)
@@ -539,13 +535,7 @@ impl FairEm360 {
         let vocab = HashVocab::new(config.vocab_size);
 
         let (train_pairs, train_labels) = prepared.split(&prepared.train_idx);
-        let train_features = feature_matrix(&features, &exec, &obs, "train", &train_pairs)?;
-        // The training matrix stays resident for the whole run (repair /
-        // calibration reuse it), so its cost is persisted on the account.
-        exec.mem
-            .try_hold(features.matrix_cost(train_pairs.len()))
-            .map_err(|m| mem_exceeded(Stage::FeatureGen, m))?
-            .persist();
+        let train_features = split_matrix(&features, &exec, "train", &train_pairs)?;
         obs.gauge("mem.stage_peak_bytes.train", exec.mem.peak() as f64);
         let train_tokens = features.tokenize_all(&PairBatch::new(&train_pairs), &vocab);
         let input = TrainInput {
@@ -553,16 +543,14 @@ impl FairEm360 {
             tokens: &train_tokens,
             labels: &train_labels,
         };
-        suite_token
-            .checkpoint()
-            .map_err(|i| timed_out(Stage::Train, i))?;
+        token.checkpoint().map_err(|i| timed_out(Stage::Train, i))?;
         let (registry, failures) = MatcherRegistry::train_isolated(
             kinds,
             &input,
             &config.train,
-            &plan,
-            &pool,
-            &suite_token,
+            plan,
+            &exec.pool,
+            token,
             config.matcher_budget,
         );
 
@@ -582,19 +570,15 @@ impl FairEm360 {
             train_features,
             train_tokens,
             quarantine,
-            pool,
             exec,
-            suite_token,
-            obs,
-            plan,
             config,
         })
     }
 }
 
 /// Everything both execution back halves need from the shared front:
-/// built features, trained fleet, splits, and the run's execution
-/// handles.
+/// built features, trained fleet, splits, and the run's one execution
+/// context (`exec`; the fault plan stays on `config`).
 struct Front {
     table_a: Table,
     table_b: Table,
@@ -611,11 +595,7 @@ struct Front {
     train_features: Matrix,
     train_tokens: Vec<TokenPair>,
     quarantine: QuarantineReport,
-    pool: WorkerPool,
     exec: Exec,
-    suite_token: CancelToken,
-    obs: Recorder,
-    plan: FaultPlan,
     config: SuiteConfig,
 }
 
@@ -623,146 +603,84 @@ impl Front {
     /// The in-memory back half: materialize the valid and test feature
     /// matrices, score the whole test split per matcher, and assemble a
     /// [`Session`].
-    fn into_session(self) -> SuiteResult<Session> {
-        let Front {
-            table_a,
-            table_b,
-            space,
-            enc_a,
-            enc_b,
-            prepared,
-            features,
-            vocab,
-            registry,
-            mut failures,
-            train_pairs,
-            train_labels,
-            train_features,
-            train_tokens,
-            quarantine,
-            pool,
-            exec,
-            suite_token,
-            obs,
-            plan,
-            config,
-        } = self;
-        let train_config = config.train;
+    fn into_session(mut self) -> SuiteResult<Session> {
+        let (valid_pairs, valid_labels) = self.prepared.split(&self.prepared.valid_idx);
+        let valid_features = split_matrix(&self.features, &self.exec, "valid", &valid_pairs)?;
+        let valid_tokens = self
+            .features
+            .tokenize_all(&PairBatch::new(&valid_pairs), &self.vocab);
 
-        let (valid_pairs, valid_labels) = prepared.split(&prepared.valid_idx);
-        let valid_features = feature_matrix(&features, &exec, &obs, "valid", &valid_pairs)?;
-        exec.mem
-            .try_hold(features.matrix_cost(valid_pairs.len()))
-            .map_err(|m| mem_exceeded(Stage::FeatureGen, m))?
-            .persist();
-        let valid_tokens = features.tokenize_all(&PairBatch::new(&valid_pairs), &vocab);
+        let (test_pairs, test_labels) = self.prepared.split(&self.prepared.test_idx);
+        let test_features = split_matrix(&self.features, &self.exec, "test", &test_pairs)?;
+        let obs = self.exec.recorder.clone();
+        obs.gauge("mem.stage_peak_bytes.features", self.exec.mem.peak() as f64);
+        let test_tokens = self
+            .features
+            .tokenize_all(&PairBatch::new(&test_pairs), &self.vocab);
 
-        let (test_pairs, test_labels) = prepared.split(&prepared.test_idx);
-        let test_features = feature_matrix(&features, &exec, &obs, "test", &test_pairs)?;
-        exec.mem
-            .try_hold(features.matrix_cost(test_pairs.len()))
-            .map_err(|m| mem_exceeded(Stage::FeatureGen, m))?
-            .persist();
-        obs.gauge("mem.stage_peak_bytes.features", exec.mem.peak() as f64);
-        let test_tokens = features.tokenize_all(&PairBatch::new(&test_pairs), &vocab);
-
-        // Per-matcher scoring fan-out: each matcher is one isolated work
-        // item, so a scoring panic degrades only that matcher no matter
-        // how the pool schedules the fleet. Outcomes come back in
-        // registry order, keeping degradation bookkeeping deterministic.
-        // As at train time, each matcher scores under its own child of
-        // the suite token, so a budget cut removes only that matcher.
-        suite_token
+        self.exec
+            .cancel
             .checkpoint()
             .map_err(|i| timed_out(Stage::Score, i))?;
-        let fleet: Vec<_> = registry.iter().collect();
         let score_span = obs.span("score");
-        let outcomes = pool.par_map_isolated(fleet.len(), |i| {
-            let m = fleet[i];
-            let span = score_span.child(&format!("score.{}", m.name()));
-            // Pessimistic status (see train_isolated): a contained panic
-            // leaves the record at `Panicked`.
-            span.set_status(SpanStatus::Panicked);
-            let token = suite_token.child(config.matcher_budget);
-            let cut = |i: &Interrupt| cut_span(&span, i);
-            plan.stall_if_armed(FaultSite::Score, Some(m.kind()), &token)
-                .inspect_err(&cut)?;
-            token.checkpoint().inspect_err(&cut)?;
-            plan.trip(FaultSite::Score, Some(m.kind()));
-            let s = m.score_batch(&test_features, &test_tokens);
-            span.set_status(SpanStatus::Ok);
-            Ok(s)
-        });
+        let mut dead = vec![false; self.registry.len()];
+        let (scored, clamped_scores) =
+            self.score_fleet(&mut dead, &test_features, &test_tokens, Some(&score_span));
         drop(score_span);
-        let mut scores = HashMap::new();
-        let mut clamped_scores = 0usize;
-        for (m, outcome) in fleet.iter().zip(outcomes) {
-            match outcome {
-                Ok(Ok(mut s)) => {
-                    if plan.poisons(m.kind()) {
-                        plan.corrupt_scores(m.kind(), &mut s);
-                    }
-                    clamped_scores += sanitize_scores(&mut s);
-                    scores.insert(m.name().to_owned(), s);
-                }
-                Ok(Err(interrupt)) => failures.push(MatcherFailure::interrupted(
-                    m.name(),
-                    Stage::Score,
-                    interrupt,
-                )),
-                Err(reason) => {
-                    failures.push(MatcherFailure::panicked(m.name(), Stage::Score, reason))
-                }
-            }
+        let names: Vec<&str> = self.registry.iter().map(|m| m.name()).collect();
+        let scores: HashMap<String, Vec<f64>> = scored
+            .into_iter()
+            .map(|(i, s)| (names[i].to_owned(), s))
+            .collect();
+        if scores.is_empty() && (!self.failures.is_empty() || !self.registry.is_empty()) {
+            return Err(SuiteError::AllMatchersFailed {
+                failures: self.failures,
+            });
         }
-        if scores.is_empty() && (!failures.is_empty() || registry.iter().next().is_some()) {
-            return Err(SuiteError::AllMatchersFailed { failures });
-        }
-        obs.gauge("mem.peak_bytes", exec.mem.peak() as f64);
+        obs.gauge("mem.peak_bytes", self.exec.mem.peak() as f64);
         obs.gauge("shard.count", 1.0);
 
         // Pseudo-workload over the training split (scores = truth) for
         // train-side representation explanations.
         let train_workload = split_workload(
-            &train_pairs,
-            &train_labels,
-            train_labels.iter().copied(),
-            (&enc_a, &enc_b),
+            &self.train_pairs,
+            &self.train_labels,
+            self.train_labels.iter().copied(),
+            (&self.enc_a, &self.enc_b),
             0.5,
         );
 
         Ok(Session {
-            table_a,
-            table_b,
-            space,
-            prepared,
-            features,
-            registry,
-            matching_threshold: config.matching_threshold,
-            enc_a,
-            enc_b,
+            table_a: self.table_a,
+            table_b: self.table_b,
+            space: self.space,
+            prepared: self.prepared,
+            features: self.features,
+            registry: self.registry,
+            matching_threshold: self.config.matching_threshold,
+            enc_a: self.enc_a,
+            enc_b: self.enc_b,
             test_pairs,
             test_labels,
             test_features,
             test_tokens,
             scores,
             train_workload,
-            train_pairs,
-            train_labels,
-            train_features,
-            train_tokens,
-            train_config,
+            train_pairs: self.train_pairs,
+            train_labels: self.train_labels,
+            train_features: self.train_features,
+            train_tokens: self.train_tokens,
+            train_config: self.config.train,
             valid_pairs,
             valid_labels,
             valid_features,
             valid_tokens,
-            calibration: config.calibration,
-            failures,
-            quarantine,
+            calibration: self.config.calibration,
+            failures: self.failures,
+            quarantine: self.quarantine,
             clamped_scores,
-            parallelism: config.parallelism,
-            cancel: suite_token,
-            observe: obs,
+            parallelism: self.config.parallelism,
+            exec: self.exec,
         })
     }
 
@@ -770,63 +688,39 @@ impl Front {
     /// deterministic [`ShardPlan`], process each shard in budget-sized
     /// windows (build window matrix → score → accumulate → drop), and
     /// commit each completed shard to the checkpoint store.
-    fn into_sharded(self) -> SuiteResult<ShardedRun> {
-        let Front {
-            table_a,
-            table_b,
-            space,
-            enc_a,
-            enc_b,
-            prepared,
-            features,
-            vocab,
-            registry,
-            mut failures,
-            quarantine,
-            pool,
-            exec,
-            suite_token,
-            obs,
-            plan,
-            config,
-            ..
-        } = self;
-
-        let (test_pairs, test_labels) = prepared.split(&prepared.test_idx);
-        let shard_plan = ShardPlan::partition(test_pairs.len(), config.shard.shards.max(1));
+    fn into_sharded(mut self) -> SuiteResult<ShardedRun> {
+        let (test_pairs, test_labels) = self.prepared.split(&self.prepared.test_idx);
+        let shard_plan = ShardPlan::partition(test_pairs.len(), self.config.shard.shards.max(1));
+        let obs = self.exec.recorder.clone();
         obs.gauge("shard.count", shard_plan.len() as f64);
 
-        let fleet: Vec<_> = registry.iter().collect();
-        let fleet_names: Vec<String> = fleet.iter().map(|m| m.name().to_owned()).collect();
-
-        let store = match &config.shard.checkpoint_dir {
-            Some(dir) => {
-                let key = run_key(&table_a, &table_b, &space, &config, &fleet_names, shard_plan.len());
-                Some(CheckpointStore::open(
-                    dir,
-                    key,
-                    shard_plan.len(),
-                    config.shard.resume,
-                )?)
-            }
+        let fleet_names: Vec<String> = self.registry.iter().map(|m| m.name().to_owned()).collect();
+        let store = match &self.config.shard.checkpoint_dir {
+            Some(dir) => Some(CheckpointStore::open(
+                dir,
+                self.run_key(&fleet_names, shard_plan.len()),
+                shard_plan.len(),
+                self.config.shard.resume,
+            )?),
             None => None,
         };
 
-        // Per-matcher merged histograms, aligned with `fleet`. A matcher
-        // knocked out by a scoring failure mid-run is marked dead: it is
-        // excluded from the remaining shards and its partial histogram is
-        // discarded at the end, mirroring how the in-memory path drops a
-        // failed matcher's scores entirely.
-        let mut merged: Vec<PairCounts> = fleet.iter().map(|_| PairCounts::new()).collect();
+        // Per-matcher merged histograms, aligned with the fleet. A
+        // matcher knocked out by a scoring failure mid-run is marked
+        // dead: it is excluded from the remaining shards and its partial
+        // histogram is discarded at the end, mirroring how the in-memory
+        // path drops a failed matcher's scores entirely.
+        let mut merged: Vec<PairCounts> = fleet_names.iter().map(|_| PairCounts::new()).collect();
         let mut clamped_scores: u64 = 0;
-        let mut dead: Vec<bool> = vec![false; fleet.len()];
+        let mut dead: Vec<bool> = vec![false; fleet_names.len()];
         // Transient build bytes per pair (the column buffer plus the
         // matrix, the two copies `try_matrix` declares) — drives the
         // deterministic window width.
-        let per_pair = 2 * features.matrix_cost(1);
+        let per_pair = 2 * self.features.matrix_cost(1);
 
         for shard in shard_plan.shards() {
-            suite_token
+            self.exec
+                .cancel
                 .checkpoint()
                 .map_err(|i| timed_out(Stage::Score, i))?;
             let span = obs.span("shard");
@@ -834,14 +728,10 @@ impl Front {
                 "shard {} [{}..{})",
                 shard.index, shard.start, shard.end
             ));
-            if config.shard.resume {
+            if self.config.shard.resume {
                 if let Some(store) = &store {
                     if let Some(rec) = store.load_shard(shard.index) {
-                        let committed: Vec<&str> =
-                            rec.matchers.iter().map(|(n, _)| n.as_str()).collect();
-                        let current: Vec<&str> =
-                            fleet_names.iter().map(String::as_str).collect();
-                        if committed == current {
+                        if rec.matchers.iter().map(|(n, _)| n).eq(&fleet_names) {
                             for ((_, counts), acc) in rec.matchers.iter().zip(&mut merged) {
                                 acc.merge(counts);
                             }
@@ -863,75 +753,26 @@ impl Front {
             };
             let mut start = shard.start;
             while start < shard.end {
-                let window = window_len(shard.end - start, exec.mem.headroom(), per_pair);
+                let window = window_len(shard.end - start, self.exec.mem.headroom(), per_pair);
                 let end = (start + window).min(shard.end);
                 let pairs = &test_pairs[start..end];
                 let labels = &test_labels[start..end];
-                let batch = PairBatch::new(pairs);
-                let window_features = match features.try_matrix(&batch, &exec) {
-                    Err(MatrixError::Panic(p)) => {
-                        span.set_status(SpanStatus::Panicked);
-                        return Err(SuiteError::Stage {
-                            stage: Stage::FeatureGen,
-                            detail: p.to_string(),
-                        });
-                    }
-                    Err(MatrixError::Mem(m)) => {
-                        span.note(m.to_string());
-                        return Err(mem_exceeded(Stage::FeatureGen, m));
-                    }
-                    Ok(ParOutcome::Interrupted { interrupt, .. }) => {
-                        cut_span(&span, &interrupt);
-                        return Err(timed_out(Stage::FeatureGen, interrupt));
-                    }
-                    Ok(ParOutcome::Complete(m)) => m,
-                };
-                let tokens = features.tokenize_all(&batch, &vocab);
-                let live: Vec<usize> = (0..fleet.len()).filter(|&i| !dead[i]).collect();
-                let outcomes = pool.par_map_isolated(live.len(), |j| {
-                    let m = fleet[live[j]];
-                    let token = suite_token.child(config.matcher_budget);
-                    plan.stall_if_armed(FaultSite::Score, Some(m.kind()), &token)?;
-                    token.checkpoint()?;
-                    plan.trip(FaultSite::Score, Some(m.kind()));
-                    Ok(m.score_batch(&window_features, &tokens))
-                });
-                for (&fi, outcome) in live.iter().zip(outcomes) {
-                    let m = fleet[fi];
-                    match outcome {
-                        Ok(Ok(mut s)) => {
-                            if plan.poisons(m.kind()) {
-                                plan.corrupt_scores(m.kind(), &mut s);
-                            }
-                            rec.clamped += sanitize_scores(&mut s) as u64;
-                            let counts = &mut rec.matchers[fi].1;
-                            for ((&(ra, rb), &y), score) in
-                                pairs.iter().zip(labels).zip(&s)
-                            {
-                                counts.record(
-                                    enc_a[ra],
-                                    enc_b[rb],
-                                    *score >= config.matching_threshold,
-                                    y == 1.0,
-                                );
-                            }
-                        }
-                        Ok(Err(interrupt)) => {
-                            dead[fi] = true;
-                            failures.push(MatcherFailure::interrupted(
-                                m.name(),
-                                Stage::Score,
-                                interrupt,
-                            ));
-                        }
-                        Err(reason) => {
-                            dead[fi] = true;
-                            failures.push(MatcherFailure::panicked(
-                                m.name(),
-                                Stage::Score,
-                                reason,
-                            ));
-                        }
+                let window_features = build_matrix(&self.features, &self.exec, &span, pairs)?;
+                let tokens = self
+                    .features
+                    .tokenize_all(&PairBatch::new(pairs), &self.vocab);
+                let (scored, clamped) =
+                    self.score_fleet(&mut dead, &window_features, &tokens, None);
+                rec.clamped += clamped as u64;
+                for (fi, s) in scored {
+                    let counts = &mut rec.matchers[fi].1;
+                    for ((&(ra, rb), &y), score) in pairs.iter().zip(labels).zip(&s) {
+                        counts.record(
+                            self.enc_a[ra],
+                            self.enc_b[rb],
+                            *score >= self.config.matching_threshold,
+                            y == 1.0,
+                        );
                     }
                 }
                 start = end;
@@ -950,31 +791,126 @@ impl Front {
                 }
             }
         }
-        obs.gauge("mem.peak_bytes", exec.mem.peak() as f64);
-        obs.gauge("mem.stage_peak_bytes.score", exec.mem.peak() as f64);
+        obs.gauge("mem.peak_bytes", self.exec.mem.peak() as f64);
+        obs.gauge("mem.stage_peak_bytes.score", self.exec.mem.peak() as f64);
 
         let counts: Vec<(String, PairCounts)> = fleet_names
-            .iter()
+            .into_iter()
             .zip(merged)
-            .enumerate()
-            .filter(|&(i, _)| !dead[i])
-            .map(|(_, (n, c))| (n.clone(), c))
+            .zip(&dead)
+            .filter(|&(_, &d)| !d)
+            .map(|(nc, _)| nc)
             .collect();
-        if counts.is_empty() && (!failures.is_empty() || !fleet.is_empty()) {
-            return Err(SuiteError::AllMatchersFailed { failures });
+        if counts.is_empty() && (!self.failures.is_empty() || !self.registry.is_empty()) {
+            return Err(SuiteError::AllMatchersFailed {
+                failures: self.failures,
+            });
         }
         Ok(ShardedRun {
-            space,
+            space: self.space,
             counts,
-            matching_threshold: config.matching_threshold,
-            failures,
-            quarantine,
+            matching_threshold: self.config.matching_threshold,
+            failures: self.failures,
+            quarantine: self.quarantine,
             clamped_scores: clamped_scores as usize,
-            parallelism: config.parallelism,
             observe: obs,
             test_size: test_pairs.len(),
             shards: shard_plan.len(),
         })
+    }
+
+    /// The scoring step both back halves share: score one batch with
+    /// every live matcher (`dead[i]` false, registry order). Each matcher
+    /// is one isolated work item, so a scoring panic degrades only that
+    /// matcher no matter how the pool schedules the fleet; as at train
+    /// time, each scores under its own child of the run token, so a
+    /// budget cut removes only that matcher. Scores pass the fault
+    /// plan's poison and the non-finite/range clamp. A failed matcher is
+    /// recorded in `failures` and marked dead. Returns each survivor's
+    /// fleet index and scores, and the number of clamped scores. With a
+    /// stage `span`, each matcher scores under a `score.<matcher>` child.
+    fn score_fleet(
+        &mut self,
+        dead: &mut [bool],
+        features: &Matrix,
+        tokens: &[TokenPair],
+        span: Option<&Span>,
+    ) -> (Vec<(usize, Vec<f64>)>, usize) {
+        let fleet: Vec<_> = self.registry.iter().collect();
+        let live: Vec<usize> = (0..fleet.len()).filter(|&i| !dead[i]).collect();
+        let inert = Recorder::disabled().span("score");
+        let span = span.unwrap_or(&inert);
+        let (exec, plan, budget) = (&self.exec, &self.config.fault, self.config.matcher_budget);
+        let outcomes = exec.pool.par_map_isolated(live.len(), |j| {
+            let m = fleet[live[j]];
+            let span = span.child(&format!("score.{}", m.name()));
+            // Pessimistic status (see train_isolated): a contained panic
+            // leaves the record at `Panicked`.
+            span.set_status(SpanStatus::Panicked);
+            let token = exec.cancel.child(budget);
+            let cut = |i: &Interrupt| cut_span(&span, i);
+            plan.stall_if_armed(FaultSite::Score, Some(m.kind()), &token)
+                .inspect_err(&cut)?;
+            token.checkpoint().inspect_err(&cut)?;
+            plan.trip(FaultSite::Score, Some(m.kind()));
+            let s = m.score_batch(features, tokens);
+            span.set_status(SpanStatus::Ok);
+            Ok(s)
+        });
+        let mut scored = Vec::with_capacity(live.len());
+        let mut clamped = 0;
+        for (&i, outcome) in live.iter().zip(outcomes) {
+            let m = fleet[i];
+            let failure = match outcome {
+                Ok(Ok(mut s)) => {
+                    if plan.poisons(m.kind()) {
+                        plan.corrupt_scores(m.kind(), &mut s);
+                    }
+                    clamped += sanitize_scores(&mut s);
+                    scored.push((i, s));
+                    continue;
+                }
+                Ok(Err(interrupt)) => {
+                    MatcherFailure::interrupted(m.name(), Stage::Score, interrupt)
+                }
+                Err(reason) => MatcherFailure::panicked(m.name(), Stage::Score, reason),
+            };
+            dead[i] = true;
+            self.failures.push(failure);
+        }
+        (scored, clamped)
+    }
+
+    /// The canonical run fingerprint for checkpoint reuse: FNV-1a 64
+    /// over a description of everything that determines shard *content*
+    /// — both tables (schema and cells), prep/train configuration,
+    /// threshold, vocabulary, sensitive columns, the surviving fleet,
+    /// the blocker's full configuration (its `Debug` form; the default
+    /// token blocker's columns are already in `prep`), and the shard
+    /// count (shard boundaries move with it). The memory budget is
+    /// deliberately excluded: shard results are window-size
+    /// independent, so a resume may change `--mem-budget`.
+    fn run_key(&self, fleet_names: &[String], shards: usize) -> u64 {
+        let (config, space) = (&self.config, &self.space);
+        let sens: Vec<&str> = space.attrs().iter().map(|a| a.column.as_str()).collect();
+        let blocker = config
+            .blocker
+            .as_ref()
+            .map_or_else(|| "token".to_owned(), |b| format!("{b:?}"));
+        let desc = format!(
+            "fairem-ckpt/1|a:{:x}|b:{:x}|prep:{:?}|train:{:?}|thr:{:x}|vocab:{}|sens:{:?}|fleet:{:?}|blocker:{}|shards:{}",
+            table_fingerprint(&self.table_a),
+            table_fingerprint(&self.table_b),
+            config.prep,
+            config.train,
+            config.matching_threshold.to_bits(),
+            config.vocab_size,
+            sens,
+            fleet_names,
+            blocker,
+            shards
+        );
+        fnv1a64(desc.as_bytes())
     }
 }
 
@@ -1031,18 +967,34 @@ fn mem_exceeded(stage: Stage, m: MemPressure) -> SuiteError {
     }
 }
 
-/// Build one split's feature matrix under the run's execution context,
-/// converting panics, budget refusals, and cooperative cuts into suite
-/// errors.
-fn feature_matrix(
+/// Build one split's feature matrix under its own `features` span and
+/// persist its cost on the run's memory account: split matrices stay
+/// resident for the whole run (repair and calibration reuse them).
+fn split_matrix(
     features: &FeatureGenerator,
     exec: &Exec,
-    obs: &Recorder,
     split: &str,
     pairs: &[(usize, usize)],
 ) -> SuiteResult<Matrix> {
-    let span = obs.span("features");
+    let span = exec.recorder.span("features");
     span.note(format!("{split} split: {} pair(s)", pairs.len()));
+    let matrix = build_matrix(features, exec, &span, pairs)?;
+    exec.mem
+        .try_hold(features.matrix_cost(pairs.len()))
+        .map_err(|m| mem_exceeded(Stage::FeatureGen, m))?
+        .persist();
+    Ok(matrix)
+}
+
+/// Build the feature matrix of `pairs` under the run's execution
+/// context, converting panics, budget refusals, and cooperative cuts
+/// into suite errors recorded on `span`.
+fn build_matrix(
+    features: &FeatureGenerator,
+    exec: &Exec,
+    span: &Span,
+    pairs: &[(usize, usize)],
+) -> SuiteResult<Matrix> {
     match features.try_matrix(&PairBatch::new(pairs), exec) {
         Err(MatrixError::Panic(p)) => {
             span.set_status(SpanStatus::Panicked);
@@ -1056,47 +1008,11 @@ fn feature_matrix(
             Err(mem_exceeded(Stage::FeatureGen, m))
         }
         Ok(ParOutcome::Interrupted { interrupt, .. }) => {
-            cut_span(&span, &interrupt);
+            cut_span(span, &interrupt);
             Err(timed_out(Stage::FeatureGen, interrupt))
         }
         Ok(ParOutcome::Complete(m)) => Ok(m),
     }
-}
-
-/// The canonical run fingerprint for checkpoint reuse: FNV-1a 64 over a
-/// description of everything that determines shard *content* — both
-/// tables (schema and cells), prep/train configuration, threshold,
-/// vocabulary, sensitive columns, the surviving fleet, the blocking
-/// scheme, and the shard count (shard boundaries move with it). The
-/// memory budget is deliberately excluded: shard results are
-/// window-size independent, so a resume may change `--mem-budget`.
-fn run_key(
-    table_a: &Table,
-    table_b: &Table,
-    space: &GroupSpace,
-    config: &SuiteConfig,
-    fleet_names: &[String],
-    shards: usize,
-) -> u64 {
-    let sens: Vec<&str> = space.attrs().iter().map(|a| a.column.as_str()).collect();
-    let blocker = config
-        .blocker
-        .as_ref()
-        .map_or_else(|| "token".to_owned(), |b| b.name().to_owned());
-    let desc = format!(
-        "fairem-ckpt/1|a:{:x}|b:{:x}|prep:{:?}|train:{:?}|thr:{:x}|vocab:{}|sens:{:?}|fleet:{:?}|blocker:{}|shards:{}",
-        table_fingerprint(table_a),
-        table_fingerprint(table_b),
-        config.prep,
-        config.train,
-        config.matching_threshold.to_bits(),
-        config.vocab_size,
-        sens,
-        fleet_names,
-        blocker,
-        shards
-    );
-    fnv1a64(desc.as_bytes())
 }
 
 /// FNV-1a 64 over a table's columns, ids, and every cell (with
@@ -1132,7 +1048,6 @@ pub struct ShardedRun {
     failures: Vec<MatcherFailure>,
     quarantine: QuarantineReport,
     clamped_scores: usize,
-    parallelism: Parallelism,
     observe: Recorder,
     test_size: usize,
     shards: usize,
@@ -1182,19 +1097,9 @@ impl ShardedRun {
         self.shards
     }
 
-    /// The worker-pool policy the run used.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
     /// The observability recorder the run recorded into.
     pub fn recorder(&self) -> &Recorder {
         &self.observe
-    }
-
-    /// The extracted group space.
-    pub fn space(&self) -> &GroupSpace {
-        &self.space
     }
 
     /// A matcher's merged histogram, if it survived.
@@ -1276,8 +1181,9 @@ pub struct Session {
     quarantine: QuarantineReport,
     clamped_scores: usize,
     parallelism: Parallelism,
-    cancel: CancelToken,
-    observe: Recorder,
+    /// The run's execution context: audits, calibration fits and
+    /// ensembles run on its pool, under its token and recorder.
+    exec: Exec,
 }
 
 impl Session {
@@ -1329,11 +1235,6 @@ impl Session {
     /// The training-split pseudo-workload (for representation analysis).
     pub fn train_workload(&self) -> &Workload {
         &self.train_workload
-    }
-
-    /// The worker-pool policy this session was run (and audits) with.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 
     /// The error for a matcher name the session does not hold.
@@ -1425,7 +1326,7 @@ impl Session {
     /// for Step 3. With no budget configured the interrupt is `None` and
     /// the reports are exactly the `audit_all` output.
     pub fn try_audit_all(&self, auditor: &Auditor) -> (Vec<AuditReport>, Option<Interrupt>) {
-        self.try_audit_all_within(auditor, &self.cancel)
+        self.try_audit_all_within(auditor, &self.exec.cancel)
     }
 
     /// [`Session::try_audit_all`] under an explicit cancellation token
@@ -1442,10 +1343,8 @@ impl Session {
         cancel: &CancelToken,
     ) -> (Vec<AuditReport>, Option<Interrupt>) {
         let names = self.matcher_names();
-        let span = self.observe.span("audit");
-        let pool =
-            WorkerPool::with_parallelism(self.parallelism).observe(self.observe.clone());
-        let outcome = pool.par_map_within(names.len(), cancel, |i| {
+        let span = self.exec.recorder.span("audit");
+        let outcome = self.exec.pool.par_map_within(names.len(), cancel, |i| {
             let _child = span.child(&format!("audit.{}", names[i]));
             self.audit(names[i], auditor)
         });
@@ -1468,17 +1367,11 @@ impl Session {
         )
     }
 
-    /// The run's cancellation token: audits, ensembles, and any caller
-    /// polling for graceful shutdown observe this handle.
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
     /// The observability recorder the run recorded into (disabled unless
     /// [`SuiteBuilder::observe`] attached an enabled one). Snapshot it
     /// after audits/ensembles to get the full per-stage picture.
     pub fn recorder(&self) -> &Recorder {
-        &self.observe
+        &self.exec.recorder
     }
 
     /// Build an explainer over a matcher's workload (the workload must
@@ -1516,8 +1409,8 @@ impl Session {
             workloads.iter().map(|(n, w)| (n.clone(), w)).collect();
         EnsembleExplorer::build(&refs, &self.space, &groups, measure, disparity)
             .with_parallelism(self.parallelism)
-            .with_cancel(self.cancel.clone())
-            .with_observe(self.observe.clone())
+            .with_cancel(self.exec.cancel.clone())
+            .with_observe(self.exec.recorder.clone())
     }
 
     /// Tune a matcher's matching threshold on the *validation* split:
@@ -1667,8 +1560,7 @@ impl Session {
         fit: &Workload,
         groups: &[GroupId],
     ) -> SuiteResult<GroupCalibrator> {
-        let pool = WorkerPool::with_parallelism(self.parallelism).observe(self.observe.clone());
-        GroupCalibrator::try_fit(spec, fit, groups, &pool, &self.cancel)
+        GroupCalibrator::try_fit(spec, fit, groups, &self.exec.pool, &self.exec.cancel)
             .map_err(|i| timed_out(Stage::Audit, i))
     }
 
@@ -1704,10 +1596,11 @@ impl Session {
         grid: &[f64],
         groups: &[GroupId],
     ) -> SuiteResult<CalibratedAudit> {
-        self.cancel
+        self.exec
+            .cancel
             .checkpoint()
             .map_err(|i| timed_out(Stage::Audit, i))?;
-        let span = self.observe.span("calib");
+        let span = self.exec.recorder.span("calib");
         let w = self.workload(matcher)?;
         let baseline =
             calibrate::distribution_audit(&w, &self.space, groups, measures, disparity, grid);
@@ -1779,8 +1672,8 @@ impl Session {
         Ok(
             EnsembleExplorer::build(&refs, &self.space, &groups, measure, disparity)
                 .with_parallelism(self.parallelism)
-                .with_cancel(self.cancel.clone())
-                .with_observe(self.observe.clone()),
+                .with_cancel(self.exec.cancel.clone())
+                .with_observe(self.exec.recorder.clone()),
         )
     }
 

@@ -321,30 +321,6 @@ pub fn multiworkload_text(report: &MultiWorkloadReport) -> String {
     out
 }
 
-/// Serialize a multiple-workload analysis to JSON.
-pub fn multiworkload_json(report: &MultiWorkloadReport) -> Json {
-    Json::obj([
-        ("matcher", report.matcher.as_str().into()),
-        ("k", report.k.into()),
-        ("alpha", report.alpha.into()),
-        (
-            "tests",
-            Json::arr(report.tests.iter().map(|t| {
-                Json::obj([
-                    ("measure", t.measure.name().into()),
-                    ("group", t.group.as_str().into()),
-                    ("mean_disparity", t.disparities.mean.into()),
-                    ("std", t.disparities.std.into()),
-                    ("z", t.z.into()),
-                    ("p_value", t.p_value.into()),
-                    ("significant", t.significant.into()),
-                    ("valid_workloads", t.valid_workloads.into()),
-                ])
-            })),
-        ),
-    ])
-}
-
 /// Serialize the four explanation families for one (measure, group)
 /// query to a single JSON object (Figure 5's screen as machine output).
 pub fn explanation_json(
@@ -453,31 +429,6 @@ pub fn pareto_text(explorer: &EnsembleExplorer, frontier: &[ParetoPoint]) -> Str
         ));
     }
     out
-}
-
-/// Serialize a Pareto frontier to JSON.
-pub fn pareto_json(explorer: &EnsembleExplorer, frontier: &[ParetoPoint]) -> Json {
-    Json::obj([
-        ("measure", explorer.measure().name().into()),
-        (
-            "points",
-            Json::arr(frontier.iter().map(|p| {
-                Json::obj([
-                    ("unfairness", p.unfairness.into()),
-                    ("performance", p.performance.into()),
-                    (
-                        "assignment",
-                        Json::arr(p.assignment.iter().enumerate().map(|(g, &m)| {
-                            Json::obj([
-                                ("group", explorer.groups()[g].as_str().into()),
-                                ("matcher", explorer.matchers()[m].as_str().into()),
-                            ])
-                        })),
-                    ),
-                ])
-            })),
-        ),
-    ])
 }
 
 #[cfg(test)]

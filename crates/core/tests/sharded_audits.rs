@@ -13,7 +13,9 @@ use std::path::PathBuf;
 use fairem_core::audit::{AuditConfig, AuditReport, Auditor};
 use fairem_core::matcher::MatcherKind;
 use fairem_core::pipeline::{FairEm360, SuiteBuilder};
-use fairem_core::{MemBudget, Parallelism, Recorder, SuiteError};
+use fairem_core::{
+    Budget, FaultPlan, FaultSite, MemBudget, Parallelism, Recorder, SortedNeighborhood, SuiteError,
+};
 use fairem_datasets::{wdc_products, GeneratedDataset, ProductsConfig};
 
 const POLICIES: [Parallelism; 3] = [
@@ -267,6 +269,108 @@ fn changed_configuration_invalidates_the_run_key() {
     assert_eq!(counter(second.recorder(), "ckpt.shards_skipped"), 0);
     assert_eq!(counter(second.recorder(), "ckpt.shards_recomputed"), shards as u64);
     let _ = fs::remove_dir_all(&dir);
+
+    // Same data, same blocker name, different sorted-neighborhood
+    // window: the candidate set changed, so nothing is reusable either.
+    let sorted = |window| SortedNeighborhood {
+        key_column: "title".into(),
+        window,
+    };
+    let _ = builder(&d)
+        .blocker(sorted(3))
+        .shards(shards)
+        .checkpoint_dir(&dir)
+        .build()
+        .unwrap()
+        .try_run_sharded(&FLEET)
+        .unwrap();
+    let resumed = builder(&d)
+        .blocker(sorted(6))
+        .shards(shards)
+        .checkpoint_dir(&dir)
+        .resume(true)
+        .observe(Recorder::enabled())
+        .build()
+        .unwrap()
+        .try_run_sharded(&FLEET)
+        .unwrap();
+    assert_eq!(counter(resumed.recorder(), "ckpt.shards_skipped"), 0);
+    let aud = auditor();
+    let unsharded = builder(&d)
+        .blocker(sorted(6))
+        .build()
+        .unwrap()
+        .try_run(&FLEET)
+        .unwrap()
+        .audit_all(&aud);
+    let reports = resumed.audit_all(&aud);
+    assert_eq!(reports.len(), unsharded.len());
+    for (a, b) in unsharded.iter().zip(&reports) {
+        assert_reports_identical(a, b, "window 3 -> 6 resume");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failing_matcher_degrades_both_back_halves_the_same_way() {
+    // A matcher killed at score time, and one stalled past its budget,
+    // must leave the materialized and the sharded run with the same
+    // casualties, the same survivors and bit-identical audits; a
+    // degraded shard is never committed.
+    let d = dataset();
+    let aud = auditor();
+    let kill = FaultPlan::default().kill(MatcherKind::DtMatcher, FaultSite::Score);
+    let stall = FaultPlan::default().stall(MatcherKind::DtMatcher, FaultSite::Score, 60_000);
+    for (tag, plan, budget) in [
+        ("kill", kill, Budget::UNLIMITED),
+        ("stall", stall, Budget::wall_ms(200)),
+    ] {
+        let mut config = config();
+        config.fault = plan;
+        config.matcher_budget = budget;
+        let session = builder(&d)
+            .config(config.clone())
+            .build()
+            .unwrap()
+            .try_run(&FLEET)
+            .unwrap();
+        let dir = tmpdir(&format!("degraded-{tag}"));
+        let run = builder(&d)
+            .config(config)
+            .shards(3)
+            .checkpoint_dir(&dir)
+            .observe(Recorder::enabled())
+            .build()
+            .unwrap()
+            .try_run_sharded(&FLEET)
+            .unwrap();
+
+        // Matcher, stage, and panic vs cut (with its cause); the
+        // interrupt's elapsed time and steps differ run to run.
+        let casualties = |failures: &[fairem_core::MatcherFailure]| {
+            failures
+                .iter()
+                .map(|f| (f.matcher.clone(), f.stage, f.interrupt().map(|i| i.cause)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(casualties(session.failures()).len(), 1, "{tag}");
+        assert_eq!(
+            casualties(session.failures()),
+            casualties(run.failures()),
+            "{tag}"
+        );
+        assert_eq!(session.matcher_names(), run.matcher_names(), "{tag}");
+        assert_eq!(session.coverage(), run.coverage(), "{tag}");
+        assert_eq!(session.clamped_scores(), run.clamped_scores(), "{tag}");
+        let reports = run.audit_all(&aud);
+        let baseline = session.audit_all(&aud);
+        assert_eq!(reports.len(), baseline.len(), "{tag}");
+        for (a, b) in baseline.iter().zip(&reports) {
+            assert_reports_identical(a, b, tag);
+        }
+        assert_eq!(counter(run.recorder(), "ckpt.shards_written"), 0, "{tag}");
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

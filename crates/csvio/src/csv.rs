@@ -301,14 +301,6 @@ pub fn read_csv_file(path: &Path) -> Result<CsvTable, CsvError> {
     parse_csv(io::BufReader::new(f))
 }
 
-/// Read and leniently parse a CSV file from disk (ragged rows skipped
-/// and reported, not fatal).
-pub fn read_csv_file_lenient(path: &Path) -> Result<(CsvTable, Vec<SkippedRow>), CsvError> {
-    let mut buf = String::new();
-    std::fs::File::open(path)?.read_to_string(&mut buf)?;
-    parse_csv_str_lenient(&buf)
-}
-
 /// Write a table to a CSV file on disk.
 pub fn write_csv_file(path: &Path, table: &CsvTable) -> Result<(), CsvError> {
     let f = std::fs::File::create(path)?;

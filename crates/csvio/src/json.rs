@@ -103,14 +103,6 @@ impl Json {
         }
     }
 
-    /// The value as a boolean, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value's items, if it is an array.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
@@ -592,7 +584,6 @@ mod tests {
         assert_eq!(j.get("n").and_then(Json::as_usize), Some(42));
         assert_eq!(j.get("f").and_then(Json::as_usize), None);
         assert_eq!(j.get("neg").and_then(Json::as_usize), None);
-        assert_eq!(j.get("b").and_then(Json::as_bool), Some(true));
         assert_eq!(
             j.get("a").and_then(Json::as_arr).map(<[Json]>::len),
             Some(2)

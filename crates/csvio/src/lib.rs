@@ -9,7 +9,7 @@ pub mod csv;
 pub mod json;
 
 pub use csv::{
-    parse_csv, parse_csv_str, parse_csv_str_lenient, read_csv_file, read_csv_file_lenient,
-    write_csv, write_csv_file, write_csv_stream, CsvError, CsvTable, SkippedRow,
+    parse_csv, parse_csv_str, parse_csv_str_lenient, read_csv_file, write_csv, write_csv_file,
+    write_csv_stream, CsvError, CsvTable, SkippedRow,
 };
 pub use json::{Json, JsonError};

@@ -3,16 +3,14 @@
 //! cross-file rules query.
 //!
 //! This is deliberately not a Rust parser. It recovers exactly the
-//! item shapes the semantic rules need — `fn` spans, `impl` headers,
-//! `use` paths, struct fields holding `Mutex`/`RwLock`, lock
-//! acquisition order inside each function, recorder call sites with
-//! their string-literal arguments, `enum` variant lists, `const &str`
-//! declarations, `Upper::Upper` path references, and `_ =>` wildcard
-//! arms — and nothing more. Everything works on the masked
-//! projections, so a `fn` inside a doc comment or a metric name inside
-//! a test string can never confuse it. Because the index is plain
-//! data, it serializes into the incremental cache and global rules run
-//! against cached indexes without re-reading unchanged files.
+//! item shapes the semantic rules need — `fn` spans, struct fields
+//! holding `Mutex`/`RwLock`, lock acquisition order inside each
+//! function, recorder call sites with their string-literal arguments,
+//! `enum` variant lists, `const &str` declarations, `Upper::Upper`
+//! path references, and `_ =>` wildcard arms — and nothing more.
+//! `impl` headers and `use` declarations are skipped whole. Everything
+//! works on the masked projections, so a `fn` inside a doc comment or
+//! a metric name inside a test string can never confuse it.
 
 use crate::source::SourceFile;
 
@@ -22,20 +20,6 @@ pub struct FnItem {
     pub name: String,
     pub line: usize,
     pub end_line: usize,
-}
-
-/// An `impl` header (`impl Foo`, `impl Trait for Foo`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ImplItem {
-    pub ty: String,
-    pub line: usize,
-}
-
-/// A `use` declaration, whitespace-normalized.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UseItem {
-    pub path: String,
-    pub line: usize,
 }
 
 /// A binding or struct field typed `Mutex<…>` / `RwLock<…>` (possibly
@@ -99,8 +83,6 @@ pub struct PathRef {
 #[derive(Debug, Default)]
 pub struct ItemIndex {
     pub fns: Vec<FnItem>,
-    pub impls: Vec<ImplItem>,
-    pub uses: Vec<UseItem>,
     pub lock_fields: Vec<LockField>,
     pub lock_edges: Vec<LockEdge>,
     pub metric_calls: Vec<MetricCall>,
@@ -156,6 +138,16 @@ fn skip_ws_back(b: &[u8], mut i: usize) -> usize {
 /// `pat` occurs at `at` with identifier boundaries on both sides.
 fn token_boundary(b: &[u8], at: usize, len: usize) -> bool {
     (at == 0 || !is_ident(b[at - 1])) && (at + len >= b.len() || !is_ident(b[at + len]))
+}
+
+/// The index of the first byte at or after `from` that is one of
+/// `stops`, or the end of input.
+fn skip_to(b: &[u8], from: usize, stops: &[u8]) -> usize {
+    let mut j = from;
+    while j < b.len() && !stops.contains(&b[j]) {
+        j += 1;
+    }
+    j
 }
 
 /// Find the matching close brace for the open brace at `open`.
@@ -242,7 +234,8 @@ impl ItemIndex {
 
     /// One linear pass over the flat code bytes for everything that
     /// needs offsets: fns (with lock-order scans of their bodies),
-    /// impls, uses, enums, consts, metric calls, path refs, wildcards.
+    /// enums, consts, metric calls, path refs, wildcards (skipping
+    /// `impl` headers and `use` declarations).
     fn scan_items(&mut self, file: &SourceFile, b: &[u8], t: &[u8]) {
         let mut i = 0usize;
         while i < b.len() {
@@ -251,12 +244,14 @@ impl ItemIndex {
                 i = self.take_fn(file, b, i);
                 continue;
             }
+            // `impl` headers and `use` paths are skipped whole, so
+            // nothing in them is read as an item or a path reference.
             if c == b'i' && b[i..].starts_with(b"impl") && token_boundary(b, i, 4) {
-                i = self.take_impl(file, b, i);
+                i = skip_to(b, i + 4, b"{;");
                 continue;
             }
             if c == b'u' && b[i..].starts_with(b"use") && token_boundary(b, i, 3) {
-                i = self.take_use(file, b, i);
+                i = skip_to(b, i + 3, b";");
                 continue;
             }
             if c == b'e' && b[i..].starts_with(b"enum") && token_boundary(b, i, 4) {
@@ -385,38 +380,6 @@ impl ItemIndex {
         });
         self.scan_locks(file, b, j, close);
         args_close + 1
-    }
-
-    fn take_impl(&mut self, file: &SourceFile, b: &[u8], at: usize) -> usize {
-        let mut j = at + 4;
-        while j < b.len() && b[j] != b'{' && b[j] != b';' {
-            j += 1;
-        }
-        let header = String::from_utf8_lossy(&b[at + 4..j.min(b.len())]).into_owned();
-        let ty = header.split_whitespace().collect::<Vec<_>>().join(" ");
-        if !ty.is_empty() {
-            self.impls.push(ImplItem {
-                ty,
-                line: file.line_of(at),
-            });
-        }
-        j
-    }
-
-    fn take_use(&mut self, file: &SourceFile, b: &[u8], at: usize) -> usize {
-        let mut j = at + 3;
-        while j < b.len() && b[j] != b';' {
-            j += 1;
-        }
-        let path = String::from_utf8_lossy(&b[at + 3..j.min(b.len())]).into_owned();
-        let path: String = path.split_whitespace().collect::<Vec<_>>().join(" ");
-        if !path.is_empty() {
-            self.uses.push(UseItem {
-                path,
-                line: file.line_of(at),
-            });
-        }
-        j
     }
 
     /// `enum Name { Variant, Variant { … }, Variant(…) }` — variants
@@ -805,15 +768,11 @@ mod tests {
     }
 
     #[test]
-    fn fns_impls_uses_are_indexed_with_spans() {
+    fn fns_are_indexed_with_spans() {
         let src = "use std::sync::Mutex;\n\
                    impl Widget {\n    fn poke<T: Clone>(&self, x: T) -> u32 {\n        1\n    }\n}\n\
                    fn free() {}\n";
         let idx = index(src);
-        assert_eq!(idx.uses.len(), 1);
-        assert_eq!(idx.uses[0].path, "std::sync::Mutex");
-        assert_eq!(idx.impls.len(), 1);
-        assert_eq!(idx.impls[0].ty, "Widget");
         let poke = idx.fns.iter().find(|f| f.name == "poke").unwrap();
         assert_eq!((poke.line, poke.end_line), (3, 5));
         assert!(idx.fns.iter().any(|f| f.name == "free"));

@@ -19,9 +19,7 @@ pub struct Pragma {
     /// Whether non-empty justification text follows the paren.
     pub justified: bool,
     /// The pragma stands on a comment-only line (no code), so it
-    /// covers the line below. Recorded at parse time so suppression
-    /// can be replayed from a cached artifact without the code
-    /// projection.
+    /// covers the line below.
     pub own_line: bool,
 }
 

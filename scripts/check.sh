@@ -172,7 +172,7 @@ serve_storm_leg() {
 run_tests bash -c "$(declare -f serve_storm_leg); OBS_DIR='$OBS_DIR' serve_storm_leg"
 
 echo "== sharded: equivalence, kill -9 resume, memory fence (${TEST_TIMEOUT}s cap) =="
-# Three gates on the out-of-core path (DESIGN.md §11), all on a ~1e5
+# Gates on the out-of-core path (DESIGN.md §11), all but D on a ~1e5
 # candidate-pair streamed dataset:
 #   A. --shards 8 produces a byte-identical report to the unsharded run.
 #   B. kill -KILL mid-audit, rerun with --resume: the report is still
@@ -180,6 +180,9 @@ echo "== sharded: equivalence, kill -9 resume, memory fence (${TEST_TIMEOUT}s ca
 #      skipped, not recomputed.
 #   C. a --mem-budget the materialized path provably exceeds (exit 2)
 #      still completes sharded, again byte-identically.
+#   E. a --resume under a changed --blocker window recomputes every
+#      shard and matches the unsharded report under the new window.
+# Leg D (the ~1e6-pair acceptance scale) is described where it runs.
 sharded_resume_leg() {
   set -euo pipefail
   local dir="$OBS_DIR/scale"
@@ -275,6 +278,28 @@ sharded_resume_leg() {
     return 1
   fi
   echo "1e6-pair audit completes in 40 MiB sharded; materialized path cannot"
+
+  # Leg E: the run key covers the blocker's whole configuration, so a
+  # resume under a different sorted-neighborhood window must recompute
+  # every shard and match the unsharded report under the new window,
+  # never replay shards committed under the old one.
+  "$bin" audit "${flags[@]}" --blocker sorted:name:3 --shards 8 \
+    --checkpoint-dir "$dir/ckpt-blocker" > /dev/null
+  "$bin" audit "${flags[@]}" --blocker sorted:name:6 > "$dir/sorted6.txt"
+  "$bin" audit "${flags[@]}" --blocker sorted:name:6 --shards 8 \
+    --checkpoint-dir "$dir/ckpt-blocker" --resume \
+    --metrics "$dir/blocker-metrics.json" > "$dir/sorted6-resumed.txt"
+  if ! diff -q "$dir/sorted6.txt" "$dir/sorted6-resumed.txt" > /dev/null; then
+    echo "check.sh: FAIL — resume under a changed blocker diverged from its unsharded report" >&2
+    return 1
+  fi
+  skipped=$(sed -n 's/.*"ckpt.shards_skipped": \([0-9]*\).*/\1/p' \
+    "$dir/blocker-metrics.json")
+  if [ "${skipped:-0}" -ne 0 ]; then
+    echo "check.sh: FAIL — resume under a changed blocker skipped $skipped shard(s)" >&2
+    return 1
+  fi
+  echo "resume under a changed blocker window recomputed every shard"
 }
 run_tests bash -c "$(declare -f sharded_resume_leg); OBS_DIR='$OBS_DIR' sharded_resume_leg"
 
