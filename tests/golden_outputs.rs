@@ -182,6 +182,33 @@ fn faculty_calibrated_workload_score_bits_are_golden() {
     check("calibrated_workload faculty LinRegMatcher score bits", &bits);
 }
 
+/// The four Lite neural matchers' test-split scores on the small
+/// FacultyMatch: each matcher's name, then one line of score bits per
+/// test correspondence.
+#[test]
+fn faculty_neural_score_bits_are_golden() {
+    let d = faculty_match(&FacultyConfig::small());
+    let session = FairEm360::builder()
+        .tables(d.table_a, d.table_b)
+        .ground_truth(d.matches)
+        .sensitive([SensitiveAttr::categorical("country")])
+        .config(SuiteConfig::fast())
+        .build()
+        .expect("generated dataset is schema-valid")
+        .try_run(&MatcherKind::NEURAL)
+        .expect("neural matchers train");
+    let mut bits = String::new();
+    for name in session.matcher_names() {
+        bits.push_str(name);
+        bits.push('\n');
+        let workload = session.workload(name).expect("matcher is in the session");
+        for c in &workload.items {
+            bits.push_str(&format!("{:016x}\n", c.score.to_bits()));
+        }
+    }
+    check("workload faculty small neural score bits", &bits);
+}
+
 #[test]
 fn lint_json_over_the_fixtures_is_golden() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
