@@ -18,8 +18,9 @@
 //! - [`params::ParamStore`] / [`params::Adam`] — parameter storage and
 //!   the Adam optimizer.
 //! - [`token`] — deterministic hashing vocabulary for token ids.
-//! - [`models`] — the four Lite matcher architectures behind the
-//!   [`models::NeuralMatcher`] trait.
+//! - [`models`] — the four Lite matcher architectures, each a
+//!   [`models::Arch`] trained and scored by the one generic
+//!   [`models::Lite`] behind the [`models::NeuralMatcher`] trait.
 
 pub mod graph;
 pub mod models;

@@ -7,23 +7,48 @@
 //! comparison vectors.
 
 use fairem_rng::rngs::StdRng;
-use fairem_rng::SeedableRng;
 
 use crate::graph::{Graph, NodeId};
 use crate::params::ParamStore;
 
-use super::{
-    compare, train_loop, validate_training_inputs, MlpHead, NeuralMatcher, TokenPair, TrainConfig,
-};
+use super::{compare, Lite, MlpHead, TokenPair, TrainConfig};
 
+/// DeepMatcher-Lite model (see module docs).
+pub type DeepMatcherLite = Lite<Arch>;
+
+/// DeepMatcher-Lite's parameter ids (into the model's `ParamStore`).
 #[derive(Debug, Clone)]
-struct Arch {
+pub struct Arch {
     embedding: usize,
     head: MlpHead,
     n_attrs: usize,
 }
 
-impl Arch {
+impl super::Arch for Arch {
+    const NAME: &'static str = "DeepMatcherLite";
+    const SEED_OFFSET: u64 = 0;
+
+    fn init(
+        store: &mut ParamStore,
+        config: &TrainConfig,
+        n_attrs: usize,
+        rng: &mut StdRng,
+    ) -> Arch {
+        let embedding = store.add_xavier(
+            "embedding",
+            config.vocab_size as usize,
+            config.embed_dim,
+            rng,
+        );
+        let input_dim = 2 * config.embed_dim * n_attrs;
+        let head = MlpHead::init(store, "head", input_dim, config.hidden, rng);
+        Arch {
+            embedding,
+            head,
+            n_attrs,
+        }
+    }
+
     fn forward_logit(&self, g: &mut Graph, store: &ParamStore, pair: &TokenPair) -> NodeId {
         let table = g.param(store, self.embedding);
         let mut comps = Vec::with_capacity(self.n_attrs);
@@ -39,96 +64,11 @@ impl Arch {
     }
 }
 
-/// DeepMatcher-Lite model (see module docs).
-#[derive(Debug)]
-pub struct DeepMatcherLite {
-    config: TrainConfig,
-    store: ParamStore,
-    arch: Option<Arch>,
-}
-
-impl DeepMatcherLite {
-    /// Create an untrained model.
-    pub fn new(config: TrainConfig) -> DeepMatcherLite {
-        DeepMatcherLite {
-            config,
-            store: ParamStore::new(),
-            arch: None,
-        }
-    }
-}
-
-impl NeuralMatcher for DeepMatcherLite {
-    fn fit(&mut self, pairs: &[TokenPair], labels: &[f64]) {
-        // An inert token never trips, so this cannot fail.
-        let _ = self.fit_within(pairs, labels, &fairem_par::CancelToken::inert());
-    }
-
-    /// One checkpoint per training step; an interrupted fit leaves the
-    /// model untrained (the partly-updated parameters are discarded).
-    fn step_unit(&self) -> &'static str {
-        "per-example"
-    }
-
-    fn fit_within(
-        &mut self,
-        pairs: &[TokenPair],
-        labels: &[f64],
-        token: &fairem_par::CancelToken,
-    ) -> Result<(), fairem_par::Interrupt> {
-        let n_attrs = validate_training_inputs(pairs, labels);
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut store = ParamStore::new();
-        let embedding = store.add_xavier(
-            "embedding",
-            self.config.vocab_size as usize,
-            self.config.embed_dim,
-            &mut rng,
-        );
-        let input_dim = 2 * self.config.embed_dim * n_attrs;
-        let head = MlpHead::init(&mut store, "head", input_dim, self.config.hidden, &mut rng);
-        let arch = Arch {
-            embedding,
-            head,
-            n_attrs,
-        };
-        train_loop(
-            &mut store,
-            &self.config,
-            pairs,
-            labels,
-            token,
-            |g, s, pair, target| {
-                let logit = arch.forward_logit(g, s, pair);
-                g.bce_with_logit(logit, target)
-            },
-        )?;
-        self.store = store;
-        self.arch = Some(arch);
-        Ok(())
-    }
-
-    fn score(&self, pair: &TokenPair) -> f64 {
-        let Some(arch) = self.arch.as_ref() else {
-            // fairem: allow(panic) — documented fit-before-score contract on the model API
-            panic!("DeepMatcherLite used before fit")
-        };
-        assert_eq!(
-            pair.n_attrs(),
-            arch.n_attrs,
-            "attribute count changed since fit"
-        );
-        let mut g = Graph::new();
-        let logit = arch.forward_logit(&mut g, &self.store, pair);
-        let prob = g.sigmoid(logit);
-        g.value(prob).item() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models::testutil::{assert_learns, synthetic_pairs};
+    use crate::models::NeuralMatcher;
     use crate::token::HashVocab;
 
     #[test]

@@ -8,28 +8,28 @@
 //! classified from the pooled representation.
 
 use fairem_rng::rngs::StdRng;
-use fairem_rng::SeedableRng;
 
 use crate::graph::{Graph, NodeId};
 use crate::params::ParamStore;
 use crate::token::RESERVED_TOKENS;
 
-use super::{
-    attention_pool, train_loop, validate_training_inputs, MlpHead, NeuralMatcher, TokenPair,
-    TrainConfig,
-};
+use super::{attention_pool, Lite, MlpHead, TokenPair, TrainConfig};
+
+/// Ditto-Lite model (see module docs). `DittoLite::new` panics if the
+/// configured vocabulary cannot hold the reserved specials.
+pub type DittoLite = Lite<Arch>;
 
 /// Special id used as the `[COL]` attribute marker.
 const COL: u32 = 1;
 /// Special id used as the `[SEP]` record separator.
 const SEP: u32 = 2;
 
+/// Ditto-Lite's parameter ids (into the model's `ParamStore`).
 #[derive(Debug, Clone)]
-struct Arch {
+pub struct Arch {
     embedding: usize,
     query: usize,
     head: MlpHead,
-    n_attrs: usize,
 }
 
 impl Arch {
@@ -52,6 +52,39 @@ impl Arch {
             seq.extend_from_slice(attr);
         }
         seq
+    }
+}
+
+impl super::Arch for Arch {
+    const NAME: &'static str = "DittoLite";
+    const SEED_OFFSET: u64 = 1;
+
+    fn check(config: &TrainConfig) {
+        assert!(
+            config.vocab_size > RESERVED_TOKENS,
+            "vocab too small for specials"
+        );
+    }
+
+    fn init(
+        store: &mut ParamStore,
+        config: &TrainConfig,
+        _n_attrs: usize,
+        rng: &mut StdRng,
+    ) -> Arch {
+        let embedding = store.add_xavier(
+            "embedding",
+            config.vocab_size as usize,
+            config.embed_dim,
+            rng,
+        );
+        let query = store.add_xavier("attn_query", config.embed_dim, 1, rng);
+        let head = MlpHead::init(store, "head", 3 * config.embed_dim, config.hidden, rng);
+        Arch {
+            embedding,
+            query,
+            head,
+        }
     }
 
     fn forward_logit(&self, g: &mut Graph, store: &ParamStore, pair: &TokenPair) -> NodeId {
@@ -87,110 +120,11 @@ impl Arch {
     }
 }
 
-/// Ditto-Lite model (see module docs).
-#[derive(Debug)]
-pub struct DittoLite {
-    config: TrainConfig,
-    store: ParamStore,
-    arch: Option<Arch>,
-}
-
-impl DittoLite {
-    /// Create an untrained model.
-    ///
-    /// # Panics
-    /// If the configured vocabulary cannot hold the reserved specials.
-    pub fn new(config: TrainConfig) -> DittoLite {
-        assert!(
-            config.vocab_size > RESERVED_TOKENS,
-            "vocab too small for specials"
-        );
-        DittoLite {
-            config,
-            store: ParamStore::new(),
-            arch: None,
-        }
-    }
-}
-
-impl NeuralMatcher for DittoLite {
-    fn fit(&mut self, pairs: &[TokenPair], labels: &[f64]) {
-        // An inert token never trips, so this cannot fail.
-        let _ = self.fit_within(pairs, labels, &fairem_par::CancelToken::inert());
-    }
-
-    /// One checkpoint per training step; an interrupted fit leaves the
-    /// model untrained (the partly-updated parameters are discarded).
-    fn step_unit(&self) -> &'static str {
-        "per-example"
-    }
-
-    fn fit_within(
-        &mut self,
-        pairs: &[TokenPair],
-        labels: &[f64],
-        token: &fairem_par::CancelToken,
-    ) -> Result<(), fairem_par::Interrupt> {
-        let n_attrs = validate_training_inputs(pairs, labels);
-        let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(1));
-        let mut store = ParamStore::new();
-        let embedding = store.add_xavier(
-            "embedding",
-            self.config.vocab_size as usize,
-            self.config.embed_dim,
-            &mut rng,
-        );
-        let query = store.add_xavier("attn_query", self.config.embed_dim, 1, &mut rng);
-        let head = MlpHead::init(
-            &mut store,
-            "head",
-            3 * self.config.embed_dim,
-            self.config.hidden,
-            &mut rng,
-        );
-        let arch = Arch {
-            embedding,
-            query,
-            head,
-            n_attrs,
-        };
-        train_loop(
-            &mut store,
-            &self.config,
-            pairs,
-            labels,
-            token,
-            |g, s, pair, target| {
-                let logit = arch.forward_logit(g, s, pair);
-                g.bce_with_logit(logit, target)
-            },
-        )?;
-        self.store = store;
-        self.arch = Some(arch);
-        Ok(())
-    }
-
-    fn score(&self, pair: &TokenPair) -> f64 {
-        let Some(arch) = self.arch.as_ref() else {
-            // fairem: allow(panic) — documented fit-before-score contract on the model API
-            panic!("DittoLite used before fit")
-        };
-        assert_eq!(
-            pair.n_attrs(),
-            arch.n_attrs,
-            "attribute count changed since fit"
-        );
-        let mut g = Graph::new();
-        let logit = arch.forward_logit(&mut g, &self.store, pair);
-        let prob = g.sigmoid(logit);
-        g.value(prob).item() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models::testutil::{assert_learns, synthetic_pairs};
+    use crate::models::NeuralMatcher;
     use crate::token::HashVocab;
 
     #[test]
@@ -216,7 +150,6 @@ mod tests {
                 w2: 0,
                 b2: 0,
             },
-            n_attrs: 2,
         };
         let pair = TokenPair {
             left: vec![vec![10, 11], vec![12]],

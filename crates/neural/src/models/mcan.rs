@@ -8,24 +8,23 @@
 //! two sides are compared and classified.
 
 use fairem_rng::rngs::StdRng;
-use fairem_rng::SeedableRng;
 
 use crate::graph::{Graph, NodeId};
 use crate::params::ParamStore;
 
-use super::{
-    attention_pool, compare, cross_attend, train_loop, validate_training_inputs, MlpHead,
-    NeuralMatcher, TokenPair, TrainConfig,
-};
+use super::{attention_pool, compare, cross_attend, Lite, MlpHead, TokenPair, TrainConfig};
 
+/// MCAN-Lite model (see module docs).
+pub type McanLite = Lite<Arch>;
+
+/// MCAN-Lite's parameter ids (into the model's `ParamStore`).
 #[derive(Debug, Clone)]
-struct Arch {
+pub struct Arch {
     embedding: usize,
     self_query: usize,
     gate_w: usize,
     gate_b: usize,
     head: MlpHead,
-    n_attrs: usize,
 }
 
 impl Arch {
@@ -64,6 +63,32 @@ impl Arch {
         let fused = g.add(gated_self, gated_cross); // 1×D
         g.concat_cols(&[fused, global_ctx]) // 1×2D
     }
+}
+
+impl super::Arch for Arch {
+    const NAME: &'static str = "McanLite";
+    const SEED_OFFSET: u64 = 3;
+
+    fn init(
+        store: &mut ParamStore,
+        config: &TrainConfig,
+        _n_attrs: usize,
+        rng: &mut StdRng,
+    ) -> Arch {
+        let d = config.embed_dim;
+        let embedding = store.add_xavier("embedding", config.vocab_size as usize, d, rng);
+        let self_query = store.add_xavier("self_query", d, 1, rng);
+        let gate_w = store.add_xavier("gate_w", 3 * d, d, rng);
+        let gate_b = store.add_zeros("gate_b", 1, d);
+        let head = MlpHead::init(store, "head", 4 * d, config.hidden, rng);
+        Arch {
+            embedding,
+            self_query,
+            gate_w,
+            gate_b,
+            head,
+        }
+    }
 
     fn forward_logit(&self, g: &mut Graph, store: &ParamStore, pair: &TokenPair) -> NodeId {
         let table = g.param(store, self.embedding);
@@ -78,97 +103,11 @@ impl Arch {
     }
 }
 
-/// MCAN-Lite model (see module docs).
-#[derive(Debug)]
-pub struct McanLite {
-    config: TrainConfig,
-    store: ParamStore,
-    arch: Option<Arch>,
-}
-
-impl McanLite {
-    /// Create an untrained model.
-    pub fn new(config: TrainConfig) -> McanLite {
-        McanLite {
-            config,
-            store: ParamStore::new(),
-            arch: None,
-        }
-    }
-}
-
-impl NeuralMatcher for McanLite {
-    fn fit(&mut self, pairs: &[TokenPair], labels: &[f64]) {
-        // An inert token never trips, so this cannot fail.
-        let _ = self.fit_within(pairs, labels, &fairem_par::CancelToken::inert());
-    }
-
-    /// One checkpoint per training step; an interrupted fit leaves the
-    /// model untrained (the partly-updated parameters are discarded).
-    fn step_unit(&self) -> &'static str {
-        "per-example"
-    }
-
-    fn fit_within(
-        &mut self,
-        pairs: &[TokenPair],
-        labels: &[f64],
-        token: &fairem_par::CancelToken,
-    ) -> Result<(), fairem_par::Interrupt> {
-        let n_attrs = validate_training_inputs(pairs, labels);
-        let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(3));
-        let mut store = ParamStore::new();
-        let d = self.config.embed_dim;
-        let embedding = store.add_xavier("embedding", self.config.vocab_size as usize, d, &mut rng);
-        let self_query = store.add_xavier("self_query", d, 1, &mut rng);
-        let gate_w = store.add_xavier("gate_w", 3 * d, d, &mut rng);
-        let gate_b = store.add_zeros("gate_b", 1, d);
-        let head = MlpHead::init(&mut store, "head", 4 * d, self.config.hidden, &mut rng);
-        let arch = Arch {
-            embedding,
-            self_query,
-            gate_w,
-            gate_b,
-            head,
-            n_attrs,
-        };
-        train_loop(
-            &mut store,
-            &self.config,
-            pairs,
-            labels,
-            token,
-            |g, s, pair, target| {
-                let logit = arch.forward_logit(g, s, pair);
-                g.bce_with_logit(logit, target)
-            },
-        )?;
-        self.store = store;
-        self.arch = Some(arch);
-        Ok(())
-    }
-
-    fn score(&self, pair: &TokenPair) -> f64 {
-        let Some(arch) = self.arch.as_ref() else {
-            // fairem: allow(panic) — documented fit-before-score contract on the model API
-            panic!("McanLite used before fit")
-        };
-        assert_eq!(
-            pair.n_attrs(),
-            arch.n_attrs,
-            "attribute count changed since fit"
-        );
-        let mut g = Graph::new();
-        let logit = arch.forward_logit(&mut g, &self.store, pair);
-        let prob = g.sigmoid(logit);
-        g.value(prob).item() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models::testutil::{assert_learns, synthetic_pairs};
+    use crate::models::NeuralMatcher;
     use crate::token::HashVocab;
 
     #[test]

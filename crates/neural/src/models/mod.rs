@@ -1,10 +1,12 @@
 //! The four neural matcher architectures (Lite reproductions of
-//! DeepMatcher, Ditto, HierMatcher and MCAN) plus the shared training
-//! machinery.
+//! DeepMatcher, Ditto, HierMatcher and MCAN) behind one trainer and
+//! scorer, [`Lite`].
 //!
 //! Each model consumes [`TokenPair`]s — a record pair tokenized per
 //! attribute into hashing-vocabulary ids — and is trained end-to-end with
 //! binary cross-entropy through the tape autograd in [`crate::graph`].
+//! A model file holds only its [`Arch`]: the parameters it registers and
+//! its forward pass.
 
 mod deepmatcher;
 mod ditto;
@@ -16,6 +18,7 @@ pub use ditto::DittoLite;
 pub use hiermatcher::HierMatcherLite;
 pub use mcan::McanLite;
 
+use fairem_par::{CancelToken, Interrupt};
 use fairem_rng::rngs::StdRng;
 use fairem_rng::seq::SliceRandom;
 use fairem_rng::SeedableRng;
@@ -100,33 +103,28 @@ pub trait NeuralMatcher {
     /// # Panics
     /// If inputs are empty, lengths disagree, labels are not 0/1, or the
     /// pairs have inconsistent attribute counts.
-    fn fit(&mut self, pairs: &[TokenPair], labels: &[f64]);
+    fn fit(&mut self, pairs: &[TokenPair], labels: &[f64]) {
+        // An inert token never trips, so this cannot fail.
+        let _ = self.fit_within(pairs, labels, &CancelToken::inert());
+    }
 
-    /// Cancellable [`NeuralMatcher::fit`]: polls `token` once per
-    /// training step (one example forward/backward/Adam update) and
-    /// bails with the [`fairem_par::Interrupt`] record when it trips,
-    /// leaving the model unfitted. With an untripped token this is
-    /// bit-for-bit `fit`. All four Lite models override this; the
-    /// default checkpoints once and trains atomically.
+    /// Cancellable [`NeuralMatcher::fit`]: polls `token` at the
+    /// trainer's checkpoint granularity and bails with the
+    /// [`Interrupt`] record when it trips, leaving the model unfitted.
+    /// With an untripped token this is bit-for-bit `fit`.
+    ///
+    /// # Panics
+    /// As [`NeuralMatcher::fit`].
     fn fit_within(
         &mut self,
         pairs: &[TokenPair],
         labels: &[f64],
-        token: &fairem_par::CancelToken,
-    ) -> Result<(), fairem_par::Interrupt> {
-        token.checkpoint()?;
-        self.fit(pairs, labels);
-        Ok(())
-    }
+        token: &CancelToken,
+    ) -> Result<(), Interrupt>;
 
     /// The checkpoint granularity of [`NeuralMatcher::fit_within`] as a
     /// human-readable unit, surfaced in observability span annotations.
-    /// The default matches the default `fit_within`: one checkpoint,
-    /// then an atomic fit. The Lite models override it to
-    /// `"per-example"`, matching their per-step polling.
-    fn step_unit(&self) -> &'static str {
-        "per-fit"
-    }
+    fn step_unit(&self) -> &'static str;
 
     /// Match score in `[0, 1]` for one pair.
     fn score(&self, pair: &TokenPair) -> f64;
@@ -137,7 +135,123 @@ pub trait NeuralMatcher {
     }
 }
 
-pub(crate) fn validate_training_inputs(pairs: &[TokenPair], labels: &[f64]) -> usize {
+/// One Lite architecture: the parameters it registers and its forward
+/// pass. [`Lite`] owns the rest — validation, seeding, training and
+/// scoring.
+pub trait Arch: Sized {
+    /// The model's name, used in the fit-before-score panic.
+    const NAME: &'static str;
+    /// Added to [`TrainConfig::seed`] to seed initialization, so the
+    /// models draw different weights from one configuration.
+    const SEED_OFFSET: u64;
+
+    /// Reject a configuration the architecture cannot use.
+    ///
+    /// # Panics
+    /// If the configuration is unusable.
+    fn check(_config: &TrainConfig) {}
+
+    /// Register the parameters in `store`, drawing weights from `rng`,
+    /// for pairs of `n_attrs` attributes.
+    fn init(store: &mut ParamStore, config: &TrainConfig, n_attrs: usize, rng: &mut StdRng)
+        -> Self;
+
+    /// The `1×1` match logit of `pair`.
+    fn forward_logit(&self, g: &mut Graph, store: &ParamStore, pair: &TokenPair) -> NodeId;
+}
+
+/// A Lite matcher of architecture `A`; see the aliases
+/// [`DeepMatcherLite`], [`DittoLite`], [`HierMatcherLite`] and
+/// [`McanLite`].
+#[derive(Debug)]
+pub struct Lite<A: Arch> {
+    config: TrainConfig,
+    store: ParamStore,
+    /// The fitted architecture and the attribute count it was fitted on.
+    fitted: Option<(A, usize)>,
+}
+
+impl<A: Arch> Lite<A> {
+    /// Create an untrained model.
+    ///
+    /// # Panics
+    /// If `config` fails the architecture's [`Arch::check`].
+    pub fn new(config: TrainConfig) -> Lite<A> {
+        A::check(&config);
+        Lite {
+            config,
+            store: ParamStore::new(),
+            fitted: None,
+        }
+    }
+}
+
+impl<A: Arch> NeuralMatcher for Lite<A> {
+    /// Per-example SGD: one forward/backward pass and one Adam step per
+    /// example, shuffled each epoch. Polls `token` before every step —
+    /// the finest checkpoint granularity in the suite, so even a
+    /// single-epoch fit on a large workload is cut within one example of
+    /// the deadline. An interrupted fit discards the partly-updated
+    /// parameters.
+    fn fit_within(
+        &mut self,
+        pairs: &[TokenPair],
+        labels: &[f64],
+        token: &CancelToken,
+    ) -> Result<(), Interrupt> {
+        let n_attrs = validate_training_inputs(pairs, labels);
+        let config = &self.config;
+        let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(A::SEED_OFFSET));
+        let mut store = ParamStore::new();
+        let arch = A::init(&mut store, config, n_attrs, &mut rng);
+        let pos_w = positive_weight(labels);
+        let mut opt = Adam::new(&store, config.lr);
+        let mut order: Vec<usize> = (0..pairs.len()).collect();
+        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x9e37_79b9);
+        for _ in 0..config.epochs {
+            order.shuffle(&mut rng);
+            for &i in &order {
+                token.checkpoint()?;
+                let mut g = Graph::new();
+                let target = labels[i] as f32;
+                let logit = arch.forward_logit(&mut g, &store, &pairs[i]);
+                let loss = g.bce_with_logit(logit, target);
+                let loss = if target == 1.0 && pos_w > 1.0 {
+                    g.scale(loss, pos_w)
+                } else {
+                    loss
+                };
+                let grads = g.backward(loss, store.len());
+                opt.step(&mut store, &grads);
+            }
+        }
+        self.store = store;
+        self.fitted = Some((arch, n_attrs));
+        Ok(())
+    }
+
+    fn step_unit(&self) -> &'static str {
+        "per-example"
+    }
+
+    fn score(&self, pair: &TokenPair) -> f64 {
+        let Some((arch, n_attrs)) = self.fitted.as_ref() else {
+            // fairem: allow(panic) — documented fit-before-score contract on the model API
+            panic!("{} used before fit", A::NAME)
+        };
+        assert_eq!(
+            pair.n_attrs(),
+            *n_attrs,
+            "attribute count changed since fit"
+        );
+        let mut g = Graph::new();
+        let logit = arch.forward_logit(&mut g, &self.store, pair);
+        let prob = g.sigmoid(logit);
+        g.value(prob).item() as f64
+    }
+}
+
+fn validate_training_inputs(pairs: &[TokenPair], labels: &[f64]) -> usize {
     assert!(!pairs.is_empty(), "cannot fit on an empty pair set");
     assert_eq!(pairs.len(), labels.len(), "pairs and labels must align");
     assert!(
@@ -154,7 +268,7 @@ pub(crate) fn validate_training_inputs(pairs: &[TokenPair], labels: &[f64]) -> u
 
 /// Positive-class loss weight `min(n_neg / n_pos, 8)` to counter the
 /// class imbalance inherent to EM workloads; 1.0 when a class is absent.
-pub(crate) fn positive_weight(labels: &[f64]) -> f32 {
+fn positive_weight(labels: &[f64]) -> f32 {
     let pos = labels.iter().filter(|&&v| v == 1.0).count();
     let neg = labels.len() - pos;
     if pos == 0 || neg == 0 {
@@ -162,42 +276,6 @@ pub(crate) fn positive_weight(labels: &[f64]) -> f32 {
     } else {
         (neg as f32 / pos as f32).clamp(1.0, 8.0)
     }
-}
-
-/// Shared SGD loop: per-example forward/backward through `forward_loss`,
-/// one Adam step per example, shuffled each epoch. Polls `token` before
-/// every step — the finest checkpoint granularity in the suite, so even
-/// a single-epoch fit on a large workload is cut within one example of
-/// the deadline.
-pub(crate) fn train_loop(
-    store: &mut ParamStore,
-    config: &TrainConfig,
-    pairs: &[TokenPair],
-    labels: &[f64],
-    token: &fairem_par::CancelToken,
-    mut forward_loss: impl FnMut(&mut Graph, &ParamStore, &TokenPair, f32) -> NodeId,
-) -> Result<(), fairem_par::Interrupt> {
-    let pos_w = positive_weight(labels);
-    let mut opt = Adam::new(store, config.lr);
-    let mut order: Vec<usize> = (0..pairs.len()).collect();
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x9e37_79b9);
-    for _ in 0..config.epochs {
-        order.shuffle(&mut rng);
-        for &i in &order {
-            token.checkpoint()?;
-            let mut g = Graph::new();
-            let target = labels[i] as f32;
-            let loss = forward_loss(&mut g, store, &pairs[i], target);
-            let loss = if target == 1.0 && pos_w > 1.0 {
-                g.scale(loss, pos_w)
-            } else {
-                loss
-            };
-            let grads = g.backward(loss, store.len());
-            opt.step(store, &grads);
-        }
-    }
-    Ok(())
 }
 
 /// Two-layer MLP head: `logit = W₂·relu(x·W₁ + b₁) + b₂` for a `1×D` input.
