@@ -406,7 +406,8 @@ impl FairEm360 {
     /// with [`SuiteError::TimedOut`]. With everything unlimited (the
     /// default) the run is bit-for-bit the unbudgeted one.
     pub fn try_run(self, kinds: &[MatcherKind]) -> SuiteResult<Session> {
-        self.run_front(kinds)?.into_session()
+        let (front, train) = self.run_front(kinds)?;
+        front.into_session(train)
     }
 
     /// The sharded, out-of-core variant of [`FairEm360::try_run`]: the
@@ -421,7 +422,10 @@ impl FairEm360 {
     /// [`ShardedRun`] audits bit-for-bit identically to
     /// [`Session::audit_all`] on the same configuration.
     pub fn try_run_sharded(self, kinds: &[MatcherKind]) -> SuiteResult<ShardedRun> {
-        self.run_front(kinds)?.into_sharded()
+        let (front, train) = self.run_front(kinds)?;
+        // Nothing reads the training split after training here.
+        drop(train);
+        front.into_sharded()
     }
 
     /// The shared front of both execution paths: prep → blocking →
@@ -429,11 +433,12 @@ impl FairEm360 {
     /// Everything here is global on purpose — the TF-IDF corpus, the
     /// splits, and the trained matchers must see identical data in both
     /// paths, which is what makes the sharded back half bit-for-bit
-    /// equivalent to the in-memory one.
+    /// equivalent to the in-memory one. The training split comes back
+    /// beside the front, so the sharded path can drop it after training.
     ///
     /// A matching threshold outside `[0, 1]` is a [`SuiteError::Config`]
     /// before any stage runs: no score could be thresholded against it.
-    fn run_front(self, kinds: &[MatcherKind]) -> SuiteResult<Front> {
+    fn run_front(self, kinds: &[MatcherKind]) -> SuiteResult<(Front, TrainSplit)> {
         let FairEm360 {
             table_a,
             table_b,
@@ -554,7 +559,7 @@ impl FairEm360 {
             config.matcher_budget,
         );
 
-        Ok(Front {
+        let front = Front {
             table_a,
             table_b,
             space,
@@ -565,15 +570,26 @@ impl FairEm360 {
             vocab,
             registry,
             failures,
-            train_pairs,
-            train_labels,
-            train_features,
-            train_tokens,
             quarantine,
             exec,
             config,
-        })
+        };
+        let train = TrainSplit {
+            pairs: train_pairs,
+            labels: train_labels,
+            features: train_features,
+            tokens: train_tokens,
+        };
+        Ok((front, train))
     }
+}
+
+/// The featurized training split the fleet was trained on.
+struct TrainSplit {
+    pairs: Vec<(usize, usize)>,
+    labels: Vec<f64>,
+    features: Matrix,
+    tokens: Vec<TokenPair>,
 }
 
 /// Everything both execution back halves need from the shared front:
@@ -590,10 +606,6 @@ struct Front {
     vocab: HashVocab,
     registry: MatcherRegistry,
     failures: Vec<MatcherFailure>,
-    train_pairs: Vec<(usize, usize)>,
-    train_labels: Vec<f64>,
-    train_features: Matrix,
-    train_tokens: Vec<TokenPair>,
     quarantine: QuarantineReport,
     exec: Exec,
     config: SuiteConfig,
@@ -602,8 +614,8 @@ struct Front {
 impl Front {
     /// The in-memory back half: materialize the valid and test feature
     /// matrices, score the whole test split per matcher, and assemble a
-    /// [`Session`].
-    fn into_session(mut self) -> SuiteResult<Session> {
+    /// [`Session`] that keeps the training split.
+    fn into_session(mut self, train: TrainSplit) -> SuiteResult<Session> {
         let (valid_pairs, valid_labels) = self.prepared.split(&self.prepared.valid_idx);
         let valid_features = split_matrix(&self.features, &self.exec, "valid", &valid_pairs)?;
         let valid_tokens = self
@@ -643,9 +655,9 @@ impl Front {
         // Pseudo-workload over the training split (scores = truth) for
         // train-side representation explanations.
         let train_workload = split_workload(
-            &self.train_pairs,
-            &self.train_labels,
-            self.train_labels.iter().copied(),
+            &train.pairs,
+            &train.labels,
+            train.labels.iter().copied(),
             (&self.enc_a, &self.enc_b),
             0.5,
         );
@@ -666,10 +678,10 @@ impl Front {
             test_tokens,
             scores,
             train_workload,
-            train_pairs: self.train_pairs,
-            train_labels: self.train_labels,
-            train_features: self.train_features,
-            train_tokens: self.train_tokens,
+            train_pairs: train.pairs,
+            train_labels: train.labels,
+            train_features: train.features,
+            train_tokens: train.tokens,
             train_config: self.config.train,
             valid_pairs,
             valid_labels,
