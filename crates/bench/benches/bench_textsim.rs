@@ -7,9 +7,7 @@
 use fairem_bench::crit::{black_box, Criterion};
 use fairem_bench::{criterion_group, criterion_main};
 use fairem_datasets::{citations, CitationsConfig};
-use fairem_text::{
-    measure_cells, PreparedColumn, SimScratch, StringMeasure, TfIdfCorpusBuilder, TokenInterner,
-};
+use fairem_text::{measure_cells, PreparedColumn, SimScratch, StringMeasure, TokenInterner};
 
 const NAMES: [(&str, &str); 4] = [
     ("li wei", "wong way"),
@@ -83,34 +81,5 @@ fn bench_measures(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_tfidf(c: &mut Criterion) {
-    let mut builder = TfIdfCorpusBuilder::new();
-    for i in 0..500 {
-        builder.add_document(&format!("record number {i} department of computer science"));
-    }
-    let corpus = builder.build();
-    let mut g = c.benchmark_group("tfidf");
-    g.sample_size(20)
-        .measurement_time(std::time::Duration::from_secs(2));
-    g.bench_function("cosine", |b| {
-        b.iter(|| {
-            corpus.cosine(
-                black_box("department of computer science chicago"),
-                black_box("dept of computer science"),
-            )
-        })
-    });
-    g.bench_function("soft_cosine", |b| {
-        b.iter(|| {
-            corpus.soft_cosine(
-                black_box("department of computer science chicago"),
-                black_box("dept of computre science"),
-                0.9,
-            )
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_measures, bench_tfidf);
+criterion_group!(benches, bench_measures);
 criterion_main!(benches);

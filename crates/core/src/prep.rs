@@ -86,7 +86,7 @@ impl PreparedData {
 ///
 /// # Panics
 /// If fractions are invalid or id lookups fail. Fallible callers should
-/// use [`prepare_checked`], which quarantines dangling matches instead.
+/// use [`prepare_with`], which quarantines dangling matches instead.
 pub fn prepare(
     a: &Table,
     b: &Table,
@@ -117,8 +117,9 @@ pub fn prepare(
     )
 }
 
-/// The blocker [`prepare`]/[`prepare_checked`] run when none is chosen
-/// explicitly: token blocking over the configured columns.
+/// The blocker [`prepare`] runs, and the suite passes to
+/// [`prepare_with`] when none is chosen explicitly: token blocking over
+/// the configured columns.
 pub fn default_blocker(config: &PrepConfig) -> TokenBlocking {
     TokenBlocking {
         columns: config.blocking_columns.clone(),
@@ -126,24 +127,13 @@ pub fn default_blocker(config: &PrepConfig) -> TokenBlocking {
     }
 }
 
-/// Fallible variant of [`prepare`]: invalid split fractions become a
+/// Fallible variant of [`prepare`] with an explicit blocking scheme and
+/// execution context: invalid split fractions become a
 /// [`SuiteError::Config`], and ground-truth matches referencing ids
 /// absent from either table are quarantined (with the offending side and
-/// id) instead of panicking.
-pub fn prepare_checked(
-    a: &Table,
-    b: &Table,
-    matches: &[(String, String)],
-    config: &PrepConfig,
-) -> SuiteResult<(PreparedData, QuarantineReport)> {
-    let blocker = default_blocker(config);
-    prepare_with(a, b, matches, config, &blocker, &Exec::sequential())
-}
-
-/// [`prepare_checked`] with an explicit blocking scheme and execution
-/// context: candidates come from `blocker.candidates(a, b, exec)`
-/// instead of the config-derived token blocker. Everything downstream
-/// (labeling, negative subsampling, splitting) is unchanged.
+/// id) instead of panicking. Candidates come from
+/// `blocker.candidates(a, b, exec)`; everything downstream (labeling,
+/// negative subsampling, splitting) is the same as in [`prepare`].
 pub fn prepare_with(
     a: &Table,
     b: &Table,
@@ -343,19 +333,6 @@ mod tests {
         use crate::blocking::SortedNeighborhood;
         let (a, b, m) = fixture();
         let config = PrepConfig::default();
-        // Default blocker reproduces prepare_checked exactly.
-        let (via_default, _) = prepare_with(
-            &a,
-            &b,
-            &m,
-            &config,
-            &default_blocker(&config),
-            &Exec::sequential(),
-        )
-        .unwrap();
-        let (via_checked, _) = prepare_checked(&a, &b, &m, &config).unwrap();
-        assert_eq!(via_default.pairs, via_checked.pairs);
-        assert_eq!(via_default.train_idx, via_checked.train_idx);
         // A different scheme flows through: sorted-neighborhood with a
         // wide window yields a candidate set token blocking cannot (the
         // drifted "hans muller"/"hans mueller" pair shares "hans").
@@ -386,7 +363,16 @@ mod tests {
         let (a, b, mut m) = fixture();
         m.push(("zz".into(), "b0".into()));
         m.push(("a2".into(), "nope".into()));
-        let (prep, q) = prepare_checked(&a, &b, &m, &PrepConfig::default()).unwrap();
+        let config = PrepConfig::default();
+        let (prep, q) = prepare_with(
+            &a,
+            &b,
+            &m,
+            &config,
+            &default_blocker(&config),
+            &Exec::sequential(),
+        )
+        .unwrap();
         assert_eq!(prep.n_positives(), 2, "valid matches survive");
         assert_eq!(q.len(), 2);
         assert_eq!(
@@ -408,15 +394,18 @@ mod tests {
     #[test]
     fn checked_rejects_bad_fractions_as_config_error() {
         let (a, b, m) = fixture();
-        let e = prepare_checked(
+        let config = PrepConfig {
+            train_frac: 0.9,
+            valid_frac: 0.2,
+            ..PrepConfig::default()
+        };
+        let e = prepare_with(
             &a,
             &b,
             &m,
-            &PrepConfig {
-                train_frac: 0.9,
-                valid_frac: 0.2,
-                ..PrepConfig::default()
-            },
+            &config,
+            &default_blocker(&config),
+            &Exec::sequential(),
         )
         .unwrap_err();
         assert!(matches!(e, SuiteError::Config { .. }), "{e}");
@@ -425,8 +414,17 @@ mod tests {
     #[test]
     fn checked_matches_panicking_path_on_clean_input() {
         let (a, b, m) = fixture();
-        let p1 = prepare(&a, &b, &m, &PrepConfig::default());
-        let (p2, q) = prepare_checked(&a, &b, &m, &PrepConfig::default()).unwrap();
+        let config = PrepConfig::default();
+        let p1 = prepare(&a, &b, &m, &config);
+        let (p2, q) = prepare_with(
+            &a,
+            &b,
+            &m,
+            &config,
+            &default_blocker(&config),
+            &Exec::sequential(),
+        )
+        .unwrap();
         assert!(q.is_empty());
         assert_eq!(p1.pairs, p2.pairs);
         assert_eq!(p1.train_idx, p2.train_idx);

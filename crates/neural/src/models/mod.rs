@@ -138,7 +138,7 @@ pub trait NeuralMatcher {
 /// One Lite architecture: the parameters it registers and its forward
 /// pass. [`Lite`] owns the rest — validation, seeding, training and
 /// scoring.
-pub trait Arch: Sized {
+pub trait Arch {
     /// The model's name, used in the fit-before-score panic.
     const NAME: &'static str;
     /// Added to [`TrainConfig::seed`] to seed initialization, so the

@@ -264,29 +264,6 @@ impl CancelToken {
         self.inner.started.elapsed()
     }
 
-    /// Wall-clock time left before this token's deadline — the minimum
-    /// remaining allowance over this token and every ancestor, saturating
-    /// at zero once a deadline has passed. `None` when no deadline is
-    /// armed anywhere on the chain (step budgets and explicit cancels do
-    /// not count: they have no schedule). Servers use this to size
-    /// retry-after hints and drain windows for deadline-aware clients.
-    pub fn remaining_wall(&self) -> Option<Duration> {
-        let now = Instant::now();
-        let mut least: Option<Duration> = None;
-        let mut node = Some(self.inner.as_ref());
-        while let Some(n) = node {
-            if let Some(d) = n.deadline {
-                let left = d.saturating_duration_since(now);
-                least = Some(match least {
-                    Some(cur) => cur.min(left),
-                    None => left,
-                });
-            }
-            node = n.parent.as_deref();
-        }
-        least
-    }
-
     /// The [`Interrupt`] record for a token known (or assumed) to have
     /// tripped. If the token has not actually tripped, the cause is
     /// reported as [`CancelCause::Cancelled`].
@@ -532,7 +509,6 @@ mod tests {
     fn a_deadline_past_the_clock_range_never_trips() {
         let t = CancelToken::with_budget(Budget::wall(Duration::MAX));
         assert!(t.checkpoint().is_ok());
-        assert_eq!(t.remaining_wall(), None);
     }
 
     #[test]
@@ -559,32 +535,6 @@ mod tests {
         assert!(child.checkpoint().is_err(), "child limit trips the child");
         assert!(!parent.is_cancelled(), "but never the parent");
         assert!(parent.checkpoint().is_ok());
-    }
-
-    #[test]
-    fn remaining_wall_tracks_the_tightest_deadline_on_the_chain() {
-        // No deadline anywhere: nothing to report.
-        let inert = CancelToken::inert();
-        assert_eq!(inert.remaining_wall(), None);
-        let stepper = CancelToken::with_budget(Budget::steps(5));
-        assert_eq!(stepper.remaining_wall(), None, "step budgets have no schedule");
-
-        // A fresh deadline reports a positive remainder no larger than
-        // the armed budget.
-        let t = CancelToken::with_budget(Budget::wall_ms(200));
-        let left = t.remaining_wall().expect("deadline armed");
-        assert!(left <= Duration::from_millis(200));
-        assert!(left > Duration::ZERO, "fresh budget cannot already be spent");
-
-        // A child with a looser budget inherits the parent's tighter one.
-        let child = t.child(Budget::wall_ms(60_000));
-        let child_left = child.remaining_wall().expect("chain has deadlines");
-        assert!(child_left <= Duration::from_millis(200), "{child_left:?}");
-
-        // A passed deadline saturates at zero instead of wrapping.
-        let spent = CancelToken::with_budget(Budget::wall_ms(5));
-        std::thread::sleep(Duration::from_millis(15));
-        assert_eq!(spent.remaining_wall(), Some(Duration::ZERO));
     }
 
     #[test]

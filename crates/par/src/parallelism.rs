@@ -54,7 +54,7 @@ impl Parallelism {
     /// second element carries a warning for the caller to surface.
     /// Split out from the `Auto` resolution so the fallback policy is
     /// unit-testable without touching process environment.
-    pub fn interpret_env_jobs(raw: &str) -> (Parallelism, Option<String>) {
+    fn interpret_env_jobs(raw: &str) -> (Parallelism, Option<String>) {
         match Parallelism::parse_jobs(raw) {
             Some(p @ Parallelism::Fixed(_)) => (p, None),
             Some(Parallelism::Auto) if raw.trim().eq_ignore_ascii_case("auto") => {
@@ -97,11 +97,6 @@ impl Parallelism {
                 _ => hardware_threads(),
             }),
         }
-    }
-
-    /// True when this policy never spawns worker threads.
-    pub fn is_sequential(self) -> bool {
-        self.workers() <= 1
     }
 }
 
@@ -158,13 +153,6 @@ mod tests {
         assert_eq!(Parallelism::Fixed(0).workers(), 1);
         assert_eq!(Parallelism::Fixed(7).workers(), 7);
         assert!(Parallelism::Auto.workers() >= 1);
-    }
-
-    #[test]
-    fn sequential_policies_report_it() {
-        assert!(Parallelism::Off.is_sequential());
-        assert!(Parallelism::Fixed(1).is_sequential());
-        assert!(!Parallelism::Fixed(4).is_sequential());
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl ServeConfig {
     /// The `retry_after_ms` hint attached to `busy` replies: a quarter
     /// of the request budget, clamped to [10ms, 1s]; 50ms when
     /// unlimited.
-    pub fn retry_hint_ms(&self) -> u64 {
+    fn retry_hint_ms(&self) -> u64 {
         match self.request_budget.wall {
             Some(wall) => (wall.as_millis() as u64 / 4).clamp(10, 1_000),
             None => 50,
