@@ -119,6 +119,27 @@ if ! grep -q "KS disparity: raw" "$OBS_DIR/calib.txt"; then
 fi
 echo "KS disparity $ks_raw -> $ks_cal under per-group isotonic calibration"
 
+echo "== results: every figure and experiment binary reproduces results/ =="
+# EXPERIMENTS.md quotes these files, so a change that moves any number
+# they print must regenerate them (and correct the doc) in the same
+# change. This is also the paper-scale bit-identity check: the binaries
+# train all ten matchers, the four neural ones included.
+cargo build -q --release -p fairem-bench --bins
+for expected in results/*.txt; do
+  name="$(basename "$expected" .txt)"
+  if ! "./target/release/$name" | diff -q "$expected" - > /dev/null; then
+    echo "check.sh: FAIL — $name no longer prints $expected (regenerate it:" \
+      "cargo run --release -p fairem-bench --bin $name > $expected)" >&2
+    exit 1
+  fi
+done
+echo "all $(ls results/*.txt | wc -l) results/ files reproduce byte for byte"
+
+echo "== format: rustfmt over the crates kept clean =="
+# The rest of the tree is not rustfmt-clean yet (ROADMAP); these crates
+# are, and stay so.
+cargo fmt -p fairem-neural -p fairem-ml --check
+
 echo "== perf: columnar featurization gate (BENCH_baseline.json) =="
 # Sequential Citations featurization must beat the committed scalar
 # baseline by >=3x, and the 4-worker pool must be >=2x faster than
