@@ -1,9 +1,11 @@
-//! Shared harness for the figure-regeneration binaries and Criterion
-//! benches: builds the demo sessions (FacultyMatch, NoFlyCompas) with
-//! the same parameters every figure uses, so numbers are comparable
-//! across binaries.
+//! Shared harness for the figures runner, `bench_baseline` and the
+//! benches on the in-tree `crit` shim. [`figures`] holds every figure
+//! and experiment behind `results/`; they build the demo sessions
+//! (FacultyMatch, NoFlyCompas) with the parameters defined here, so
+//! their numbers are comparable.
 
 pub mod crit;
+pub mod figures;
 
 use fairem_core::audit::{AuditConfig, Auditor};
 use fairem_core::fairness::{Disparity, FairnessMeasure};
@@ -11,14 +13,14 @@ use fairem_core::matcher::MatcherKind;
 use fairem_core::pipeline::{FairEm360, Session, SuiteConfig};
 use fairem_core::prep::PrepConfig;
 use fairem_core::sensitive::SensitiveAttr;
-use fairem_datasets::{faculty_match, nofly_compas, FacultyConfig, GeneratedDataset, NoFlyConfig};
+use fairem_datasets::GeneratedDataset;
 
 /// Abort with an actionable message when a value the figures rely on is
 /// missing.
 ///
-/// The figure binaries are CLI tools: a missing matcher, group, or
-/// column is an operator/setup error, reported on stderr with exit
-/// code 2 instead of a panic and backtrace.
+/// The figures runner and `bench_baseline` are CLI tools: a missing
+/// matcher, group, or column is an operator/setup error, reported on
+/// stderr with exit code 2 instead of a panic and backtrace.
 pub trait OrFail<T> {
     fn orfail(self, what: &str) -> T;
 }
@@ -49,64 +51,42 @@ fn fail(msg: &str) -> ! {
 /// The matching threshold every figure evaluates at (demo Step 3).
 pub const MATCHING_THRESHOLD: f64 = 0.5;
 /// The fairness threshold (the demo's red line, the 20% rule).
-pub const FAIRNESS_THRESHOLD: f64 = 0.2;
+const FAIRNESS_THRESHOLD: f64 = 0.2;
 
-/// Import a generated dataset into the suite.
-pub fn import(dataset: &GeneratedDataset) -> FairEm360 {
+/// Import a generated dataset into the suite, configured as every figure
+/// is.
+fn import(dataset: &GeneratedDataset) -> FairEm360 {
     let sensitive = dataset
         .sensitive
         .iter()
         .map(|c| SensitiveAttr::categorical(c.clone()))
         .collect::<Vec<_>>();
+    let prep = PrepConfig {
+        blocking_columns: vec!["name".into()],
+        negative_ratio: 6.0,
+        train_frac: 0.55,
+        valid_frac: 0.05,
+        ..PrepConfig::default()
+    };
     FairEm360::builder()
         .tables(dataset.table_a.clone(), dataset.table_b.clone())
         .ground_truth(dataset.matches.clone())
         .sensitive(sensitive)
-        .config(suite_config())
+        .config(SuiteConfig {
+            prep,
+            matching_threshold: MATCHING_THRESHOLD,
+            ..SuiteConfig::default()
+        })
         .build()
         .orfail("generated datasets are schema-valid")
 }
 
-/// The suite configuration shared by all figures.
-pub fn suite_config() -> SuiteConfig {
-    SuiteConfig {
-        prep: PrepConfig {
-            blocking_columns: vec!["name".into()],
-            negative_ratio: 6.0,
-            train_frac: 0.55,
-            valid_frac: 0.05,
-            ..PrepConfig::default()
-        },
-        matching_threshold: MATCHING_THRESHOLD,
-        ..SuiteConfig::default()
-    }
-}
-
-/// The FacultyMatch demo dataset at paper scale.
-pub fn faculty_dataset() -> GeneratedDataset {
-    faculty_match(&FacultyConfig::default())
-}
-
-/// The NoFlyCompas demo dataset at paper scale.
-pub fn nofly_dataset() -> GeneratedDataset {
-    nofly_compas(&NoFlyConfig::default())
-}
-
 /// Train the full ten-matcher fleet on FacultyMatch (the session behind
 /// Figures 1 and 3–7).
-pub fn faculty_session() -> Session {
-    import(&faculty_dataset())
+fn faculty_session(dataset: &GeneratedDataset) -> Session {
+    import(dataset)
         .try_run(&MatcherKind::ALL)
         .orfail("faculty fleet trains")
-}
-
-/// Train a reduced fleet (fast; used by benches that only need two
-/// matchers' workloads).
-pub fn faculty_session_small() -> Session {
-    let dataset = faculty_match(&FacultyConfig::small());
-    import(&dataset)
-        .try_run(&[MatcherKind::DtMatcher, MatcherKind::LinRegMatcher])
-        .orfail("reduced fleet trains")
 }
 
 /// The default auditor used by the figures: single fairness, the five
@@ -119,17 +99,4 @@ pub fn default_auditor() -> Auditor {
         min_support: 20,
         ..AuditConfig::default()
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn small_session_builds_and_audits() {
-        let s = faculty_session_small();
-        let reports = s.audit_all(&default_auditor());
-        assert_eq!(reports.len(), 2);
-        assert!(reports.iter().all(|r| !r.entries.is_empty()));
-    }
 }

@@ -119,20 +119,19 @@ if ! grep -q "KS disparity: raw" "$OBS_DIR/calib.txt"; then
 fi
 echo "KS disparity $ks_raw -> $ks_cal under per-group isotonic calibration"
 
-echo "== results: every figure and experiment binary reproduces results/ =="
+echo "== results: the figures runner reproduces results/ =="
 # EXPERIMENTS.md quotes these files, so a change that moves any number
 # they print must regenerate them (and correct the doc) in the same
-# change. This is also the paper-scale bit-identity check: the binaries
-# train all ten matchers, the four neural ones included.
-cargo build -q --release -p fairem-bench --bins
-for expected in results/*.txt; do
-  name="$(basename "$expected" .txt)"
-  if ! "./target/release/$name" | diff -q "$expected" - > /dev/null; then
-    echo "check.sh: FAIL — $name no longer prints $expected (regenerate it:" \
-      "cargo run --release -p fairem-bench --bin $name > $expected)" >&2
-    exit 1
-  fi
-done
+# change. This is also the paper-scale bit-identity check: the runner
+# trains all ten matchers once, the four neural ones included. `diff -r`
+# also fails on a figure without a file, or a file without a figure.
+cargo build -q --release -p fairem-bench --bin figures
+./target/release/figures --out "$OBS_DIR/results"
+if ! diff -r results "$OBS_DIR/results"; then
+  echo "check.sh: FAIL — results/ no longer matches the figures (regenerate:" \
+    "cargo run --release -p fairem-bench --bin figures -- --out results)" >&2
+  exit 1
+fi
 echo "all $(ls results/*.txt | wc -l) results/ files reproduce byte for byte"
 
 echo "== format: rustfmt over the crates kept clean =="
