@@ -83,8 +83,13 @@ fn bench_threshold(c: &mut Criterion) {
     for spec in [CalibrationSpec::platt(), CalibrationSpec::isotonic()] {
         g.bench_function(format!("calibrate_{}", spec.kind.name()), |bch| {
             bch.iter(|| {
-                let fit =
-                    GroupCalibrator::try_fit(spec, black_box(&w), &groups, &pool, &CancelToken::inert());
+                let fit = GroupCalibrator::try_fit(
+                    spec,
+                    black_box(&w),
+                    &groups,
+                    &pool,
+                    &CancelToken::inert(),
+                );
                 let cal = match fit {
                     Ok(cal) => cal,
                     // fairem: allow(panic) — bench harness uses an inert token that cannot interrupt

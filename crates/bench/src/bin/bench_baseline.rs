@@ -27,6 +27,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use fairem_bench::OrFail;
 use fairem_bench::{default_auditor, MATCHING_THRESHOLD};
 use fairem_core::fairness::{Disparity, FairnessMeasure};
 use fairem_core::features::FeatureGenerator;
@@ -40,7 +41,6 @@ use fairem_core::CalibrationSpec;
 use fairem_core::{Exec, PairBatch, ParOutcome, Parallelism, Recorder, Snapshot, WorkerPool};
 use fairem_csvio::Json;
 use fairem_datasets::{citations, wdc_products, CitationsConfig, GeneratedDataset, ProductsConfig};
-use fairem_bench::OrFail;
 
 /// Baseline file schema. Version 2 added the per-run `engine` tag;
 /// engine-less runs are implicitly the version-1 scalar measurements.
@@ -79,7 +79,10 @@ fn main() -> ExitCode {
             baseline(Path::new(path))
         }
         Some("--gate") => {
-            let path = argv.get(1).map(String::as_str).unwrap_or("BENCH_baseline.json");
+            let path = argv
+                .get(1)
+                .map(String::as_str)
+                .unwrap_or("BENCH_baseline.json");
             gate(Path::new(path))
         }
         None => baseline(Path::new("BENCH_baseline.json")),
@@ -98,7 +101,10 @@ fn preserved_runs(out: &Path) -> Vec<Json> {
         return Vec::new();
     };
     let Ok(doc) = Json::parse(&raw) else {
-        eprintln!("warning: existing {} is not valid JSON; starting fresh", out.display());
+        eprintln!(
+            "warning: existing {} is not valid JSON; starting fresh",
+            out.display()
+        );
         return Vec::new();
     };
     match doc.get("runs") {
@@ -131,7 +137,10 @@ fn baseline(out: &Path) -> ExitCode {
             ]);
             let mut table = Json::obj([]);
             for (stage, secs) in &stages {
-                println!("  {:>12} {:>10.4}s  ({} x{jobs})", stage, secs, dataset.name);
+                println!(
+                    "  {:>12} {:>10.4}s  ({} x{jobs})",
+                    stage, secs, dataset.name
+                );
                 table.push(stage.clone(), Json::Num(*secs));
             }
             obj.push("stage_secs", table);
@@ -152,8 +161,14 @@ fn baseline(out: &Path) -> ExitCode {
                 }
             }
             obj.push("stage_peak_bytes", peaks);
-            obj.push("peak_resident_bytes", Json::Num(gauge(&snapshot, "mem.peak_bytes")));
-            obj.push("shards", Json::Num(gauge(&snapshot, "shard.count").max(1.0)));
+            obj.push(
+                "peak_resident_bytes",
+                Json::Num(gauge(&snapshot, "mem.peak_bytes")),
+            );
+            obj.push(
+                "shards",
+                Json::Num(gauge(&snapshot, "shard.count").max(1.0)),
+            );
             runs.push(obj);
         }
     }
@@ -384,7 +399,10 @@ fn gate(baseline_path: &Path) -> ExitCode {
     let pairs: Vec<(usize, usize)> = (0..100_000)
         .map(|i| (i % a.len(), (i * 31) % b.len()))
         .collect();
-    eprintln!("gate: measuring {} pairs, sequential vs 4 workers...", pairs.len());
+    eprintln!(
+        "gate: measuring {} pairs, sequential vs 4 workers...",
+        pairs.len()
+    );
     let seq = time_matrix(&generator, &pairs, 1);
     let par = time_matrix(&generator, &pairs, 4);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -170,7 +170,10 @@ impl Bencher {
         } else {
             (per, "ns")
         };
-        println!("{group}/{id}: {value:.3} {unit}/iter ({} iters)", self.iters);
+        println!(
+            "{group}/{id}: {value:.3} {unit}/iter ({} iters)",
+            self.iters
+        );
     }
 }
 
