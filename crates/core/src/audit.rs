@@ -432,7 +432,12 @@ mod tests {
             for (a, b) in from_workload.entries.iter().zip(&from_counts.entries) {
                 assert_eq!(a.group, b.group);
                 assert_eq!(a.measure, b.measure);
-                assert_eq!(a.group_value.to_bits(), b.group_value.to_bits(), "{}", a.group);
+                assert_eq!(
+                    a.group_value.to_bits(),
+                    b.group_value.to_bits(),
+                    "{}",
+                    a.group
+                );
                 assert_eq!(a.overall_value.to_bits(), b.overall_value.to_bits());
                 assert_eq!(a.disparity.to_bits(), b.disparity.to_bits());
                 assert_eq!(a.support, b.support);

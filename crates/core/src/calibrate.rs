@@ -1010,7 +1010,12 @@ mod tests {
     #[test]
     fn counters_land_in_the_snapshot() {
         let pool = sequential().observe(Recorder::enabled());
-        let cal = fit(CalibrationSpec::platt(), &miscalibrated(), &groups(2), &pool);
+        let cal = fit(
+            CalibrationSpec::platt(),
+            &miscalibrated(),
+            &groups(2),
+            &pool,
+        );
         assert_eq!(cal.groups_fitted(), 2);
         let snap = pool.recorder().snapshot();
         let counter = |name: &str| {

@@ -127,8 +127,7 @@ impl CheckpointStore {
         let text = fs::read_to_string(self.shard_path(index)).ok()?;
         let v = Json::parse(&text).ok()?;
         if v.get("schema").and_then(Json::as_str) != Some(CKPT_SCHEMA)
-            || v.get("run_key").and_then(Json::as_str)
-                != Some(self.run_key.to_string().as_str())
+            || v.get("run_key").and_then(Json::as_str) != Some(self.run_key.to_string().as_str())
             || v.get("shard").and_then(Json::as_num) != Some(index as f64)
         {
             return None;

@@ -168,16 +168,16 @@ impl EnsembleExplorer {
             finite.fold(f64::NEG_INFINITY, f64::max)
         };
         // Reference: support-weighted mean of the finite per-group values.
-        let (wsum, wtotal) = vals.iter().zip(&self.supports).fold(
-            (0.0_f64, 0.0_f64),
-            |(num, den), (&v, &s)| {
-                if v.is_finite() {
-                    (num + v * s, den + s)
-                } else {
-                    (num, den)
-                }
-            },
-        );
+        let (wsum, wtotal) =
+            vals.iter()
+                .zip(&self.supports)
+                .fold((0.0_f64, 0.0_f64), |(num, den), (&v, &s)| {
+                    if v.is_finite() {
+                        (num + v * s, den + s)
+                    } else {
+                        (num, den)
+                    }
+                });
         let reference = wsum / wtotal; // NaN when nothing is finite
         let unfairness = vals
             .iter()
@@ -247,8 +247,7 @@ impl EnsembleExplorer {
         // assignment the old odometer visited at that step, and the pool
         // returns points in index order — so the point sequence, and
         // therefore the frontier, is identical for any worker count.
-        let pool =
-            WorkerPool::with_parallelism(self.parallelism).observe(self.observe.clone());
+        let pool = WorkerPool::with_parallelism(self.parallelism).observe(self.observe.clone());
         let outcome = pool.par_map_within(total, &self.cancel, |idx| {
             let mut assignment = vec![0usize; k];
             let mut rest = idx;
@@ -429,7 +428,10 @@ mod tests {
     #[test]
     fn frontier_is_identical_for_any_worker_count() {
         let e = explorer();
-        let seq = e.clone().with_parallelism(Parallelism::Off).pareto_frontier();
+        let seq = e
+            .clone()
+            .with_parallelism(Parallelism::Off)
+            .pareto_frontier();
         let par = e.with_parallelism(Parallelism::Fixed(4)).pareto_frontier();
         assert_eq!(seq, par);
     }

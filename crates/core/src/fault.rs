@@ -335,12 +335,20 @@ mod tests {
         use fairem_par::CancelToken;
         let plan = FaultPlan::seeded(1).stall(MatcherKind::DtMatcher, FaultSite::Train, 20);
         let t0 = std::time::Instant::now();
-        plan.stall_if_armed(FaultSite::Train, Some(MatcherKind::DtMatcher), &CancelToken::inert())
-            .expect("inert token never cuts the stall");
+        plan.stall_if_armed(
+            FaultSite::Train,
+            Some(MatcherKind::DtMatcher),
+            &CancelToken::inert(),
+        )
+        .expect("inert token never cuts the stall");
         assert!(t0.elapsed() >= std::time::Duration::from_millis(15));
         // Wrong matcher / site: no stall at all.
-        plan.stall_if_armed(FaultSite::Train, Some(MatcherKind::SvmMatcher), &CancelToken::inert())
-            .expect("not armed");
+        plan.stall_if_armed(
+            FaultSite::Train,
+            Some(MatcherKind::SvmMatcher),
+            &CancelToken::inert(),
+        )
+        .expect("not armed");
     }
 
     #[test]

@@ -632,7 +632,10 @@ mod tests {
             let scalar = g.features(&a, ra, &b, rb);
             let batch = m.row(i);
             assert!(
-                scalar.iter().zip(batch).all(|(x, y)| x.to_bits() == y.to_bits()),
+                scalar
+                    .iter()
+                    .zip(batch)
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
                 "pair ({ra},{rb}): scalar {scalar:?} vs batch {batch:?}"
             );
         }

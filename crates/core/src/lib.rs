@@ -95,17 +95,17 @@ pub use confusion::ConfusionMatrix;
 pub use ensemble::{EnsembleExplorer, ParetoPoint};
 pub use error::{Stage, SuiteError, SuiteResult};
 pub use exec::{Exec, PairBatch};
-pub use fault::{FaultPlan, FaultSite};
-pub use fairness::{Disparity, FairnessMeasure, Paradigm};
-pub use matcher::{FailureCause, Matcher, MatcherFailure, MatcherKind, MatcherRegistry};
 pub use fairem_obs::{Recorder, Snapshot, SpanStatus};
 pub use fairem_par::{
     Budget, CancelToken, Interrupt, MemBudget, MemTracker, ParOutcome, Parallelism, WorkerPool,
 };
+pub use fairness::{Disparity, FairnessMeasure, Paradigm};
+pub use fault::{FaultPlan, FaultSite};
+pub use matcher::{FailureCause, Matcher, MatcherFailure, MatcherKind, MatcherRegistry};
 pub use pipeline::{FairEm360, MatcherPerformance, Session, SuiteBuilder, SuiteConfig};
-pub use shard::{window_len, PairCounts, Shard, ShardPlan, ShardPolicy};
 pub use quarantine::{QuarantineReport, QuarantinedRow, RowIssue};
 pub use resolution::{Feedback, Proposal, ResolutionSession};
 pub use schema::Table;
 pub use sensitive::{GroupId, GroupSpace, SensitiveAttr, SensitiveKind};
+pub use shard::{window_len, PairCounts, Shard, ShardPlan, ShardPolicy};
 pub use workload::{Correspondence, Workload};

@@ -172,10 +172,7 @@ impl SuiteBuilder {
     }
 
     /// The sensitive attributes to audit on (appended).
-    pub fn sensitive(
-        mut self,
-        attrs: impl IntoIterator<Item = SensitiveAttr>,
-    ) -> SuiteBuilder {
+    pub fn sensitive(mut self, attrs: impl IntoIterator<Item = SensitiveAttr>) -> SuiteBuilder {
         self.sensitive.extend(attrs);
         self
     }
@@ -358,9 +355,10 @@ impl FairEm360 {
                 }
             }
         }
-        config
-            .observe
-            .add("import.rows", (table_a.rows.len() + table_b.rows.len()) as u64);
+        config.observe.add(
+            "import.rows",
+            (table_a.rows.len() + table_b.rows.len()) as u64,
+        );
         let mut quarantine = QuarantineReport::default();
         let (table_a, qa) =
             Table::from_csv_lenient(table_a, "tableA").map_err(|source| SuiteError::Schema {
@@ -1125,14 +1123,16 @@ impl ShardedRun {
     /// Audit one matcher from its merged histogram. Unknown names are a
     /// [`SuiteError::UnknownMatcher`], exactly like [`Session::audit`].
     pub fn audit(&self, matcher: &str, auditor: &Auditor) -> SuiteResult<AuditReport> {
-        let counts = self.counts(matcher).ok_or_else(|| SuiteError::UnknownMatcher {
-            matcher: matcher.to_owned(),
-            known: self
-                .matcher_names()
-                .iter()
-                .map(|n| (*n).to_owned())
-                .collect(),
-        })?;
+        let counts = self
+            .counts(matcher)
+            .ok_or_else(|| SuiteError::UnknownMatcher {
+                matcher: matcher.to_owned(),
+                known: self
+                    .matcher_names()
+                    .iter()
+                    .map(|n| (*n).to_owned())
+                    .collect(),
+            })?;
         let mut report =
             auditor.audit_counts(matcher, counts, self.matching_threshold, &self.space);
         report.degraded = self.failures.clone();

@@ -124,13 +124,16 @@ pub fn audit_json(report: &AuditReport) -> Json {
         ("matcher", report.matcher.as_str().into()),
         ("matching_threshold", report.matching_threshold.into()),
         ("fairness_threshold", report.fairness_threshold.into()),
-        ("degraded", Json::arr(report.degraded.iter().map(|f| {
-            Json::obj([
-                ("matcher", f.matcher.as_str().into()),
-                ("stage", f.stage.to_string().into()),
-                ("reason", f.reason.as_str().into()),
-            ])
-        }))),
+        (
+            "degraded",
+            Json::arr(report.degraded.iter().map(|f| {
+                Json::obj([
+                    ("matcher", f.matcher.as_str().into()),
+                    ("stage", f.stage.to_string().into()),
+                    ("reason", f.reason.as_str().into()),
+                ])
+            })),
+        ),
         (
             "entries",
             Json::arr(report.entries.iter().map(|e| {
@@ -214,11 +217,7 @@ pub fn calibrated_audit_text(report: &CalibratedAudit) -> String {
                 fmt(a.area),
                 fmt(ca.area)
             )),
-            None => out.push_str(&format!(
-                "  {:<10} {:>10}\n",
-                a.measure.name(),
-                fmt(a.area)
-            )),
+            None => out.push_str(&format!("  {:<10} {:>10}\n", a.measure.name(), fmt(a.area))),
         }
     }
     match (&report.calibrated, report.ks_improved()) {

@@ -69,12 +69,7 @@ fn sample_pairs(a: &Table, b: &Table, n: usize) -> Vec<(usize, usize)> {
 }
 
 /// The scalar oracle: one `FeatureGenerator::features` call per pair.
-fn scalar_matrix(
-    gen: &FeatureGenerator,
-    a: &Table,
-    b: &Table,
-    pairs: &[(usize, usize)],
-) -> Matrix {
+fn scalar_matrix(gen: &FeatureGenerator, a: &Table, b: &Table, pairs: &[(usize, usize)]) -> Matrix {
     let mut m = Matrix::zeros(pairs.len(), gen.n_features());
     for (i, &(ra, rb)) in pairs.iter().enumerate() {
         m.row_mut(i).copy_from_slice(&gen.features(a, ra, b, rb));
@@ -138,7 +133,11 @@ fn blocked_candidate_matrices_agree_end_to_end() {
         let (a, b) = tables(&d);
         let gen = generator(&d, &a, &b);
         let pairs = token_blocking(&a, &b, &[key_column(&d)], 50);
-        assert!(!pairs.is_empty(), "{}: blocking produced no candidates", d.name);
+        assert!(
+            !pairs.is_empty(),
+            "{}: blocking produced no candidates",
+            d.name
+        );
 
         let reference = scalar_matrix(&gen, &a, &b, &pairs);
         let new = complete(gen.matrix(&PairBatch::new(&pairs), &Exec::default()));

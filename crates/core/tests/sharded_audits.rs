@@ -57,10 +57,7 @@ fn auditor() -> Auditor {
 }
 
 fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "fairem-sharded-test-{tag}-{}",
-        std::process::id()
-    ));
+    let d = std::env::temp_dir().join(format!("fairem-sharded-test-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&d);
     d
 }
@@ -92,18 +89,29 @@ fn assert_reports_identical(a: &AuditReport, b: &AuditReport, ctx: &str) {
     );
     assert_eq!(a.entries.len(), b.entries.len(), "{ctx}: cell count");
     for (i, (x, y)) in a.entries.iter().zip(&b.entries).enumerate() {
-        let c = format!("{ctx}: {} cell {i} ({:?} {})", a.matcher, x.measure, x.group);
+        let c = format!(
+            "{ctx}: {} cell {i} ({:?} {})",
+            a.matcher, x.measure, x.group
+        );
         assert_eq!(x.measure, y.measure, "{c}: measure");
         assert_eq!(x.group, y.group, "{c}: group");
         assert_eq!(x.support, y.support, "{c}: support");
         assert_eq!(x.unfair, y.unfair, "{c}: verdict");
-        assert_eq!(x.group_value.to_bits(), y.group_value.to_bits(), "{c}: group value");
+        assert_eq!(
+            x.group_value.to_bits(),
+            y.group_value.to_bits(),
+            "{c}: group value"
+        );
         assert_eq!(
             x.overall_value.to_bits(),
             y.overall_value.to_bits(),
             "{c}: overall value"
         );
-        assert_eq!(x.disparity.to_bits(), y.disparity.to_bits(), "{c}: disparity");
+        assert_eq!(
+            x.disparity.to_bits(),
+            y.disparity.to_bits(),
+            "{c}: disparity"
+        );
     }
 }
 
@@ -173,7 +181,10 @@ fn resume_skips_every_committed_shard_and_reproduces_the_report() {
         .unwrap()
         .try_run_sharded(&FLEET)
         .unwrap();
-    assert_eq!(counter(first.recorder(), "ckpt.shards_written"), shards as u64);
+    assert_eq!(
+        counter(first.recorder(), "ckpt.shards_written"),
+        shards as u64
+    );
     assert_eq!(counter(first.recorder(), "ckpt.shards_skipped"), 0);
     let first_reports = first.audit_all(&aud);
 
@@ -186,7 +197,10 @@ fn resume_skips_every_committed_shard_and_reproduces_the_report() {
         .unwrap()
         .try_run_sharded(&FLEET)
         .unwrap();
-    assert_eq!(counter(second.recorder(), "ckpt.shards_skipped"), shards as u64);
+    assert_eq!(
+        counter(second.recorder(), "ckpt.shards_skipped"),
+        shards as u64
+    );
     assert_eq!(counter(second.recorder(), "ckpt.shards_written"), 0);
     assert_eq!(counter(second.recorder(), "ckpt.shards_recomputed"), 0);
     for (a, b) in first_reports.iter().zip(second.audit_all(&aud)) {
@@ -267,7 +281,10 @@ fn changed_configuration_invalidates_the_run_key() {
         .try_run_sharded(&FLEET)
         .unwrap();
     assert_eq!(counter(second.recorder(), "ckpt.shards_skipped"), 0);
-    assert_eq!(counter(second.recorder(), "ckpt.shards_recomputed"), shards as u64);
+    assert_eq!(
+        counter(second.recorder(), "ckpt.shards_recomputed"),
+        shards as u64
+    );
     let _ = fs::remove_dir_all(&dir);
 
     // Same data, same blocker name, different sorted-neighborhood
@@ -416,7 +433,11 @@ fn memory_budget_fences_the_materialized_path_but_not_the_sharded_one() {
         sharded_peak < peak,
         "sharded peak {sharded_peak} must stay under the {peak}-byte fence"
     );
-    for (a, b) in unlimited.audit_all(&aud).iter().zip(sharded.audit_all(&aud)) {
+    for (a, b) in unlimited
+        .audit_all(&aud)
+        .iter()
+        .zip(sharded.audit_all(&aud))
+    {
         assert_reports_identical(a, &b, "budgeted-sharded");
     }
 }
@@ -449,8 +470,8 @@ fn shard_boundary_accounting_balances_per_shard_and_after_merge() {
 
         // Per-shard totals from the committed checkpoint files.
         let plan = fairem_core::ShardPlan::partition(run.test_size(), shards);
-        let store = fairem_core::CheckpointStore::open(&dir, read_run_key(&dir), shards, true)
-            .unwrap();
+        let store =
+            fairem_core::CheckpointStore::open(&dir, read_run_key(&dir), shards, true).unwrap();
         let mut summed = 0u64;
         for shard in plan.shards() {
             let rec = store.load_shard(shard.index).unwrap();

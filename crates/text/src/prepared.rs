@@ -20,9 +20,7 @@
 //! kernel merges in interner *rank* order, which is order-isomorphic
 //! to the scalar path's token-string sort.
 
-use crate::edit::{
-    jaro_winkler_chars_with, normalized_levenshtein_chars_with, SimScratch,
-};
+use crate::edit::{jaro_winkler_chars_with, normalized_levenshtein_chars_with, SimScratch};
 use crate::intern::TokenInterner;
 use crate::normalize::normalize;
 use crate::tokenize::{qgrams, word_tokens};
@@ -210,11 +208,7 @@ impl PreparedColumn {
                 entries.push((rank[id as usize], count as f64 * idf));
             }
             entries.sort_unstable_by_key(|&(r, _)| r);
-            let norm = entries
-                .iter()
-                .map(|&(_, w)| w * w)
-                .sum::<f64>()
-                .sqrt();
+            let norm = entries.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt();
             for &(r, w) in &entries {
                 self.tf_ranks.push(r);
                 self.tf_weights.push(w);
@@ -294,12 +288,7 @@ fn jaccard_sorted(a: &[u32], b: &[u32]) -> f64 {
 /// checks). Exact-integer sums make the result order-independent, so
 /// the merge order here reproduces the HashMap-order scalar sums bit
 /// for bit.
-fn cosine_counts(
-    a: (&[u32], &[u32]),
-    b: (&[u32], &[u32]),
-    a_empty: bool,
-    b_empty: bool,
-) -> f64 {
+fn cosine_counts(a: (&[u32], &[u32]), b: (&[u32], &[u32]), a_empty: bool, b_empty: bool) -> f64 {
     if a_empty && b_empty {
         return 1.0;
     }
@@ -698,8 +687,7 @@ mod tests {
         // Spot-check idf equality through a shared token.
         for tok in ["smith", "systems", "a", "istanbul"] {
             let id = f.interner.get(tok).expect("token must be interned");
-            let idf_cols =
-                ((1.0 + n as f64) / (1.0 + df[id as usize] as f64)).ln() + 1.0;
+            let idf_cols = ((1.0 + n as f64) / (1.0 + df[id as usize] as f64)).ln() + 1.0;
             assert_eq!(idf_cols.to_bits(), f.corpus.idf(tok).to_bits(), "{tok}");
         }
     }

@@ -52,7 +52,10 @@ fn damerau_never_exceeds_levenshtein() {
     cases(128, 0x7344, |g| {
         let a = g.string("abcd", 10);
         let b = g.string("abcd", 10);
-        assert!(damerau_levenshtein(&a, &b) <= levenshtein(&a, &b), "{a:?} {b:?}");
+        assert!(
+            damerau_levenshtein(&a, &b) <= levenshtein(&a, &b),
+            "{a:?} {b:?}"
+        );
     });
 }
 
