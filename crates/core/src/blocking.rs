@@ -9,11 +9,14 @@
 //! (`SuiteBuilder::blocker`).
 //!
 //! Token blocking runs as an interned batch kernel: every token is
-//! mapped to a dense `u32` id once (`TokenInterner`), per-row dedup
-//! uses a stamp array instead of a per-row hash set, and emission fans
-//! out over the [`Exec`] pool row-major, in chunks of A rows. Each A
-//! row collects the B rows of its eligible tokens once (a stamp array
-//! over B rows) and sorts that short list, so the rows concatenate
+//! mapped to a dense `u32` id once (`TokenInterner`, fed by the
+//! allocation-free word visitor), per-row dedup uses a stamp array
+//! instead of a per-row hash set, and emission fans out over the
+//! [`Exec`] pool row-major, in chunks of A rows. Each A row collects the
+//! B rows of its eligible tokens once, deduplicated by its chunk's
+//! bitmap over B rows, and puts them in order: a row linking at least
+//! one B row per 64-bit bitmap word is read back from the bitmap in
+//! order, a sparser row sorts its short list. So the rows concatenate
 //! into a list that is sorted and duplicate-free by construction: no
 //! token's cross-product is materialized and no global sort runs. The
 //! test module's `naive_token_blocking`, the string-keyed
@@ -22,7 +25,7 @@
 
 use std::collections::HashSet;
 
-use fairem_text::{word_tokens, TokenInterner};
+use fairem_text::{for_each_word, TokenInterner};
 
 use crate::exec::Exec;
 use crate::schema::Table;
@@ -121,10 +124,11 @@ impl SideIndex {
         // Per-row token dedup via a stamp array over token ids (`row + 1`
         // marks "seen in this row"; 0 is never a stamp).
         let mut stamp: Vec<u32> = vec![0; interner.len()];
+        let mut tok = String::new();
         for row in 0..t.len() {
             for &c in &cols {
-                for tok in word_tokens(t.value(row, c)) {
-                    let id = interner.intern(&tok);
+                for_each_word(t.value(row, c), &mut tok, |w| {
+                    let id = interner.intern(w);
                     let at = id as usize;
                     if index.rows_of.len() <= at {
                         index.rows_of.resize(at + 1, Vec::new());
@@ -135,7 +139,7 @@ impl SideIndex {
                         index.rows_of[at].push(row as u32);
                         index.tokens.push(id);
                     }
-                }
+                });
             }
             index.row_off.push(index.tokens.len());
         }
@@ -151,8 +155,8 @@ impl SideIndex {
 /// [`TokenBlocking`]: index both sides over one interner, mark the
 /// token ids passing the stop-token guard, then emit row-major over the
 /// pool. Each A row unions the B rows of its eligible tokens through
-/// its chunk's stamp array over B rows and sorts that short list, so
-/// the rows concatenate, in row order, into the sorted duplicate-free
+/// its chunk's bitmap over B rows and puts that list in order, so the
+/// rows concatenate, in row order, into the sorted duplicate-free
 /// candidate list — identical for every worker count, with no
 /// cross-product ever materialized.
 fn token_blocking_exec(
@@ -186,11 +190,12 @@ fn token_blocking_exec(
         eligible.iter().filter(|&&e| e).count() as u64,
     );
     // Chunks of A rows, sized like the pool's own chunks. Each chunk
-    // owns a stamp per B row (`a_row + 1` marks "already linked to this
-    // A row"; 0 is never a stamp).
+    // owns a bitmap over B rows, all clear between A rows: a set bit
+    // marks a B row already linked to the current A row.
     let rows_per_chunk = exec.pool.chunk_for(a.len());
+    let words = b.len().div_ceil(64);
     let chunks = exec.pool.par_map(a.len().div_ceil(rows_per_chunk), |k| {
-        let mut stamp = vec![0u32; b.len()];
+        let mut seen = vec![0u64; words];
         let mut linked: Vec<u32> = Vec::new();
         let rows = k * rows_per_chunk..((k + 1) * rows_per_chunk).min(a.len());
         rows.map(|ra| {
@@ -200,13 +205,31 @@ fn token_blocking_exec(
                     continue;
                 }
                 for &rb in &ib.rows_of[id as usize] {
-                    if stamp[rb as usize] != ra as u32 + 1 {
-                        stamp[rb as usize] = ra as u32 + 1;
+                    let (word, bit) = (rb as usize / 64, 1u64 << (rb % 64));
+                    if seen[word] & bit == 0 {
+                        seen[word] |= bit;
                         linked.push(rb);
                     }
                 }
             }
-            linked.sort_unstable();
+            if linked.len() >= words {
+                // At least one link per bitmap word: scanning the whole
+                // bitmap costs no more than the links themselves, and
+                // reads them back in order, clearing it on the way.
+                linked.clear();
+                for (word, bits) in seen.iter_mut().enumerate() {
+                    let mut rest = std::mem::take(bits);
+                    while rest != 0 {
+                        linked.push(word as u32 * 64 + rest.trailing_zeros());
+                        rest &= rest - 1;
+                    }
+                }
+            } else {
+                for &rb in &linked {
+                    seen[rb as usize / 64] = 0;
+                }
+                linked.sort_unstable();
+            }
             linked.to_vec()
         })
         .collect::<Vec<Vec<u32>>>()
@@ -313,6 +336,7 @@ mod tests {
     use fairem_csvio::parse_csv_str;
     use fairem_par::WorkerPool;
     use fairem_rng::check::{cases, Gen};
+    use fairem_text::word_tokens;
 
     /// The pre-interning string-keyed formulation, kept as the
     /// reference the kernel must reproduce exactly.
@@ -440,6 +464,19 @@ mod tests {
         Table::from_csv(parse_csv_str(&csv).unwrap()).unwrap()
     }
 
+    /// A one-column table of `rows` rows. Row `r` carries its own token
+    /// `u{r}`, so it links to exactly the A rows naming `u{r}`; with
+    /// probability `wide` it also carries the token "wide", shared by
+    /// every row that draws it.
+    fn wide_table(g: &mut Gen, rows: usize, wide: f64) -> Table {
+        let mut csv = String::from("id,name\n");
+        for r in 0..rows {
+            let extra = if g.bool(wide) { " wide" } else { "" };
+            csv.push_str(&format!("b{r},u{r}{extra}\n"));
+        }
+        Table::from_csv(parse_csv_str(&csv).unwrap()).unwrap()
+    }
+
     #[test]
     fn interned_kernel_matches_the_naive_reference() {
         // The stop-token guard squares `max_block`: from 2^32 up the
@@ -485,6 +522,72 @@ mod tests {
                 }
             }
         });
+        // B tables over 64 rows, so a row's B rows come back through the
+        // bitmap when it links at least one per 64-bit word, and through
+        // the sort otherwise. A rows name B rows at the 63/64/127 word
+        // boundaries and at B's last row; most B lengths are not a
+        // multiple of 64. Each case's A rows are mixed, so the two
+        // branches also share one chunk's bitmap.
+        let (mut sorted_rows, mut bitmap_rows) = (0, 0);
+        let mut boundary_links = std::collections::BTreeSet::new();
+        cases(32, 0xb10d, |g| {
+            let nb: usize = *g.pick(&[65, 100, 127, 128, 129, 200, 257]);
+            let words = nb.div_ceil(64);
+            let wide = *g.pick(&[0.02, 0.3, 0.9]);
+            let b = wide_table(g, nb, wide);
+            let mut csv = String::from("id,name\n");
+            for r in 0..g.usize_in(1, 24) {
+                let mut names: Vec<String> = g.vec(3, |g| {
+                    let at = if g.bool(0.5) {
+                        *g.pick(&[0, 63, 64, 127, nb - 1])
+                    } else {
+                        g.usize_in(0, nb)
+                    };
+                    format!("u{at}")
+                });
+                if g.bool(0.4) {
+                    names.push("wide".into());
+                }
+                csv.push_str(&format!("a{r},{}\n", names.join(" ")));
+            }
+            let a = Table::from_csv(parse_csv_str(&csv).unwrap()).unwrap();
+            for max_block in [1, 2, 200, usize::MAX] {
+                let want = naive_token_blocking(&a, &b, &["name"], max_block);
+                for ra in 0..a.len() {
+                    let linked = want.iter().filter(|p| p.0 == ra).count();
+                    match linked {
+                        0 => {}
+                        n if n < words => sorted_rows += 1,
+                        _ => bitmap_rows += 1,
+                    }
+                }
+                boundary_links.extend(
+                    want.iter()
+                        .map(|p| p.1)
+                        .filter(|rb| [63, 64, 127].contains(rb)),
+                );
+                let blocker = TokenBlocking {
+                    columns: vec!["name".into()],
+                    max_block,
+                };
+                for exec in &pools {
+                    assert_eq!(
+                        blocker.candidates(&a, &b, exec),
+                        want,
+                        "|B|={nb} max_block={max_block} workers={}",
+                        exec.pool.workers()
+                    );
+                }
+            }
+        });
+        assert!(
+            sorted_rows > 0 && bitmap_rows > 0,
+            "{sorted_rows} sorted, {bitmap_rows} bitmap rows"
+        );
+        assert_eq!(
+            boundary_links.into_iter().collect::<Vec<_>>(),
+            [63, 64, 127]
+        );
     }
 
     #[test]

@@ -41,7 +41,7 @@ use fairem_ml::Matrix;
 use fairem_neural::{HashVocab, TokenPair};
 use fairem_par::{ChunkPanic, MemPressure, ParOutcome};
 use fairem_text::{
-    measure_cells, rel_diff_sim, tfidf_cosine_cells, word_tokens, PreparedColumn, SimScratch,
+    for_each_word, measure_cells, rel_diff_sim, tfidf_cosine_cells, PreparedColumn, SimScratch,
     StringMeasure, TfIdfCorpus, TokenInterner,
 };
 
@@ -105,13 +105,12 @@ impl NumericColumn {
             words_off: vec![0],
             ..NumericColumn::default()
         };
+        let mut tok = String::new();
         for cell in cells {
             col.value.push(parse_num(cell));
             col.cell.push(interner.intern(cell));
             col.empty.push(cell.is_empty());
-            for w in word_tokens(cell) {
-                col.words.push(interner.intern(&w));
-            }
+            for_each_word(cell, &mut tok, |w| col.words.push(interner.intern(w)));
             col.words_off.push(col.words.len() as u32);
         }
         col

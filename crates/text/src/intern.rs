@@ -8,18 +8,26 @@
 //! a blocking pass) and read immutably afterwards, so the parallel pair
 //! loop never touches the lookup map.
 //!
-//! Determinism: ids are assigned in first-encounter order, which is a
-//! pure function of the input tables — the `HashMap` is used only for
-//! point lookups (never iterated), so no iteration-order
-//! nondeterminism can leak into results.
+//! Lookups hash with [`TokenHasher`], a multiply-rotate hash written
+//! here, rather than std's randomly keyed SipHash: tokens are short and
+//! every cell of an audited column is looked up token by token, so the
+//! hash is most of an interning step. A fixed hash is acceptable because
+//! the keys are the run's own table cells, and the map only answers
+//! point lookups: it is never iterated, and ids are assigned in
+//! first-encounter order, a pure function of the input tables. No hash
+//! value or hash order reaches any id or output.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// An append-only string-to-`u32` interner with a per-token char cache.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct TokenInterner {
-    lookup: HashMap<String, u32>,
-    strings: Vec<String>,
+    lookup: HashMap<Box<str>, u32, BuildHasherDefault<TokenHasher>>,
+    // Every interned string, concatenated in id order: token `id` is
+    // `text[text_off[id]..text_off[id + 1]]`.
+    text: String,
+    text_off: Vec<u32>,
     // Flattened `chars()` of every interned string, so kernels that
     // need char slices (Monge-Elkan's inner Jaro-Winkler) split each
     // token exactly once.
@@ -27,12 +35,19 @@ pub struct TokenInterner {
     chars_off: Vec<u32>,
 }
 
+impl Default for TokenInterner {
+    fn default() -> TokenInterner {
+        TokenInterner::new()
+    }
+}
+
 impl TokenInterner {
     /// An empty interner.
     pub fn new() -> TokenInterner {
         TokenInterner {
-            lookup: HashMap::new(),
-            strings: Vec::new(),
+            lookup: HashMap::default(),
+            text: String::new(),
+            text_off: vec![0],
             chars: Vec::new(),
             chars_off: vec![0],
         }
@@ -43,11 +58,12 @@ impl TokenInterner {
         if let Some(&id) = self.lookup.get(tok) {
             return id;
         }
-        let id = self.strings.len() as u32;
+        let id = self.len() as u32;
+        self.text.push_str(tok);
+        self.text_off.push(self.text.len() as u32);
         self.chars.extend(tok.chars());
         self.chars_off.push(self.chars.len() as u32);
-        self.lookup.insert(tok.to_owned(), id);
-        self.strings.push(tok.to_owned());
+        self.lookup.insert(tok.into(), id);
         id
     }
 
@@ -61,7 +77,9 @@ impl TokenInterner {
     /// well-formed callers; out-of-range ids are a caller bug and index
     /// out of bounds like any slice access.
     pub fn resolve(&self, id: u32) -> &str {
-        &self.strings[id as usize]
+        let lo = self.text_off[id as usize] as usize;
+        let hi = self.text_off[id as usize + 1] as usize;
+        &self.text[lo..hi]
     }
 
     /// The cached `chars()` of an interned token.
@@ -73,12 +91,12 @@ impl TokenInterner {
 
     /// Number of distinct tokens interned so far.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.text_off.len() - 1
     }
 
     /// Whether no token has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.len() == 0
     }
 
     /// For every id, its position in the lexicographic order of all
@@ -89,13 +107,63 @@ impl TokenInterner {
     /// the TF-IDF kernel merge-join integer ranks while reproducing the
     /// scalar path's string-sorted accumulation order bit for bit.
     pub fn string_ranks(&self) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..self.strings.len() as u32).collect();
-        order.sort_unstable_by(|&x, &y| self.strings[x as usize].cmp(&self.strings[y as usize]));
+        let mut order: Vec<u32> = (0..self.len() as u32).collect();
+        order.sort_unstable_by(|&x, &y| self.resolve(x).cmp(self.resolve(y)));
         let mut rank = vec![0u32; order.len()];
         for (pos, &id) in order.iter().enumerate() {
             rank[id as usize] = pos as u32;
         }
         rank
+    }
+}
+
+/// The multiply-rotate hash behind [`TokenInterner`]'s lookups.
+///
+/// Each 8-byte word of input is folded in as
+/// `h = (h.rotl(5) ^ word) * K`; a short tail word carries its length
+/// in its top byte, which a tail's bytes never reach. A product's high
+/// bits depend on every input bit but its low bits only on low ones, so
+/// [`Hasher::finish`] rotates the well-mixed high half down to where
+/// the table takes its bucket index.
+#[derive(Debug, Default, Clone, Copy)]
+struct TokenHasher(u64);
+
+/// `2^64 / φ`, the odd multiplier of Fibonacci hashing.
+const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl TokenHasher {
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(K);
+    }
+}
+
+impl Hasher for TokenHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let mut le = [0u8; 8];
+            le.copy_from_slice(w);
+            self.fold(u64::from_le_bytes(le));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut le = [0u8; 8];
+            le[..tail.len()].copy_from_slice(tail);
+            le[7] = tail.len() as u8;
+            self.fold(u64::from_le_bytes(le));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, byte: u8) {
+        self.fold(u64::from(byte));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
     }
 }
 
@@ -153,8 +221,46 @@ mod tests {
 
     #[test]
     fn empty_interner() {
-        let it = TokenInterner::new();
-        assert!(it.is_empty());
-        assert!(it.string_ranks().is_empty());
+        for it in [TokenInterner::new(), TokenInterner::default()] {
+            assert!(it.is_empty());
+            assert!(it.string_ranks().is_empty());
+        }
+        let mut it = TokenInterner::default();
+        let id = it.intern("x");
+        assert_eq!((it.resolve(id), it.chars_of(id)), ("x", &['x'][..]));
+    }
+
+    #[test]
+    fn ids_follow_first_encounter_order() {
+        let mut it = TokenInterner::new();
+        let toks = [
+            "b",
+            "",
+            "a",
+            "b",
+            "abcdefgh",
+            "abcdefghi",
+            "a",
+            "\0",
+            "\0\0",
+        ];
+        let ids: Vec<u32> = toks.iter().map(|t| it.intern(t)).collect();
+        assert_eq!(ids, [0, 1, 2, 0, 3, 4, 2, 5, 6]);
+        for (t, &id) in toks.iter().zip(&ids) {
+            assert_eq!(it.resolve(id), *t);
+            assert_eq!(it.get(t), Some(id));
+        }
+    }
+
+    #[test]
+    fn hash_tails_of_different_lengths_differ() {
+        let hash = |bytes: &[u8]| {
+            let mut h = TokenHasher::default();
+            h.write(bytes);
+            h.finish()
+        };
+        assert_ne!(hash(b"ab"), hash(b"ab\0"));
+        assert_ne!(hash(b""), hash(b"\0"));
+        assert_ne!(hash(b"abcdefgh"), hash(b"abcdefgh\0"));
     }
 }

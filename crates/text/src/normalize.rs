@@ -1,38 +1,44 @@
 //! Lightweight string normalization applied before similarity computation.
 
+use crate::tokenize::push_lowercase;
+
 /// Lowercase, trim, and collapse internal whitespace runs to single spaces.
 ///
 /// Non-alphanumeric punctuation is preserved (edit-distance measures care
-/// about it); tokenizers strip it separately.
+/// about it); tokenizers strip it separately. [`normalize_into`] writes
+/// the same text into a buffer the caller reuses.
 ///
 /// ```
 /// assert_eq!(fairem_text::normalize("  Li   WEI "), "li wei");
 /// ```
 pub fn normalize(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    let mut last_space = true; // leading whitespace is dropped
+    normalize_into(s, &mut out);
+    out
+}
+
+/// [`normalize`] `s` into `out`, replacing its contents.
+pub fn normalize_into(s: &str, out: &mut String) {
+    out.clear();
+    // A whitespace run becomes one space, written only once a
+    // non-whitespace char follows it: leading and trailing runs vanish.
+    let mut pending_space = false;
     for ch in s.chars() {
         if ch.is_whitespace() {
-            if !last_space {
-                out.push(' ');
-                last_space = true;
-            }
+            pending_space = !out.is_empty();
         } else {
-            for lc in ch.to_lowercase() {
-                out.push(lc);
+            if pending_space {
+                out.push(' ');
+                pending_space = false;
             }
-            last_space = false;
+            push_lowercase(out, ch);
         }
     }
-    if out.ends_with(' ') {
-        out.pop();
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
-    use super::normalize;
+    use super::{normalize, normalize_into};
 
     #[test]
     fn collapses_whitespace() {
@@ -53,5 +59,14 @@ mod tests {
     #[test]
     fn keeps_punctuation() {
         assert_eq!(normalize("O'Brien, J."), "o'brien, j.");
+    }
+
+    #[test]
+    fn into_replaces_the_buffer() {
+        let mut out = String::from("stale ");
+        normalize_into(" A\tB ", &mut out);
+        assert_eq!(out, "a b");
+        normalize_into("  ", &mut out);
+        assert_eq!(out, "");
     }
 }

@@ -22,8 +22,8 @@
 
 use crate::edit::{jaro_winkler_chars_with, normalized_levenshtein_chars_with, SimScratch};
 use crate::intern::TokenInterner;
-use crate::normalize::normalize;
-use crate::tokenize::{qgrams, word_tokens};
+use crate::normalize::normalize_into;
+use crate::tokenize::{for_each_qgram, for_each_word};
 use crate::StringMeasure;
 
 /// One text column side, fully tokenized and interned.
@@ -82,16 +82,17 @@ impl PreparedColumn {
             tf_off: vec![0],
             ..PreparedColumn::default()
         };
+        // Scratch reused across cells: the normalized text, the token
+        // and padded-gram buffers the visitors write into, and id lists.
+        let (mut norm, mut tok, mut padded) = (String::new(), String::new(), String::new());
         let mut ids: Vec<u32> = Vec::new();
         for cell in cells {
-            let norm = normalize(cell);
+            normalize_into(cell, &mut norm);
             col.norm_chars.extend(norm.chars());
             col.norm_off.push(col.norm_chars.len() as u32);
 
             let cell_words_start = col.words.len();
-            for tok in word_tokens(&norm) {
-                col.words.push(interner.intern(&tok));
-            }
+            for_each_word(&norm, &mut tok, |w| col.words.push(interner.intern(w)));
             col.words_off.push(col.words.len() as u32);
 
             ids.clear();
@@ -101,18 +102,14 @@ impl PreparedColumn {
             col.wc_off.push(col.wc_ids.len() as u32);
 
             ids.clear();
-            for gram in qgrams(&norm, 3) {
-                ids.push(interner.intern(&gram));
-            }
+            for_each_qgram(&norm, 3, &mut padded, |g| ids.push(interner.intern(g)));
             ids.sort_unstable();
             ids.dedup();
             col.qset.extend_from_slice(&ids);
             col.qset_off.push(col.qset.len() as u32);
 
             let cell_raw_start = col.raw_words.len();
-            for tok in word_tokens(cell) {
-                col.raw_words.push(interner.intern(&tok));
-            }
+            for_each_word(cell, &mut tok, |w| col.raw_words.push(interner.intern(w)));
             col.raw_off.push(col.raw_words.len() as u32);
 
             ids.clear();
@@ -505,6 +502,7 @@ pub fn measure_cells(
 mod tests {
     use super::*;
     use crate::tfidf::TfIdfCorpusBuilder;
+    use crate::{normalize, qgrams, word_tokens};
 
     /// Cell fixtures that exercise the nasty corners: empty cells,
     /// whitespace-only, duplicates, punctuation, unicode case folding
