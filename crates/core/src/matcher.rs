@@ -338,6 +338,30 @@ impl Matcher for TrainedMatcher {
             Imp::Neural(model) => model.score(pair.tokens),
         }
     }
+
+    /// Each model reads one representation: a classic model scores the
+    /// feature rows through one reused buffer and ignores `tokens`,
+    /// which may be empty; a neural model reads only `tokens`, which
+    /// must align with the rows.
+    fn score_batch(&self, features: &Matrix, tokens: &[TokenPair]) -> Vec<f64> {
+        match &self.imp {
+            Imp::Classic { model, scaler } => {
+                let mut row = Vec::with_capacity(features.cols());
+                (0..features.rows())
+                    .map(|i| {
+                        row.clear();
+                        row.extend_from_slice(features.row(i));
+                        scaler.transform_row(&mut row);
+                        model.score_one(&row)
+                    })
+                    .collect()
+            }
+            Imp::Neural(model) => {
+                assert_eq!(features.rows(), tokens.len(), "representation misalignment");
+                tokens.iter().map(|t| model.score(t)).collect()
+            }
+        }
+    }
 }
 
 /// User-provided scores for the Evaluation-Only flow: the matching was
@@ -660,6 +684,67 @@ mod tests {
             let pos: f64 = scores.iter().step_by(2).sum::<f64>() / 4.0;
             let neg: f64 = scores.iter().skip(1).step_by(2).sum::<f64>() / 4.0;
             assert!(pos > neg, "{} failed to separate: {pos} vs {neg}", m.name());
+        }
+    }
+
+    #[test]
+    fn batch_scores_are_the_per_pair_scores() {
+        let (features, tokens, labels) = input();
+        let ti = TrainInput {
+            features: &features,
+            tokens: &tokens,
+            labels: &labels,
+        };
+        let kinds = [
+            MatcherKind::LinRegMatcher,
+            MatcherKind::RfMatcher,
+            MatcherKind::DeepMatcher,
+        ];
+        let reg = MatcherRegistry::train(&kinds, &ti, &MatcherTrainConfig::fast());
+        for m in reg.iter() {
+            let per_pair: Vec<u64> = (0..features.rows())
+                .map(|i| {
+                    m.score(PairRepr {
+                        features: features.row(i),
+                        tokens: &tokens[i],
+                    })
+                    .to_bits()
+                })
+                .collect();
+            let batch: Vec<u64> = m
+                .score_batch(&features, &tokens)
+                .iter()
+                .map(|s| s.to_bits())
+                .collect();
+            assert_eq!(batch, per_pair, "{}", m.name());
+            if !m.kind().is_neural() {
+                // Classic models never read the tokens.
+                let bare: Vec<u64> = m
+                    .score_batch(&features, &[])
+                    .iter()
+                    .map(|s| s.to_bits())
+                    .collect();
+                assert_eq!(bare, per_pair, "{} without tokens", m.name());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "representation misalignment")]
+    fn neural_batch_scoring_needs_aligned_tokens() {
+        let (features, tokens, labels) = input();
+        let ti = TrainInput {
+            features: &features,
+            tokens: &tokens,
+            labels: &labels,
+        };
+        let reg = MatcherRegistry::train(
+            &[MatcherKind::DeepMatcher],
+            &ti,
+            &MatcherTrainConfig::fast(),
+        );
+        for m in reg.iter() {
+            let _ = m.score_batch(&features, &tokens[1..]);
         }
     }
 

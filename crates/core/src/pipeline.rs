@@ -768,9 +768,19 @@ impl Front {
                 let pairs = &test_pairs[start..end];
                 let labels = &test_labels[start..end];
                 let window_features = build_matrix(&self.features, &self.exec, &span, pairs)?;
-                let tokens = self
-                    .features
-                    .tokenize_all(&PairBatch::new(pairs), &self.vocab);
+                // Only neural matchers read tokens; a classic fleet
+                // scores the features alone.
+                let neural = self
+                    .registry
+                    .iter()
+                    .zip(&dead)
+                    .any(|(m, &d)| !d && m.kind().is_neural());
+                let tokens = if neural {
+                    self.features
+                        .tokenize_all(&PairBatch::new(pairs), &self.vocab)
+                } else {
+                    Vec::new()
+                };
                 let (scored, clamped) =
                     self.score_fleet(&mut dead, &window_features, &tokens, None);
                 rec.clamped += clamped as u64;

@@ -16,7 +16,9 @@ use fairem_core::pipeline::{FairEm360, SuiteBuilder};
 use fairem_core::{
     Budget, FaultPlan, FaultSite, MemBudget, Parallelism, Recorder, SortedNeighborhood, SuiteError,
 };
-use fairem_datasets::{wdc_products, GeneratedDataset, ProductsConfig};
+use fairem_datasets::{
+    faculty_match, wdc_products, FacultyConfig, GeneratedDataset, ProductsConfig,
+};
 
 const POLICIES: [Parallelism; 3] = [
     Parallelism::Off,
@@ -144,6 +146,43 @@ fn sharded_audits_are_bit_for_bit_identical_to_unsharded() {
                 assert_reports_identical(a, b, &format!("shards={shards} {policy:?}"));
             }
         }
+    }
+}
+
+#[test]
+fn a_fleet_with_a_neural_matcher_audits_identically_when_sharded() {
+    // Shard windows tokenize their pairs only for a fleet with a live
+    // neural matcher; the neural matcher must then score exactly the
+    // tokens the materialized run gives it.
+    let d = faculty_match(&FacultyConfig::small());
+    let fleet = [MatcherKind::DtMatcher, MatcherKind::DeepMatcher];
+    let build = || {
+        FairEm360::builder()
+            .tables(d.table_a.clone(), d.table_b.clone())
+            .ground_truth(d.matches.clone())
+            .sensitive(
+                d.sensitive
+                    .iter()
+                    .map(fairem_core::sensitive::SensitiveAttr::categorical),
+            )
+            .config(fairem_core::SuiteConfig::fast())
+    };
+    let aud = auditor();
+    let baseline = build().build().unwrap().try_run(&fleet).unwrap();
+    assert!(!baseline.is_degraded());
+    let run = build()
+        .shards(3)
+        .build()
+        .unwrap()
+        .try_run_sharded(&fleet)
+        .unwrap();
+    assert_eq!(run.shards(), 3);
+    assert!(!run.is_degraded());
+    let (want, got) = (baseline.audit_all(&aud), run.audit_all(&aud));
+    assert_eq!(got.len(), fleet.len());
+    assert_eq!(want.len(), got.len());
+    for (a, b) in want.iter().zip(&got) {
+        assert_reports_identical(a, b, "faculty shards=3");
     }
 }
 
