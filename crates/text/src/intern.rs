@@ -119,12 +119,12 @@ impl TokenInterner {
 
 /// The multiply-rotate hash behind [`TokenInterner`]'s lookups.
 ///
-/// Each 8-byte word of input is folded in as
-/// `h = (h.rotl(5) ^ word) * K`; a short tail word carries its length
-/// in its top byte, which a tail's bytes never reach. A product's high
-/// bits depend on every input bit but its low bits only on low ones, so
-/// [`Hasher::finish`] rotates the well-mixed high half down to where
-/// the table takes its bucket index.
+/// Each 8-byte word of input is folded in as `h = (h.rotl(5) ^ word) * K`,
+/// then one word holding the last `len % 8` bytes, read without a
+/// variable-length copy, with the input length in its top byte. A
+/// product's high bits depend on every input bit but its low bits only
+/// on low ones, so [`Hasher::finish`] rotates the well-mixed high half
+/// down to where the table takes its bucket index.
 #[derive(Debug, Default, Clone, Copy)]
 struct TokenHasher(u64);
 
@@ -138,22 +138,33 @@ impl TokenHasher {
     }
 }
 
+/// The bytes of a slice of at most 7 bytes, packed into one word: two
+/// overlapping 4-byte reads from 4 bytes up, the first, middle and last
+/// byte below that.
+#[inline]
+fn tail_word(b: &[u8]) -> u64 {
+    let n = b.len();
+    if n >= 4 {
+        let lo = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        let hi = u32::from_le_bytes([b[n - 4], b[n - 3], b[n - 2], b[n - 1]]);
+        u64::from(lo) | u64::from(hi) << 32
+    } else if n > 0 {
+        u64::from(b[0]) | u64::from(b[n / 2]) << 8 | u64::from(b[n - 1]) << 16
+    } else {
+        0
+    }
+}
+
 impl Hasher for TokenHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
         let mut words = bytes.chunks_exact(8);
         for w in &mut words {
-            let mut le = [0u8; 8];
-            le.copy_from_slice(w);
-            self.fold(u64::from_le_bytes(le));
+            self.fold(u64::from_le_bytes([
+                w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7],
+            ]));
         }
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            let mut le = [0u8; 8];
-            le[..tail.len()].copy_from_slice(tail);
-            le[7] = tail.len() as u8;
-            self.fold(u64::from_le_bytes(le));
-        }
+        self.fold(tail_word(words.remainder()) ^ (bytes.len() as u64) << 56);
     }
 
     #[inline]

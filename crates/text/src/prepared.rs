@@ -95,6 +95,7 @@ impl PreparedColumn {
             for_each_word(&norm, &mut tok, |w| col.words.push(interner.intern(w)));
             col.words_off.push(col.words.len() as u32);
 
+            let cell_wc_start = col.wc_ids.len();
             ids.clear();
             ids.extend_from_slice(&col.words[cell_words_start..]);
             ids.sort_unstable();
@@ -108,14 +109,24 @@ impl PreparedColumn {
             col.qset.extend_from_slice(&ids);
             col.qset_off.push(col.qset.len() as u32);
 
-            let cell_raw_start = col.raw_words.len();
-            for_each_word(cell, &mut tok, |w| col.raw_words.push(interner.intern(w)));
+            if cell.is_ascii() {
+                // ASCII lowercasing keeps each char alphanumeric or not,
+                // and whitespace only separates words, so the raw cell's
+                // words are the normalized cell's, already interned.
+                col.raw_words
+                    .extend_from_slice(&col.words[cell_words_start..]);
+                col.rawc_ids.extend_from_slice(&col.wc_ids[cell_wc_start..]);
+                col.rawc_counts
+                    .extend_from_slice(&col.wc_counts[cell_wc_start..]);
+            } else {
+                let cell_raw_start = col.raw_words.len();
+                for_each_word(cell, &mut tok, |w| col.raw_words.push(interner.intern(w)));
+                ids.clear();
+                ids.extend_from_slice(&col.raw_words[cell_raw_start..]);
+                ids.sort_unstable();
+                push_run_lengths(&ids, &mut col.rawc_ids, &mut col.rawc_counts);
+            }
             col.raw_off.push(col.raw_words.len() as u32);
-
-            ids.clear();
-            ids.extend_from_slice(&col.raw_words[cell_raw_start..]);
-            ids.sort_unstable();
-            push_run_lengths(&ids, &mut col.rawc_ids, &mut col.rawc_counts);
             col.rawc_off.push(col.rawc_ids.len() as u32);
         }
         col

@@ -122,6 +122,26 @@ fn visitors_match_the_allocating_references() {
     });
 }
 
+/// The distinct ids of `ids`, ascending, with their multiplicities.
+fn counts(ids: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let mut sorted = ids.to_vec();
+    sorted.sort_unstable();
+    let (mut distinct, mut n): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+    for id in sorted {
+        if distinct.last() == Some(&id) {
+            *n.last_mut().expect("a count per distinct id") += 1;
+        } else {
+            distinct.push(id);
+            n.push(1);
+        }
+    }
+    (distinct, n)
+}
+
+fn owned((ids, n): (&[u32], &[u32])) -> (Vec<u32>, Vec<u32>) {
+    (ids.to_vec(), n.to_vec())
+}
+
 #[test]
 fn prepared_ids_are_the_reference_tokens_interned_in_order() {
     cases(96, 0x70c4, |g| {
@@ -155,6 +175,16 @@ fn prepared_ids_are_the_reference_tokens_interned_in_order() {
                 col.raw_words(cell),
                 raw_words.as_slice(),
                 "raw words of {raw:?}"
+            );
+            assert_eq!(
+                owned(col.word_counts(cell)),
+                counts(&words),
+                "word counts of {raw:?}"
+            );
+            assert_eq!(
+                owned(col.raw_counts(cell)),
+                counts(&raw_words),
+                "raw counts of {raw:?}"
             );
         }
         assert_eq!(interner.len(), reference.len());
