@@ -196,10 +196,10 @@ fn token_blocking_exec(
     let words = b.len().div_ceil(64);
     let chunks = exec.pool.par_map(a.len().div_ceil(rows_per_chunk), |k| {
         let mut seen = vec![0u64; words];
-        let mut linked: Vec<u32> = Vec::new();
-        let rows = k * rows_per_chunk..((k + 1) * rows_per_chunk).min(a.len());
-        rows.map(|ra| {
-            linked.clear();
+        // The chunk's links, row after row, and where each row ends.
+        let (mut linked, mut ends): (Vec<u32>, Vec<usize>) = (Vec::new(), Vec::new());
+        for ra in k * rows_per_chunk..((k + 1) * rows_per_chunk).min(a.len()) {
+            let start = linked.len();
             for &id in ia.tokens_of(ra) {
                 if !eligible[id as usize] {
                     continue;
@@ -212,11 +212,11 @@ fn token_blocking_exec(
                     }
                 }
             }
-            if linked.len() >= words {
+            if linked.len() - start >= words {
                 // At least one link per bitmap word: scanning the whole
                 // bitmap costs no more than the links themselves, and
                 // reads them back in order, clearing it on the way.
-                linked.clear();
+                linked.truncate(start);
                 for (word, bits) in seen.iter_mut().enumerate() {
                     let mut rest = std::mem::take(bits);
                     while rest != 0 {
@@ -225,19 +225,23 @@ fn token_blocking_exec(
                     }
                 }
             } else {
-                for &rb in &linked {
+                for &rb in &linked[start..] {
                     seen[rb as usize / 64] = 0;
                 }
-                linked.sort_unstable();
+                linked[start..].sort_unstable();
             }
-            linked.to_vec()
-        })
-        .collect::<Vec<Vec<u32>>>()
+            ends.push(linked.len());
+        }
+        (linked, ends)
     });
-    let per_row: Vec<Vec<u32>> = chunks.into_iter().flatten().collect();
-    let mut out = Vec::with_capacity(per_row.iter().map(Vec::len).sum());
-    for (ra, linked) in per_row.iter().enumerate() {
-        out.extend(linked.iter().map(|&rb| (ra, rb as usize)));
+    let mut out = Vec::with_capacity(chunks.iter().map(|(linked, _)| linked.len()).sum());
+    let mut ra = 0;
+    for (linked, ends) in &chunks {
+        let mut start = 0;
+        for &end in ends {
+            out.extend(linked[start..end].iter().map(|&rb| (ra, rb as usize)));
+            (ra, start) = (ra + 1, end);
+        }
     }
     out
 }
