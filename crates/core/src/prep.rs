@@ -33,10 +33,11 @@ pub struct PrepConfig {
 
 impl Default for PrepConfig {
     fn default() -> PrepConfig {
-        // Defaults match the configuration the figure binaries audit
-        // under (EXPERIMENTS.md): a 6:1 negative ratio preserves EM's
-        // characteristic class imbalance, which is what makes the
-        // uncalibrated matchers threshold-sensitive.
+        // Defaults match the configuration every figure is audited
+        // under (`import` in crates/bench/src/lib.rs, EXPERIMENTS.md):
+        // a 6:1 negative ratio preserves EM's characteristic class
+        // imbalance, which is what makes the uncalibrated matchers
+        // threshold-sensitive.
         PrepConfig {
             blocking_columns: vec!["name".into()],
             max_block: 200,

@@ -8,14 +8,16 @@
 //! a blocking pass) and read immutably afterwards, so the parallel pair
 //! loop never touches the lookup map.
 //!
-//! Lookups hash with [`TokenHasher`], a multiply-rotate hash written
-//! here, rather than std's randomly keyed SipHash: tokens are short and
-//! every cell of an audited column is looked up token by token, so the
-//! hash is most of an interning step. A fixed hash is acceptable because
-//! the keys are the run's own table cells, and the map only answers
-//! point lookups: it is never iterated, and ids are assigned in
-//! first-encounter order, a pure function of the input tables. No hash
-//! value or hash order reaches any id or output.
+//! Lookups hash with `TokenHasher`, a multiply-rotate hash defined
+//! below, rather than std's randomly keyed SipHash: tokens are short
+//! and every cell of an audited column is looked up token by token, so
+//! the hash is a large part of an interning step. A fixed hash is
+//! acceptable for two reasons. The keys come from the tables the run
+//! audits (the server opens only generated datasets), so keys crafted
+//! to collide can only slow down their own author's run. And the map
+//! only answers point lookups: it is never iterated, and ids are
+//! assigned in first-encounter order, a pure function of the input
+//! tables, so no hash value or hash order reaches any id or output.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

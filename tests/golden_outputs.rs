@@ -140,8 +140,9 @@ fn noflycompas_platt_all_thresholds_json_is_golden() {
 }
 
 /// The per-group Platt resolution `exp_threshold` prints: the default
-/// FacultyMatch under the figure binaries' suite configuration, one
-/// line of score bits per calibrated test correspondence.
+/// FacultyMatch under the figures' suite configuration (`import` in
+/// crates/bench/src/lib.rs), one line of score bits per calibrated test
+/// correspondence.
 #[test]
 fn faculty_calibrated_workload_score_bits_are_golden() {
     let d = faculty_match(&FacultyConfig::default());
