@@ -1,8 +1,6 @@
 //! Preprocessing (paper §2.1): candidate pairing, labeling, and
 //! train/validation/test splitting.
 
-use std::collections::BTreeSet;
-
 use fairem_rng::rngs::StdRng;
 use fairem_rng::seq::SliceRandom;
 use fairem_rng::SeedableRng;
@@ -176,14 +174,12 @@ fn prepare_inner(
 ) -> PreparedData {
     let mut rng = StdRng::seed_from_u64(config.seed);
 
-    let mut truth: BTreeSet<(usize, usize)> = BTreeSet::new();
+    let mut positives: Vec<(usize, usize)> = Vec::with_capacity(matches.len());
     for (i, (ia, ib)) in matches.iter().enumerate() {
         let ra = a.row_of(ia);
         let rb = b.row_of(ib);
         match (ra, rb) {
-            (Some(ra), Some(rb)) => {
-                truth.insert((ra, rb));
-            }
+            (Some(ra), Some(rb)) => positives.push((ra, rb)),
             (None, _) => quarantine.push(
                 "matches",
                 i + 1,
@@ -203,13 +199,25 @@ fn prepare_inner(
         }
     }
 
-    let candidates = blocker.candidates(a, b, exec);
+    positives.sort_unstable();
+    positives.dedup();
 
-    let positives: Vec<(usize, usize)> = truth.iter().copied().collect();
-    let mut negatives: Vec<(usize, usize)> = candidates
-        .into_iter()
-        .filter(|p| !truth.contains(p))
-        .collect();
+    // The truth is sorted by (A row, B row), so A row `ra`'s truth pairs
+    // are the run `positives[run[ra]..run[ra + 1]]`: labeling a
+    // candidate scans its own short run, whatever the candidate order.
+    let mut run = vec![0; a.len() + 1];
+    for &(ra, _) in &positives {
+        run[ra + 1] += 1;
+    }
+    for ra in 0..a.len() {
+        run[ra + 1] += run[ra];
+    }
+    let is_truth =
+        |&(ra, rb): &(usize, usize)| positives[run[ra]..run[ra + 1]].iter().any(|p| p.1 == rb);
+
+    let candidates = blocker.candidates(a, b, exec);
+    let mut negatives: Vec<(usize, usize)> =
+        candidates.into_iter().filter(|p| !is_truth(p)).collect();
 
     // Subsample negatives to the configured ratio.
     let cap = (positives.len() as f64 * config.negative_ratio).ceil();
@@ -429,6 +437,147 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(p1.pairs, p2.pairs);
         assert_eq!(p1.train_idx, p2.train_idx);
+    }
+
+    /// The labeling this module used before the per-A-row runs: a
+    /// `BTreeSet` of truth pairs probed once per candidate. Kept as the
+    /// oracle for `prepare_inner`; the rest of the body is unchanged.
+    fn reference_prepare(
+        a: &Table,
+        b: &Table,
+        matches: &[(String, String)],
+        config: &PrepConfig,
+        blocker: &dyn Blocker,
+    ) -> (PreparedData, QuarantineReport) {
+        use std::collections::BTreeSet;
+        let mut quarantine = QuarantineReport::default();
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut truth: BTreeSet<(usize, usize)> = BTreeSet::new();
+        for (i, (ia, ib)) in matches.iter().enumerate() {
+            match (a.row_of(ia), b.row_of(ib)) {
+                (Some(ra), Some(rb)) => {
+                    truth.insert((ra, rb));
+                }
+                (None, _) => quarantine.push(
+                    "matches",
+                    i + 1,
+                    RowIssue::UnknownMatchId {
+                        side: 'A',
+                        id: ia.clone(),
+                    },
+                ),
+                (_, None) => quarantine.push(
+                    "matches",
+                    i + 1,
+                    RowIssue::UnknownMatchId {
+                        side: 'B',
+                        id: ib.clone(),
+                    },
+                ),
+            }
+        }
+        let candidates = blocker.candidates(a, b, &Exec::sequential());
+        let positives: Vec<(usize, usize)> = truth.iter().copied().collect();
+        let mut negatives: Vec<(usize, usize)> = candidates
+            .into_iter()
+            .filter(|p| !truth.contains(p))
+            .collect();
+        let cap = (positives.len() as f64 * config.negative_ratio).ceil();
+        if (negatives.len() as f64) > cap && cap.is_finite() {
+            negatives.shuffle(&mut rng);
+            negatives.truncate(cap as usize);
+            negatives.sort_unstable();
+        }
+        let mut pairs = Vec::with_capacity(positives.len() + negatives.len());
+        let mut labels = Vec::with_capacity(positives.len() + negatives.len());
+        pairs.extend(&positives);
+        labels.extend(std::iter::repeat_n(1.0, positives.len()));
+        pairs.extend(&negatives);
+        labels.extend(std::iter::repeat_n(0.0, negatives.len()));
+        let mut order: Vec<usize> = (0..pairs.len()).collect();
+        order.shuffle(&mut rng);
+        let n = order.len();
+        let n_train = (n as f64 * config.train_frac).round() as usize;
+        let n_valid = (n as f64 * config.valid_frac).round() as usize;
+        let prep = PreparedData {
+            pairs,
+            labels,
+            train_idx: order[..n_train].to_vec(),
+            valid_idx: order[n_train..n_train + n_valid].to_vec(),
+            test_idx: order[n_train + n_valid..].to_vec(),
+        };
+        (prep, quarantine)
+    }
+
+    #[test]
+    fn labeling_matches_the_btreeset_oracle() {
+        use crate::blocking::SortedNeighborhood;
+        use fairem_rng::check::{cases, Gen};
+
+        const WORDS: [&str; 8] = ["li", "wei", "smith", "john", "hans", "muller", "ana", "x"];
+        fn table(g: &mut Gen, prefix: char, rows: usize) -> Table {
+            let mut csv = String::from("id,name\n");
+            for r in 0..rows {
+                let name: Vec<&str> = g.vec_len(1, 3, |g| *g.pick(&WORDS));
+                csv.push_str(&format!("{prefix}{r},{}\n", name.join(" ")));
+            }
+            Table::from_csv(parse_csv_str(&csv).unwrap()).unwrap()
+        }
+
+        cases(300, 0x1abe1, |g| {
+            let (n_a, n_b) = (g.usize_in(1, 12), g.usize_in(1, 12));
+            let (a, b) = (table(g, 'a', n_a), table(g, 'b', n_b));
+            // Each A row holds zero, one or several truth B rows
+            // (repeats included), plus dangling ids on either side.
+            let mut matches = Vec::new();
+            for ra in 0..n_a {
+                for _ in 0..*g.pick(&[0, 0, 1, 1, 2, 4]) {
+                    matches.push((format!("a{ra}"), format!("b{}", g.usize_in(0, n_b))));
+                }
+            }
+            for k in 0..g.usize_in(0, 3) {
+                matches.push((format!("zz{k}"), format!("b{}", g.usize_in(0, n_b))));
+                matches.push((format!("a{}", g.usize_in(0, n_a)), format!("nope{k}")));
+            }
+            for i in (1..matches.len()).rev() {
+                matches.swap(i, g.usize_in(0, i + 1));
+            }
+            let (train_frac, valid_frac) = *g.pick(&[(0.55, 0.05), (0.5, 0.0), (0.2, 0.3)]);
+            let config = PrepConfig {
+                negative_ratio: *g.pick(&[0.5, 1.0, 6.0, f64::INFINITY]),
+                train_frac,
+                valid_frac,
+                seed: g.u64(),
+                ..PrepConfig::default()
+            };
+            let blocker: Box<dyn Blocker> = if g.bool(0.5) {
+                Box::new(TokenBlocking {
+                    columns: vec!["name".into()],
+                    max_block: *g.pick(&[1, 3, 200]),
+                })
+            } else {
+                Box::new(SortedNeighborhood {
+                    key_column: "name".into(),
+                    window: g.usize_in(2, 7),
+                })
+            };
+            let (got, got_q) = prepare_with(
+                &a,
+                &b,
+                &matches,
+                &config,
+                blocker.as_ref(),
+                &Exec::sequential(),
+            )
+            .unwrap();
+            let (want, want_q) = reference_prepare(&a, &b, &matches, &config, blocker.as_ref());
+            assert_eq!(got.pairs, want.pairs);
+            assert_eq!(got.labels, want.labels);
+            assert_eq!(got.train_idx, want.train_idx);
+            assert_eq!(got.valid_idx, want.valid_idx);
+            assert_eq!(got.test_idx, want.test_idx);
+            assert_eq!(got_q, want_q);
+        });
     }
 
     #[test]
