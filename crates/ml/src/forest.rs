@@ -6,7 +6,7 @@ use fairem_rng::seq::SliceRandom;
 use fairem_rng::{Rng, SeedableRng};
 
 use crate::matrix::Matrix;
-use crate::tree::DecisionTree;
+use crate::tree::{DecisionTree, RankCodes};
 use crate::{validate_fit_inputs, Classifier};
 
 /// A random forest: bootstrap-sampled trees over random feature subsets,
@@ -53,6 +53,7 @@ impl Classifier for RandomForest {
 
     fn fit_within(&mut self, x: &Matrix, y: &[f64], token: &CancelToken) -> Result<(), Interrupt> {
         validate_fit_inputs(x, y);
+        let ranks = RankCodes::new(x);
         let mut rng = StdRng::seed_from_u64(self.seed);
         let n = x.rows();
         let d = x.cols();
@@ -69,10 +70,8 @@ impl Classifier for RandomForest {
             let mut feats = all_features.clone();
             feats.shuffle(&mut rng);
             feats.truncate(m);
-            let xb = x.select_rows(&boot);
-            let yb: Vec<f64> = boot.iter().map(|&i| y[i]).collect();
             let mut tree = DecisionTree::new(self.max_depth, 2).with_feature_subset(feats);
-            tree.fit(&xb, &yb);
+            tree.grow(&ranks, y, boot);
             self.trees.push(tree);
         }
         Ok(())

@@ -66,7 +66,23 @@ impl DecisionTree {
         self.root.as_ref().map_or(0, count)
     }
 
-    fn build(&self, x: &Matrix, y: &[f64], idx: &mut [usize], depth: usize) -> Node {
+    /// Grow the tree over `rows` (row ids into `ranks`' matrix, repeats
+    /// allowed: the forest passes a bootstrap draw). The tree equals one
+    /// fitted on the matrix of those rows in that order.
+    pub(crate) fn grow(&mut self, ranks: &RankCodes, y: &[f64], mut rows: Vec<usize>) {
+        let mut scratch = Scratch::default();
+        self.root = Some(self.build(ranks, y, &mut rows, 0, &mut scratch));
+    }
+
+    fn build(
+        &self,
+        ranks: &RankCodes,
+        y: &[f64],
+        idx: &mut [usize],
+        depth: usize,
+        scratch: &mut Scratch,
+    ) -> Node {
+        let x = ranks.x;
         let n = idx.len();
         let positives: f64 = idx.iter().map(|&i| y[i]).sum();
         let positive_rate = positives / n as f64;
@@ -74,7 +90,7 @@ impl DecisionTree {
         if depth >= self.max_depth || n < self.min_samples_split || pure {
             return Node::Leaf { positive_rate };
         }
-        let Some((feature, threshold)) = self.best_split(x, y, idx) else {
+        let Some((feature, threshold)) = self.best_split(ranks, y, idx, scratch) else {
             return Node::Leaf { positive_rate };
         };
         // Partition indices in place around the threshold.
@@ -89,8 +105,8 @@ impl DecisionTree {
             return Node::Leaf { positive_rate };
         }
         let (left_idx, right_idx) = idx.split_at_mut(mid);
-        let left = self.build(x, y, left_idx, depth + 1);
-        let right = self.build(x, y, right_idx, depth + 1);
+        let left = self.build(ranks, y, left_idx, depth + 1, scratch);
+        let right = self.build(ranks, y, right_idx, depth + 1, scratch);
         Node::Split {
             feature,
             threshold,
@@ -100,23 +116,25 @@ impl DecisionTree {
     }
 
     /// Exhaustive best split by Gini gain over candidate features.
-    fn best_split(&self, x: &Matrix, y: &[f64], idx: &[usize]) -> Option<(usize, f64)> {
+    fn best_split(
+        &self,
+        ranks: &RankCodes,
+        y: &[f64],
+        idx: &[usize],
+        scratch: &mut Scratch,
+    ) -> Option<(usize, f64)> {
         let n = idx.len() as f64;
         let total_pos: f64 = idx.iter().map(|&i| y[i]).sum();
         let features: Vec<usize> = match &self.feature_subset {
             Some(s) => s.clone(),
-            None => (0..x.cols()).collect(),
+            None => (0..ranks.x.cols()).collect(),
         };
         // (feature, threshold, weighted gini, balance). Ties on gini are
         // broken toward the more balanced split — without this, plateaus
         // like XOR pick degenerate one-off splits and stall.
         let mut best: Option<(usize, f64, f64, f64)> = None;
-        // Reusable sort buffer of (value, label).
-        let mut vals: Vec<(f64, f64)> = Vec::with_capacity(idx.len());
         for f in features {
-            vals.clear();
-            vals.extend(idx.iter().map(|&i| (x.get(i, f), y[i])));
-            vals.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let vals = scratch.ordered(ranks, y, idx, f);
             let mut left_n = 0.0;
             let mut left_pos = 0.0;
             for w in 0..vals.len() - 1 {
@@ -155,11 +173,122 @@ impl DecisionTree {
     }
 }
 
+/// A training matrix with each column's values replaced by rank codes,
+/// computed once per fit: a row's code is the index of its value among
+/// the column's distinct bit patterns, in `total_cmp` order. Rows that
+/// share a code share their bits, so values are read back from the
+/// matrix and no per-code value table is kept.
+pub(crate) struct RankCodes<'a> {
+    x: &'a Matrix,
+    /// Column-major: `codes[f * x.rows() + r]`.
+    codes: Vec<u32>,
+    /// Number of distinct bit patterns per column.
+    distinct: Vec<usize>,
+}
+
+impl<'a> RankCodes<'a> {
+    /// Rank every column of a non-empty matrix.
+    pub(crate) fn new(x: &'a Matrix) -> RankCodes<'a> {
+        let (n, d) = (x.rows(), x.cols());
+        assert!(
+            n > 0 && u32::try_from(n).is_ok(),
+            "rank codes need 1..=u32::MAX rows"
+        );
+        let mut codes = vec![0u32; n * d];
+        let mut distinct = Vec::with_capacity(d);
+        let mut keyed: Vec<(u64, u32)> = Vec::with_capacity(n);
+        for f in 0..d {
+            keyed.clear();
+            keyed.extend((0..n).map(|r| (total_order_key(x.get(r, f)), r as u32)));
+            // Rows that share a key share a code, so their order is free.
+            keyed.sort_unstable_by_key(|&(key, _)| key);
+            let col = &mut codes[f * n..(f + 1) * n];
+            let mut code = 0;
+            for (k, &(key, r)) in keyed.iter().enumerate() {
+                if k > 0 && key != keyed[k - 1].0 {
+                    code += 1;
+                }
+                col[r as usize] = code;
+            }
+            distinct.push(code as usize + 1);
+        }
+        RankCodes { x, codes, distinct }
+    }
+
+    fn code(&self, f: usize, r: usize) -> u32 {
+        self.codes[f * self.x.rows() + r]
+    }
+}
+
+/// `u64` whose unsigned order is `f64::total_cmp` order, one key per bit
+/// pattern: negatives have every bit flipped, the rest the sign bit set.
+fn total_order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    }
+}
+
+/// Buffers reused across the nodes of one tree.
+#[derive(Default)]
+struct Scratch {
+    /// The node's `(value, label)` sequence in scan order.
+    vals: Vec<(f64, f64)>,
+    /// Counting-sort offsets, one per code.
+    counts: Vec<u32>,
+    /// Sort keys `(code << 32) | position`.
+    keys: Vec<u64>,
+}
+
+impl Scratch {
+    /// The node's `(value, label)` pairs on feature `f`, ordered by
+    /// (code, position in the node): the sequence a stable sort by
+    /// `total_cmp` yields. Position order inside a code matters only for
+    /// NaN, whose `!=` puts a boundary between identical bits. A node
+    /// with at least one row per 8 distinct codes takes a stable
+    /// counting sort over codes, a smaller one a sort of packed keys.
+    fn ordered(&mut self, ranks: &RankCodes, y: &[f64], idx: &[usize], f: usize) -> &[(f64, f64)] {
+        let x = ranks.x;
+        let distinct = ranks.distinct[f];
+        self.vals.clear();
+        if idx.len() * 8 >= distinct {
+            self.counts.clear();
+            self.counts.resize(distinct + 1, 0);
+            for &r in idx {
+                self.counts[ranks.code(f, r) as usize + 1] += 1;
+            }
+            for c in 1..distinct {
+                self.counts[c] += self.counts[c - 1];
+            }
+            self.vals.resize(idx.len(), (0.0, 0.0));
+            for &r in idx {
+                let slot = &mut self.counts[ranks.code(f, r) as usize];
+                self.vals[*slot as usize] = (x.get(r, f), y[r]);
+                *slot += 1;
+            }
+        } else {
+            self.keys.clear();
+            self.keys.extend(
+                idx.iter()
+                    .enumerate()
+                    .map(|(i, &r)| (u64::from(ranks.code(f, r)) << 32) | i as u64),
+            );
+            self.keys.sort_unstable();
+            self.vals.extend(self.keys.iter().map(|&k| {
+                let r = idx[(k & 0xffff_ffff) as usize];
+                (x.get(r, f), y[r])
+            }));
+        }
+        &self.vals
+    }
+}
+
 impl Classifier for DecisionTree {
     fn fit(&mut self, x: &Matrix, y: &[f64]) {
         validate_fit_inputs(x, y);
-        let mut idx: Vec<usize> = (0..x.rows()).collect();
-        self.root = Some(self.build(x, y, &mut idx, 0));
+        self.grow(&RankCodes::new(x), y, (0..x.rows()).collect());
     }
 
     fn score_one(&self, row: &[f64]) -> f64 {
