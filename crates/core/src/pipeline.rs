@@ -1,6 +1,7 @@
 //! The end-to-end suite: import → matcher selection → fairness
 //! evaluation → ensemble-based resolution (the demo's four steps, §3).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use fairem_csvio::CsvTable;
@@ -540,7 +541,13 @@ impl FairEm360 {
         let (train_pairs, train_labels) = prepared.split(&prepared.train_idx);
         let train_features = split_matrix(&features, &exec, "train", &train_pairs)?;
         obs.gauge("mem.stage_peak_bytes.train", exec.mem.peak() as f64);
-        let train_tokens = features.tokenize_all(&PairBatch::new(&train_pairs), &vocab);
+        // Only neural matchers read tokens; a classic fleet trains on
+        // the features alone.
+        let train_tokens = if kinds.iter().any(|k| k.is_neural()) {
+            features.tokenize_all(&PairBatch::new(&train_pairs), &vocab)
+        } else {
+            Vec::new()
+        };
         let input = TrainInput {
             features: &train_features,
             tokens: &train_tokens,
@@ -611,22 +618,28 @@ struct Front {
 
 impl Front {
     /// The in-memory back half: materialize the valid and test feature
-    /// matrices, score the whole test split per matcher, and assemble a
+    /// matrices (and their tokens, for a fleet with a neural matcher),
+    /// score the whole test split per matcher, and assemble a
     /// [`Session`] that keeps the training split.
     fn into_session(mut self, train: TrainSplit) -> SuiteResult<Session> {
+        let neural = self.registry.iter().any(|m| m.kind().is_neural());
+        let tokenize = |pairs: &[(usize, usize)]| {
+            if neural {
+                self.features
+                    .tokenize_all(&PairBatch::new(pairs), &self.vocab)
+            } else {
+                Vec::new()
+            }
+        };
         let (valid_pairs, valid_labels) = self.prepared.split(&self.prepared.valid_idx);
         let valid_features = split_matrix(&self.features, &self.exec, "valid", &valid_pairs)?;
-        let valid_tokens = self
-            .features
-            .tokenize_all(&PairBatch::new(&valid_pairs), &self.vocab);
+        let valid_tokens = tokenize(&valid_pairs);
 
         let (test_pairs, test_labels) = self.prepared.split(&self.prepared.test_idx);
         let test_features = split_matrix(&self.features, &self.exec, "test", &test_pairs)?;
         let obs = self.exec.recorder.clone();
         obs.gauge("mem.stage_peak_bytes.features", self.exec.mem.peak() as f64);
-        let test_tokens = self
-            .features
-            .tokenize_all(&PairBatch::new(&test_pairs), &self.vocab);
+        let test_tokens = tokenize(&test_pairs);
 
         self.exec
             .cancel
@@ -666,6 +679,7 @@ impl Front {
             space: self.space,
             prepared: self.prepared,
             features: self.features,
+            vocab: self.vocab,
             registry: self.registry,
             matching_threshold: self.config.matching_threshold,
             enc_a: self.enc_a,
@@ -1177,6 +1191,11 @@ pub struct Session {
     pub prepared: PreparedData,
     /// The fitted feature generator.
     pub features: FeatureGenerator,
+    /// The run's hashing vocabulary. Each split's `*_tokens` align with
+    /// its pairs when the run had a neural matcher to read them (train:
+    /// among the requested kinds; valid and test: in the trained fleet)
+    /// and are empty otherwise; `split_tokens` fills a gap on demand.
+    vocab: HashVocab,
     /// The trained matcher fleet.
     pub registry: MatcherRegistry,
     /// Matching threshold for workloads.
@@ -1310,7 +1329,28 @@ impl Session {
     /// trained outside the session or an ensemble adapter) and return
     /// the aligned score vector.
     pub fn score_test_with(&self, matcher: &dyn Matcher) -> Vec<f64> {
-        matcher.score_batch(&self.test_features, &self.test_tokens)
+        matcher.score_batch(
+            &self.test_features,
+            &self.split_tokens(&self.test_tokens, &self.test_pairs),
+        )
+    }
+
+    /// One split's tokens: the run's own when it tokenized the split,
+    /// else tokenized now (a classic fleet's run skips them, and a
+    /// neural or external matcher may still read them).
+    fn split_tokens<'s>(
+        &self,
+        cached: &'s [TokenPair],
+        pairs: &[(usize, usize)],
+    ) -> Cow<'s, [TokenPair]> {
+        if cached.len() == pairs.len() {
+            Cow::Borrowed(cached)
+        } else {
+            Cow::Owned(
+                self.features
+                    .tokenize_all(&PairBatch::new(pairs), &self.vocab),
+            )
+        }
     }
 
     /// Build a workload for uploaded external scores (the
@@ -1494,7 +1534,17 @@ impl Session {
             positives_only,
         );
         let features = self.train_features.select_rows(&idx);
-        let tokens: Vec<TokenPair> = idx.iter().map(|&i| self.train_tokens[i].clone()).collect();
+        // Only a neural model reads tokens; a classic fleet's run kept
+        // none, so a neural retrain tokenizes its splits now.
+        let (tokens, test_tokens) = if kind.is_neural() {
+            let train = self.split_tokens(&self.train_tokens, &self.train_pairs);
+            (
+                idx.iter().map(|&i| train[i].clone()).collect(),
+                self.split_tokens(&self.test_tokens, &self.test_pairs),
+            )
+        } else {
+            (Vec::new(), Cow::Borrowed(&[][..]))
+        };
         let labels: Vec<f64> = idx.iter().map(|&i| self.train_labels[i]).collect();
         let input = TrainInput {
             features: &features,
@@ -1502,7 +1552,7 @@ impl Session {
             labels: &labels,
         };
         let matcher = kind.train(&input, &self.train_config);
-        let scores = matcher.score_batch(&self.test_features, &self.test_tokens);
+        let scores = matcher.score_batch(&self.test_features, &test_tokens);
         self.workload_from_scores(scores)
     }
 
@@ -1910,6 +1960,36 @@ mod tests {
             .try_run(&[MatcherKind::DtMatcher])
             .unwrap();
         assert_eq!(s.tune_threshold("DTMatcher").unwrap(), s.matching_threshold);
+    }
+
+    #[test]
+    fn a_classic_session_tokenizes_a_neural_retrain_on_demand() {
+        use fairem_datasets::{faculty_match, FacultyConfig};
+        let d = faculty_match(&FacultyConfig::small());
+        let run = |fleet: &[MatcherKind]| {
+            FairEm360::builder()
+                .tables(d.table_a.clone(), d.table_b.clone())
+                .ground_truth(d.matches.clone())
+                .sensitive(d.sensitive.iter().map(SensitiveAttr::categorical))
+                .config(SuiteConfig::fast())
+                .build()
+                .unwrap()
+                .try_run(fleet)
+                .unwrap()
+        };
+        let classic = run(&[MatcherKind::LinRegMatcher]);
+        let mixed = run(&[MatcherKind::LinRegMatcher, MatcherKind::DeepMatcher]);
+        assert!(classic.train_tokens.is_empty() && classic.test_tokens.is_empty());
+        assert_eq!(mixed.test_tokens.len(), mixed.test_pairs.len());
+        let cn = classic.space.by_name("cn").unwrap();
+        let bits = |s: &Session| -> Vec<u64> {
+            s.retrain_with_oversampling(MatcherKind::DeepMatcher, cn, 3, true)
+                .items
+                .iter()
+                .map(|c| c.score.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&classic), bits(&mixed));
     }
 
     #[test]
