@@ -423,8 +423,7 @@ mod tests {
 
     #[test]
     fn lenient_skips_ragged_rows_with_reasons() {
-        let (t, skipped) =
-            parse_csv_str_lenient("id,v\na0,1\na1\na2,2,extra\na3,3\n").unwrap();
+        let (t, skipped) = parse_csv_str_lenient("id,v\na0,1\na1\na2,2,extra\na3,3\n").unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t.rows[0], vec!["a0", "1"]);
         assert_eq!(t.rows[1], vec!["a3", "3"]);

@@ -149,8 +149,7 @@ pub fn nofly_compas(config: &NoFlyConfig) -> GeneratedDataset {
                     if name.family_first_variant && rng.gen_bool(config.drift_prob) {
                         nm = perturb::romanize(&nm);
                     }
-                    nm =
-                        perturb::maybe(&nm, config.typo_prob, &mut rng, perturb::typo);
+                    nm = perturb::maybe(&nm, config.typo_prob, &mut rng, perturb::typo);
                     let dob_b = if rng.gen_bool(config.dob_swap_prob) && dob.2 <= 12 {
                         (dob.0, dob.2, dob.1)
                     } else {

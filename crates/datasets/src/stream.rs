@@ -55,7 +55,9 @@ impl ScaleConfig {
     pub fn with_pairs(pairs: u64) -> ScaleConfig {
         let block_width = if pairs >= 1_000_000 { 25 } else { 8 };
         ScaleConfig {
-            rows: usize::try_from(pairs / block_width as u64).unwrap_or(usize::MAX).max(block_width),
+            rows: usize::try_from(pairs / block_width as u64)
+                .unwrap_or(usize::MAX)
+                .max(block_width),
             block_width,
             ..ScaleConfig::default()
         }
@@ -289,8 +291,14 @@ mod tests {
 
     #[test]
     fn seeds_change_content_but_not_shape() {
-        let a = ScaleDataset::new(ScaleConfig { seed: 1, ..ScaleConfig::tiny() });
-        let b = ScaleDataset::new(ScaleConfig { seed: 2, ..ScaleConfig::tiny() });
+        let a = ScaleDataset::new(ScaleConfig {
+            seed: 1,
+            ..ScaleConfig::tiny()
+        });
+        let b = ScaleDataset::new(ScaleConfig {
+            seed: 2,
+            ..ScaleConfig::tiny()
+        });
         assert_ne!(
             a.rows_a().collect::<Vec<_>>(),
             b.rows_a().collect::<Vec<_>>()
@@ -301,8 +309,7 @@ mod tests {
     #[test]
     fn both_tiers_appear() {
         let d = ScaleDataset::new(ScaleConfig::tiny());
-        let tiers: std::collections::HashSet<String> =
-            d.rows_a().map(|r| r[3].clone()).collect();
+        let tiers: std::collections::HashSet<String> = d.rows_a().map(|r| r[3].clone()).collect();
         assert_eq!(tiers.len(), 2, "budget and premium must both occur");
     }
 }

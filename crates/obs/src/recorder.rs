@@ -153,11 +153,7 @@ impl Recorder {
             .lock()
             .map(|h| h.iter().map(|(k, v)| (k.clone(), v.summarize())).collect())
             .unwrap_or_default();
-        let mut spans: Vec<SpanRecord> = inner
-            .spans
-            .lock()
-            .map(|s| s.clone())
-            .unwrap_or_default();
+        let mut spans: Vec<SpanRecord> = inner.spans.lock().map(|s| s.clone()).unwrap_or_default();
         spans.sort_by_key(|s| s.id);
         Snapshot {
             counters,

@@ -112,10 +112,7 @@ impl Snapshot {
             let parent = s
                 .parent
                 .map_or_else(|| "null".to_owned(), |p| p.to_string());
-            let note = s
-                .note
-                .as_deref()
-                .map_or_else(|| "null".to_owned(), quote);
+            let note = s.note.as_deref().map_or_else(|| "null".to_owned(), quote);
             out.push_str(&format!(
                 "{{\"id\": {}, \"parent\": {parent}, \"name\": {}, \"secs\": {}, \"status\": {}, \"note\": {note}}}",
                 s.id,

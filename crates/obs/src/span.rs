@@ -66,7 +66,8 @@ pub fn render_tree(spans: &[SpanRecord]) -> String {
             _ => roots.push(s),
         }
     }
-    let order = |v: &mut Vec<&SpanRecord>| v.sort_by(|a, b| a.name.cmp(&b.name).then(a.id.cmp(&b.id)));
+    let order =
+        |v: &mut Vec<&SpanRecord>| v.sort_by(|a, b| a.name.cmp(&b.name).then(a.id.cmp(&b.id)));
     order(&mut roots);
     for v in children.values_mut() {
         order(v);

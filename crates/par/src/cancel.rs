@@ -420,9 +420,7 @@ impl MemTracker {
 
     /// Bytes still admissible before the limit; `None` when unlimited.
     pub fn headroom(&self) -> Option<u64> {
-        self.inner
-            .limit
-            .map(|l| l.saturating_sub(self.in_use()))
+        self.inner.limit.map(|l| l.saturating_sub(self.in_use()))
     }
 }
 

@@ -613,15 +613,10 @@ mod tests {
             // The scratch accumulates garbage across items within a
             // chunk on purpose: outputs must not depend on it.
             let out = pool
-                .try_par_scratch_within(
-                    n,
-                    &token,
-                    Vec::<u64>::new,
-                    |scratch, i| {
-                        scratch.push(i as u64);
-                        (i as u64).wrapping_mul(0x9E37)
-                    },
-                )
+                .try_par_scratch_within(n, &token, Vec::<u64>::new, |scratch, i| {
+                    scratch.push(i as u64);
+                    (i as u64).wrapping_mul(0x9E37)
+                })
                 .expect("no panics injected");
             match out {
                 ParOutcome::Complete(v) => assert_eq!(v, expected, "workers={workers}"),

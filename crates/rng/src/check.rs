@@ -79,12 +79,7 @@ impl Gen {
     }
 
     /// Vector of exactly `lo..=hi` elements built by `f`.
-    pub fn vec_len<T>(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        mut f: impl FnMut(&mut Gen) -> T,
-    ) -> Vec<T> {
+    pub fn vec_len<T>(&mut self, lo: usize, hi: usize, mut f: impl FnMut(&mut Gen) -> T) -> Vec<T> {
         let len = self.rng.gen_range(lo..=hi);
         (0..len).map(|_| f(self)).collect()
     }

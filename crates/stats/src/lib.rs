@@ -18,8 +18,10 @@ pub mod hypothesis;
 
 pub use bootstrap::{bootstrap_indices, bootstrap_statistic, BootstrapCi};
 pub use desc::{mean, median, quantile, sample_std, sample_var, Summary};
-pub use distance::{ks_distance, ks_distance_sorted, trapezoid, wasserstein_1, wasserstein_1_sorted};
 pub use dist::{chi_squared_cdf, erf, normal_cdf, normal_inv_cdf, normal_pdf, student_t_cdf};
+pub use distance::{
+    ks_distance, ks_distance_sorted, trapezoid, wasserstein_1, wasserstein_1_sorted,
+};
 pub use hypothesis::{
     chi_squared_independence, one_sample_t_test, one_sample_z_test, two_sample_z_test,
     welch_t_test, Tail, TestResult,
