@@ -137,7 +137,9 @@ echo "all $(ls results/*.txt | wc -l) results/ files reproduce byte for byte"
 echo "== format: rustfmt over the crates kept clean =="
 # The rest of the tree is not rustfmt-clean yet (ROADMAP); these crates
 # are, and stay so.
-cargo fmt -p fairem-neural -p fairem-ml -p fairem-bench -p fairem-text -p fairem-core --check
+cargo fmt -p fairem-neural -p fairem-ml -p fairem-bench -p fairem-text -p fairem-core \
+  -p fairem-par -p fairem-obs -p fairem-csvio -p fairem-datasets -p fairem-stats \
+  -p fairem-rng --check
 
 echo "== serve: storm + SIGINT drain (${TEST_TIMEOUT}s cap) =="
 # Boot the real release binary (not `cargo run`, so the INT signal
