@@ -203,8 +203,9 @@ fn prepare_inner(
     positives.dedup();
 
     // The truth is sorted by (A row, B row), so A row `ra`'s truth pairs
-    // are the run `positives[run[ra]..run[ra + 1]]`: labeling a
-    // candidate scans its own short run, whatever the candidate order.
+    // are the run `positives[run[ra]..run[ra + 1]]`, sorted by B row:
+    // labeling a candidate binary-searches its own run, whatever the
+    // candidate order.
     let mut run = vec![0; a.len() + 1];
     for &(ra, _) in &positives {
         run[ra + 1] += 1;
@@ -212,8 +213,11 @@ fn prepare_inner(
     for ra in 0..a.len() {
         run[ra + 1] += run[ra];
     }
-    let is_truth =
-        |&(ra, rb): &(usize, usize)| positives[run[ra]..run[ra + 1]].iter().any(|p| p.1 == rb);
+    let is_truth = |&(ra, rb): &(usize, usize)| {
+        positives[run[ra]..run[ra + 1]]
+            .binary_search_by_key(&rb, |p| p.1)
+            .is_ok()
+    };
 
     let candidates = blocker.candidates(a, b, exec);
     let mut negatives: Vec<(usize, usize)> =
