@@ -238,48 +238,31 @@ struct Scratch {
     vals: Vec<(f64, f64)>,
     /// Counting-sort offsets, one per code.
     counts: Vec<u32>,
-    /// Sort keys `(code << 32) | position`.
-    keys: Vec<u64>,
 }
 
 impl Scratch {
     /// The node's `(value, label)` pairs on feature `f`, ordered by
-    /// (code, position in the node): the sequence a stable sort by
-    /// `total_cmp` yields. Position order inside a code matters only for
-    /// NaN, whose `!=` puts a boundary between identical bits. A node
-    /// with at least one row per 8 distinct codes takes a stable
-    /// counting sort over codes, a smaller one a sort of packed keys.
+    /// (code, position in the node) with a stable counting sort over
+    /// codes: the sequence a stable sort by `total_cmp` yields. Position
+    /// order inside a code matters only for NaN, whose `!=` puts a
+    /// boundary between identical bits.
     fn ordered(&mut self, ranks: &RankCodes, y: &[f64], idx: &[usize], f: usize) -> &[(f64, f64)] {
         let x = ranks.x;
         let distinct = ranks.distinct[f];
+        self.counts.clear();
+        self.counts.resize(distinct + 1, 0);
+        for &r in idx {
+            self.counts[ranks.code(f, r) as usize + 1] += 1;
+        }
+        for c in 1..distinct {
+            self.counts[c] += self.counts[c - 1];
+        }
         self.vals.clear();
-        if idx.len() * 8 >= distinct {
-            self.counts.clear();
-            self.counts.resize(distinct + 1, 0);
-            for &r in idx {
-                self.counts[ranks.code(f, r) as usize + 1] += 1;
-            }
-            for c in 1..distinct {
-                self.counts[c] += self.counts[c - 1];
-            }
-            self.vals.resize(idx.len(), (0.0, 0.0));
-            for &r in idx {
-                let slot = &mut self.counts[ranks.code(f, r) as usize];
-                self.vals[*slot as usize] = (x.get(r, f), y[r]);
-                *slot += 1;
-            }
-        } else {
-            self.keys.clear();
-            self.keys.extend(
-                idx.iter()
-                    .enumerate()
-                    .map(|(i, &r)| (u64::from(ranks.code(f, r)) << 32) | i as u64),
-            );
-            self.keys.sort_unstable();
-            self.vals.extend(self.keys.iter().map(|&k| {
-                let r = idx[(k & 0xffff_ffff) as usize];
-                (x.get(r, f), y[r])
-            }));
+        self.vals.resize(idx.len(), (0.0, 0.0));
+        for &r in idx {
+            let slot = &mut self.counts[ranks.code(f, r) as usize];
+            self.vals[*slot as usize] = (x.get(r, f), y[r]);
+            *slot += 1;
         }
         &self.vals
     }

@@ -201,7 +201,7 @@ const POOL: [f64; 12] = [
 /// One column value. A column draws uniform reals with probability
 /// `pooled = 0`, the special pool with 1, or either half the time: a
 /// mixed column has many distinct values and still repeats NaN bits,
-/// so small nodes of it take the packed-key sort branch over NaN runs.
+/// so small nodes of it order NaN runs among many sparse codes.
 fn cell(g: &mut Gen, pooled: f64) -> f64 {
     if g.bool(pooled) {
         *g.pick(&POOL)
