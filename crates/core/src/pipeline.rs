@@ -26,7 +26,7 @@ use crate::fault::{self, FaultPlan, FaultSite};
 use crate::features::{FeatureGenerator, MatrixError};
 use crate::matcher::{
     sanitize_scores, ExternalScores, Matcher, MatcherFailure, MatcherKind, MatcherRegistry,
-    MatcherTrainConfig, TrainInput,
+    MatcherTrainConfig, TrainInput, TrainedMatcher,
 };
 use crate::prep::{default_blocker, prepare_with, PrepConfig, PreparedData};
 use crate::quarantine::QuarantineReport;
@@ -541,13 +541,8 @@ impl FairEm360 {
         let (train_pairs, train_labels) = prepared.split(&prepared.train_idx);
         let train_features = split_matrix(&features, &exec, "train", &train_pairs)?;
         obs.gauge("mem.stage_peak_bytes.train", exec.mem.peak() as f64);
-        // Only neural matchers read tokens; a classic fleet trains on
-        // the features alone.
-        let train_tokens = if kinds.iter().any(|k| k.is_neural()) {
-            features.tokenize_all(&PairBatch::new(&train_pairs), &vocab)
-        } else {
-            Vec::new()
-        };
+        let neural = kinds.iter().any(|k| k.is_neural());
+        let train_tokens = fleet_tokens(&features, &vocab, neural, &train_pairs);
         let input = TrainInput {
             features: &train_features,
             tokens: &train_tokens,
@@ -623,23 +618,15 @@ impl Front {
     /// [`Session`] that keeps the training split.
     fn into_session(mut self, train: TrainSplit) -> SuiteResult<Session> {
         let neural = self.registry.iter().any(|m| m.kind().is_neural());
-        let tokenize = |pairs: &[(usize, usize)]| {
-            if neural {
-                self.features
-                    .tokenize_all(&PairBatch::new(pairs), &self.vocab)
-            } else {
-                Vec::new()
-            }
-        };
         let (valid_pairs, valid_labels) = self.prepared.split(&self.prepared.valid_idx);
         let valid_features = split_matrix(&self.features, &self.exec, "valid", &valid_pairs)?;
-        let valid_tokens = tokenize(&valid_pairs);
+        let valid_tokens = fleet_tokens(&self.features, &self.vocab, neural, &valid_pairs);
 
         let (test_pairs, test_labels) = self.prepared.split(&self.prepared.test_idx);
         let test_features = split_matrix(&self.features, &self.exec, "test", &test_pairs)?;
         let obs = self.exec.recorder.clone();
         obs.gauge("mem.stage_peak_bytes.features", self.exec.mem.peak() as f64);
-        let test_tokens = tokenize(&test_pairs);
+        let test_tokens = fleet_tokens(&self.features, &self.vocab, neural, &test_pairs);
 
         self.exec
             .cancel
@@ -782,19 +769,12 @@ impl Front {
                 let pairs = &test_pairs[start..end];
                 let labels = &test_labels[start..end];
                 let window_features = build_matrix(&self.features, &self.exec, &span, pairs)?;
-                // Only neural matchers read tokens; a classic fleet
-                // scores the features alone.
                 let neural = self
                     .registry
                     .iter()
                     .zip(&dead)
                     .any(|(m, &d)| !d && m.kind().is_neural());
-                let tokens = if neural {
-                    self.features
-                        .tokenize_all(&PairBatch::new(pairs), &self.vocab)
-                } else {
-                    Vec::new()
-                };
+                let tokens = fleet_tokens(&self.features, &self.vocab, neural, pairs);
                 let (scored, clamped) =
                     self.score_fleet(&mut dead, &window_features, &tokens, None);
                 rec.clamped += clamped as u64;
@@ -1020,6 +1000,22 @@ fn split_matrix(
     Ok(matrix)
 }
 
+/// `pairs`' tokens for a fleet with a `neural` matcher, else none: only
+/// neural matchers read tokens, and a classic fleet trains and scores on
+/// the features alone.
+fn fleet_tokens(
+    features: &FeatureGenerator,
+    vocab: &HashVocab,
+    neural: bool,
+    pairs: &[(usize, usize)],
+) -> Vec<TokenPair> {
+    if neural {
+        features.tokenize_all(&PairBatch::new(pairs), vocab)
+    } else {
+        Vec::new()
+    }
+}
+
 /// Build the feature matrix of `pairs` under the run's execution
 /// context, converting panics, budget refusals, and cooperative cuts
 /// into suite errors recorded on `span`.
@@ -1194,7 +1190,8 @@ pub struct Session {
     /// The run's hashing vocabulary. Each split's `*_tokens` align with
     /// its pairs when the run had a neural matcher to read them (train:
     /// among the requested kinds; valid and test: in the trained fleet)
-    /// and are empty otherwise; `split_tokens` fills a gap on demand.
+    /// and are empty otherwise; read them through `split_input`, which
+    /// fills a gap on demand.
     vocab: HashVocab,
     /// The trained matcher fleet.
     pub registry: MatcherRegistry,
@@ -1225,6 +1222,14 @@ pub struct Session {
     /// The run's execution context: audits, calibration fits and
     /// ensembles run on its pool, under its token and recorder.
     exec: Exec,
+}
+
+/// One of a session's three splits.
+#[derive(Debug, Clone, Copy)]
+enum Split {
+    Train,
+    Valid,
+    Test,
 }
 
 impl Session {
@@ -1329,28 +1334,37 @@ impl Session {
     /// trained outside the session or an ensemble adapter) and return
     /// the aligned score vector.
     pub fn score_test_with(&self, matcher: &dyn Matcher) -> Vec<f64> {
-        matcher.score_batch(
-            &self.test_features,
-            &self.split_tokens(&self.test_tokens, &self.test_pairs),
-        )
+        let (x, tokens) = self.split_input(Split::Test, true);
+        matcher.score_batch(x, &tokens)
     }
 
-    /// One split's tokens: the run's own when it tokenized the split,
-    /// else tokenized now (a classic fleet's run skips them, and a
-    /// neural or external matcher may still read them).
-    fn split_tokens<'s>(
-        &self,
-        cached: &'s [TokenPair],
-        pairs: &[(usize, usize)],
-    ) -> Cow<'s, [TokenPair]> {
-        if cached.len() == pairs.len() {
-            Cow::Borrowed(cached)
+    /// Split `s`'s feature matrix and the tokens a matcher reads there.
+    /// A classic matcher (`reads_tokens` false) gets none. A reader gets
+    /// the run's own tokens when the run kept the split's, else tokens
+    /// made now: a run keeps them only for a fleet with a neural matcher.
+    fn split_input(&self, s: Split, reads_tokens: bool) -> (&Matrix, Cow<'_, [TokenPair]>) {
+        let (x, cached, pairs) = match s {
+            Split::Train => (&self.train_features, &self.train_tokens, &self.train_pairs),
+            Split::Valid => (&self.valid_features, &self.valid_tokens, &self.valid_pairs),
+            Split::Test => (&self.test_features, &self.test_tokens, &self.test_pairs),
+        };
+        let tokens = if !reads_tokens {
+            Cow::Borrowed(&[][..])
+        } else if cached.len() == pairs.len() {
+            Cow::Borrowed(&cached[..])
         } else {
             Cow::Owned(
                 self.features
                     .tokenize_all(&PairBatch::new(pairs), &self.vocab),
             )
-        }
+        };
+        (x, tokens)
+    }
+
+    /// Fleet member `m`'s scores on split `s`.
+    fn score_split(&self, m: &TrainedMatcher, s: Split) -> Vec<f64> {
+        let (x, tokens) = self.split_input(s, m.kind().is_neural());
+        m.score_batch(x, &tokens)
     }
 
     /// Build a workload for uploaded external scores (the
@@ -1490,7 +1504,7 @@ impl Session {
         if self.valid_labels.is_empty() {
             return Ok(self.matching_threshold);
         }
-        let scores = m.score_batch(&self.valid_features, &self.valid_tokens);
+        let scores = self.score_split(m, Split::Valid);
         let valid = self.split_workload(&self.valid_pairs, &self.valid_labels, scores);
         let grid = default_grid();
         let counts = grid_confusions(&valid.items, &[], &grid);
@@ -1534,16 +1548,12 @@ impl Session {
             positives_only,
         );
         let features = self.train_features.select_rows(&idx);
-        // Only a neural model reads tokens; a classic fleet's run kept
-        // none, so a neural retrain tokenizes its splits now.
-        let (tokens, test_tokens) = if kind.is_neural() {
-            let train = self.split_tokens(&self.train_tokens, &self.train_pairs);
-            (
-                idx.iter().map(|&i| train[i].clone()).collect(),
-                self.split_tokens(&self.test_tokens, &self.test_pairs),
-            )
+        let neural = kind.is_neural();
+        let tokens: Vec<TokenPair> = if neural {
+            let (_, train) = self.split_input(Split::Train, true);
+            idx.iter().map(|&i| train[i].clone()).collect()
         } else {
-            (Vec::new(), Cow::Borrowed(&[][..]))
+            Vec::new()
         };
         let labels: Vec<f64> = idx.iter().map(|&i| self.train_labels[i]).collect();
         let input = TrainInput {
@@ -1552,7 +1562,8 @@ impl Session {
             labels: &labels,
         };
         let matcher = kind.train(&input, &self.train_config);
-        let scores = matcher.score_batch(&self.test_features, &test_tokens);
+        let (x, test_tokens) = self.split_input(Split::Test, neural);
+        let scores = matcher.score_batch(x, &test_tokens);
         self.workload_from_scores(scores)
     }
 
@@ -1569,7 +1580,7 @@ impl Session {
             .iter()
             .find(|m| m.name() == matcher)
             .ok_or_else(|| self.unknown_matcher(matcher))?;
-        let train_scores = m.score_batch(&self.train_features, &self.train_tokens);
+        let train_scores = self.score_split(m, Split::Train);
         let train = self.split_workload(&self.train_pairs, &self.train_labels, train_scores);
         let cal = self.fit_calibrator(CalibrationSpec::platt(), &train, groups)?;
         Ok(calibrate::apply_calibrator(
@@ -1609,13 +1620,13 @@ impl Session {
             (
                 &self.train_pairs,
                 &self.train_labels,
-                m.score_batch(&self.train_features, &self.train_tokens),
+                self.score_split(m, Split::Train),
             )
         } else {
             (
                 &self.valid_pairs,
                 &self.valid_labels,
-                m.score_batch(&self.valid_features, &self.valid_tokens),
+                self.score_split(m, Split::Valid),
             )
         };
         // Same boundary contract as test-time scoring.
@@ -1963,7 +1974,7 @@ mod tests {
     }
 
     #[test]
-    fn a_classic_session_tokenizes_a_neural_retrain_on_demand() {
+    fn a_classic_session_tokenizes_on_demand() {
         use fairem_datasets::{faculty_match, FacultyConfig};
         let d = faculty_match(&FacultyConfig::small());
         let run = |fleet: &[MatcherKind]| {
@@ -1990,6 +2001,21 @@ mod tests {
                 .collect()
         };
         assert_eq!(bits(&classic), bits(&mixed));
+        // An outside matcher's default `score_batch` reads one token
+        // pair per feature row.
+        struct FirstFeature;
+        impl Matcher for FirstFeature {
+            fn name(&self) -> &str {
+                "FirstFeature"
+            }
+            fn score(&self, pair: crate::matcher::PairRepr<'_>) -> f64 {
+                pair.features[0]
+            }
+        }
+        assert_eq!(
+            classic.score_test_with(&FirstFeature),
+            mixed.score_test_with(&FirstFeature)
+        );
     }
 
     #[test]
