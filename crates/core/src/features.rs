@@ -48,15 +48,9 @@ use fairem_text::{
 use crate::exec::{Exec, PairBatch};
 use crate::schema::Table;
 
-/// The string measures applied to each text column, in feature order.
-pub const TEXT_MEASURES: [StringMeasure; 6] = [
-    StringMeasure::Levenshtein,
-    StringMeasure::JaroWinkler,
-    StringMeasure::JaccardWords,
-    StringMeasure::JaccardQgrams,
-    StringMeasure::MongeElkan,
-    StringMeasure::CosineWords,
-];
+/// The string measures applied to each text column, in feature order:
+/// every measure `fairem-text` defines.
+pub const TEXT_MEASURES: [StringMeasure; 6] = StringMeasure::ALL;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ColKind {

@@ -1,7 +1,7 @@
-//! Edit-distance and alignment-based similarity measures.
+//! Edit-distance similarity measures: Levenshtein, Jaro and Jaro-Winkler.
 //!
-//! All `*_sim` functions return values in `[0.0, 1.0]`; the raw distances
-//! (`levenshtein`, `damerau_levenshtein`) return edit counts.
+//! The similarities return values in `[0.0, 1.0]`; the raw distance
+//! (`levenshtein`) returns an edit count.
 
 /// Reusable working buffers for the char-slice edit kernels.
 ///
@@ -216,49 +216,6 @@ pub fn normalized_levenshtein(a: &str, b: &str) -> f64 {
     1.0 - levenshtein(a, b) as f64 / max as f64
 }
 
-/// Damerau-Levenshtein distance in the *optimal string alignment* variant
-/// (adjacent transposition counts as one edit; no substring re-edits).
-pub fn damerau_levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() {
-        return b.len();
-    }
-    if b.is_empty() {
-        return a.len();
-    }
-    let w = b.len() + 1;
-    // Three rolling rows: i-2, i-1, i.
-    let mut row2: Vec<usize> = vec![0; w];
-    let mut row1: Vec<usize> = (0..w).collect();
-    let mut row0: Vec<usize> = vec![0; w];
-    for i in 1..=a.len() {
-        row0[0] = i;
-        for j in 1..=b.len() {
-            let cost = usize::from(a[i - 1] != b[j - 1]);
-            let mut best = (row1[j - 1] + cost).min(row1[j] + 1).min(row0[j - 1] + 1);
-            if i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1] {
-                best = best.min(row2[j - 2] + 1);
-            }
-            row0[j] = best;
-        }
-        std::mem::swap(&mut row2, &mut row1);
-        std::mem::swap(&mut row1, &mut row0);
-    }
-    row1[b.len()]
-}
-
-/// Damerau-Levenshtein similarity: `1 - dist / max_len`; `1.0` when both empty.
-pub fn normalized_damerau_levenshtein(a: &str, b: &str) -> f64 {
-    let la = a.chars().count();
-    let lb = b.chars().count();
-    let max = la.max(lb);
-    if max == 0 {
-        return 1.0;
-    }
-    1.0 - damerau_levenshtein(a, b) as f64 / max as f64
-}
-
 /// Jaro similarity.
 ///
 /// Returns `1.0` if both strings are empty and `0.0` if exactly one is.
@@ -376,80 +333,6 @@ pub fn jaro_winkler_chars_with(a: &[char], b: &[char], scratch: &mut SimScratch)
     (j + prefix as f64 * 0.1 * (1.0 - j)).min(1.0)
 }
 
-const MATCH_SCORE: f64 = 2.0;
-const MISMATCH_SCORE: f64 = -1.0;
-const GAP_SCORE: f64 = -1.0;
-
-/// Smith-Waterman local-alignment similarity, normalized by the best
-/// possible score of the shorter string (so a full local match of the
-/// shorter string inside the longer one scores 1.0).
-pub fn smith_waterman_sim(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let mut prev = vec![0f64; b.len() + 1];
-    let mut cur = vec![0f64; b.len() + 1];
-    let mut best = 0f64;
-    for &ca in &a {
-        for (j, &cb) in b.iter().enumerate() {
-            let diag = prev[j]
-                + if ca == cb {
-                    MATCH_SCORE
-                } else {
-                    MISMATCH_SCORE
-                };
-            let up = prev[j + 1] + GAP_SCORE;
-            let left = cur[j] + GAP_SCORE;
-            let v = diag.max(up).max(left).max(0.0);
-            cur[j + 1] = v;
-            if v > best {
-                best = v;
-            }
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    let denom = MATCH_SCORE * a.len().min(b.len()) as f64;
-    (best / denom).clamp(0.0, 1.0)
-}
-
-/// Needleman-Wunsch global-alignment similarity, rescaled to `[0, 1]`.
-///
-/// The raw global score lies in `[-max_len, 2*max_len]` under the default
-/// scoring; we map it affinely into the unit interval.
-pub fn needleman_wunsch_sim(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let max_len = a.len().max(b.len()) as f64;
-    let mut prev: Vec<f64> = (0..=b.len()).map(|j| j as f64 * GAP_SCORE).collect();
-    let mut cur = vec![0f64; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = (i + 1) as f64 * GAP_SCORE;
-        for (j, &cb) in b.iter().enumerate() {
-            let diag = prev[j]
-                + if ca == cb {
-                    MATCH_SCORE
-                } else {
-                    MISMATCH_SCORE
-                };
-            let up = prev[j + 1] + GAP_SCORE;
-            let left = cur[j] + GAP_SCORE;
-            cur[j + 1] = diag.max(up).max(left);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    let raw = prev[b.len()];
-    // Affine rescale from [-max_len, 2*max_len] to [0, 1].
-    ((raw + max_len) / (3.0 * max_len)).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,18 +343,12 @@ mod tests {
         assert_eq!(levenshtein("", "abc"), 3);
         assert_eq!(levenshtein("abc", ""), 3);
         assert_eq!(levenshtein("abc", "abc"), 0);
+        assert_eq!(levenshtein("ab", "ba"), 2);
     }
 
     #[test]
     fn levenshtein_unicode() {
         assert_eq!(levenshtein("müller", "muller"), 1);
-    }
-
-    #[test]
-    fn damerau_counts_transposition_once() {
-        assert_eq!(levenshtein("ab", "ba"), 2);
-        assert_eq!(damerau_levenshtein("ab", "ba"), 1);
-        assert_eq!(damerau_levenshtein("ca", "abc"), 3); // OSA variant
     }
 
     #[test]
@@ -551,19 +428,5 @@ mod tests {
                 "{a:?} vs {b:?}"
             );
         }
-    }
-
-    #[test]
-    fn smith_waterman_substring_is_perfect() {
-        assert!((smith_waterman_sim("smith", "john smith jr") - 1.0).abs() < 1e-12);
-        assert_eq!(smith_waterman_sim("", "x"), 0.0);
-        assert_eq!(smith_waterman_sim("", ""), 1.0);
-    }
-
-    #[test]
-    fn needleman_wunsch_identity_and_disjoint() {
-        assert!((needleman_wunsch_sim("abcd", "abcd") - 1.0).abs() < 1e-12);
-        assert!(needleman_wunsch_sim("aaaa", "bbbb") < 0.35);
-        assert_eq!(needleman_wunsch_sim("", ""), 1.0);
     }
 }

@@ -1,26 +1,4 @@
-//! Similarity measures for numeric attribute values.
-
-/// Exact-match similarity: `1.0` if equal (bitwise for floats via
-/// `total_cmp`), else `0.0`. NaN equals NaN.
-pub fn exact_sim(a: f64, b: f64) -> f64 {
-    if a.total_cmp(&b) == std::cmp::Ordering::Equal {
-        1.0
-    } else {
-        0.0
-    }
-}
-
-/// Absolute-difference similarity with a scale: `max(0, 1 - |a-b|/scale)`.
-///
-/// `scale` is the difference at which similarity reaches zero; it must be
-/// positive. NaN inputs yield `0.0`.
-pub fn abs_diff_sim(a: f64, b: f64, scale: f64) -> f64 {
-    assert!(scale > 0.0, "scale must be positive");
-    if a.is_nan() || b.is_nan() {
-        return 0.0;
-    }
-    (1.0 - (a - b).abs() / scale).clamp(0.0, 1.0)
-}
+//! Similarity measure for numeric attribute values.
 
 /// Relative-difference similarity: `1 - |a-b| / max(|a|, |b|)`, with
 /// `1.0` when both are zero. NaN inputs yield `0.0`.
@@ -38,28 +16,6 @@ pub fn rel_diff_sim(a: f64, b: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exact_handles_nan() {
-        assert_eq!(exact_sim(1.0, 1.0), 1.0);
-        assert_eq!(exact_sim(1.0, 2.0), 0.0);
-        assert_eq!(exact_sim(f64::NAN, f64::NAN), 1.0);
-        assert_eq!(exact_sim(f64::NAN, 1.0), 0.0);
-    }
-
-    #[test]
-    fn abs_diff_scales() {
-        assert_eq!(abs_diff_sim(10.0, 10.0, 5.0), 1.0);
-        assert_eq!(abs_diff_sim(10.0, 12.5, 5.0), 0.5);
-        assert_eq!(abs_diff_sim(10.0, 100.0, 5.0), 0.0);
-        assert_eq!(abs_diff_sim(f64::NAN, 1.0, 5.0), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "scale")]
-    fn abs_diff_rejects_nonpositive_scale() {
-        let _ = abs_diff_sim(1.0, 2.0, 0.0);
-    }
 
     #[test]
     fn rel_diff_cases() {

@@ -466,11 +466,6 @@ pub fn tfidf_cosine_cells(ca: &PreparedColumn, i: usize, cb: &PreparedColumn, j:
 
 /// Evaluate `measure` between two prepared cells. Bit-for-bit the
 /// scalar `measure.eval(raw_a, raw_b)` on the original cell strings.
-///
-/// The feature battery's hot measures run on cached slices; the
-/// remaining measures (not used by the batch feature path) take a cold
-/// fallback that materializes the normalized strings — correct, just
-/// not cached.
 pub fn measure_cells(
     measure: StringMeasure,
     ca: &PreparedColumn,
@@ -500,12 +495,6 @@ pub fn measure_cells(
             cb.words(j).is_empty(),
         ),
         StringMeasure::MongeElkan => monge_elkan_ids(ca.words(i), cb.words(j), interner, scratch),
-        other => {
-            // Cold path: not part of the batch feature battery.
-            let sa: String = ca.norm_chars(i).iter().collect();
-            let sb: String = cb.norm_chars(j).iter().collect();
-            other.eval_normalized(&sa, &sb)
-        }
     }
 }
 

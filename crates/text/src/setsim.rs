@@ -29,36 +29,6 @@ pub fn jaccard(a: &[String], b: &[String]) -> f64 {
     }
 }
 
-/// Dice coefficient over token sets: `2|A ∩ B| / (|A| + |B|)`.
-pub fn dice(a: &[String], b: &[String]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let sa = counts(a);
-    let sb = counts(b);
-    let inter = sa.keys().filter(|k| sb.contains_key(*k)).count();
-    let denom = sa.len() + sb.len();
-    if denom == 0 {
-        1.0
-    } else {
-        2.0 * inter as f64 / denom as f64
-    }
-}
-
-/// Overlap coefficient over token sets: `|A ∩ B| / min(|A|, |B|)`.
-pub fn overlap_coefficient(a: &[String], b: &[String]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let sa = counts(a);
-    let sb = counts(b);
-    let inter = sa.keys().filter(|k| sb.contains_key(*k)).count();
-    inter as f64 / sa.len().min(sb.len()) as f64
-}
-
 /// Cosine similarity over token *multisets* (term-frequency vectors).
 pub fn cosine_tokens(a: &[String], b: &[String]) -> f64 {
     if a.is_empty() && b.is_empty() {
@@ -123,18 +93,6 @@ mod tests {
     #[test]
     fn jaccard_ignores_multiplicity() {
         assert_eq!(jaccard(&toks("a a b"), &toks("a b b")), 1.0);
-    }
-
-    #[test]
-    fn dice_basics() {
-        assert_eq!(dice(&toks("a b"), &toks("b c")), 0.5);
-        assert_eq!(dice(&toks(""), &toks("")), 1.0);
-    }
-
-    #[test]
-    fn overlap_subset_is_one() {
-        assert_eq!(overlap_coefficient(&toks("a b"), &toks("a b c d")), 1.0);
-        assert_eq!(overlap_coefficient(&toks("a"), &toks("")), 0.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Corpus-weighted similarity: TF-IDF cosine and soft TF-IDF.
+//! Corpus-weighted similarity: TF-IDF cosine.
 //!
 //! Record-linkage feature generators weight rare tokens more heavily; a
 //! [`TfIdfCorpus`] is built once over all attribute values of both tables
@@ -6,7 +6,6 @@
 
 use std::collections::HashMap;
 
-use crate::edit::jaro_winkler;
 use crate::tokenize::word_tokens;
 
 /// Incremental builder for a [`TfIdfCorpus`]. Feed it every document
@@ -130,46 +129,6 @@ impl TfIdfCorpus {
             (dot / (na * nb)).clamp(0.0, 1.0)
         }
     }
-
-    /// Soft TF-IDF (Cohen et al.): like TF-IDF cosine but tokens are
-    /// considered matching when their Jaro-Winkler similarity exceeds
-    /// `theta` (typically 0.9), contributing weighted by that similarity.
-    pub fn soft_cosine(&self, a: &str, b: &str, theta: f64) -> f64 {
-        let ta = word_tokens(a);
-        let tb = word_tokens(b);
-        if ta.is_empty() && tb.is_empty() {
-            return 1.0;
-        }
-        if ta.is_empty() || tb.is_empty() {
-            return 0.0;
-        }
-        let va = self.weighted_vector(&ta);
-        let vb = self.weighted_vector(&tb);
-        let na: f64 = va.iter().map(|(_, w)| w * w).sum::<f64>().sqrt();
-        let nb: f64 = vb.iter().map(|(_, w)| w * w).sum::<f64>().sqrt();
-        if na == 0.0 || nb == 0.0 {
-            return 0.0;
-        }
-        let mut dot = 0.0;
-        for (tok_a, wa) in &va {
-            // Find the closest token in b above the threshold.
-            let mut best_sim = 0.0;
-            let mut best_w = 0.0;
-            for (tok_b, wb) in &vb {
-                let s = if tok_a == tok_b {
-                    1.0
-                } else {
-                    jaro_winkler(tok_a, tok_b)
-                };
-                if s >= theta && s > best_sim {
-                    best_sim = s;
-                    best_w = *wb;
-                }
-            }
-            dot += wa * best_w * best_sim;
-        }
-        (dot / (na * nb)).clamp(0.0, 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -219,21 +178,5 @@ mod tests {
         assert_eq!(c.cosine("a", ""), 0.0);
         let s = c.cosine("wei li tsinghua", "wei li tsinghua");
         assert!((s - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn soft_cosine_matches_typos() {
-        let c = small_corpus();
-        let hard = c.cosine("john smith", "jon smyth");
-        let soft = c.soft_cosine("john smith", "jon smyth", 0.85);
-        assert!(soft > hard, "soft={soft} hard={hard}");
-        assert!(soft <= 1.0);
-    }
-
-    #[test]
-    fn soft_cosine_equals_cosine_on_identical() {
-        let c = small_corpus();
-        let s = c.soft_cosine("wei li", "wei li", 0.9);
-        assert!((s - 1.0).abs() < 1e-9);
     }
 }

@@ -3,8 +3,8 @@
 
 use fairem_rng::check::{cases, Gen};
 use fairem_text::{
-    damerau_levenshtein, jaccard, jaro, jaro_winkler, levenshtein, normalize,
-    normalized_levenshtein, qgrams, word_tokens, StringMeasure,
+    jaccard, jaro, jaro_winkler, levenshtein, normalize, normalized_levenshtein, qgrams,
+    word_tokens, StringMeasure,
 };
 
 /// Mixed alphabet standing in for proptest's `\PC` (printable char)
@@ -44,18 +44,6 @@ fn levenshtein_bounded_by_max_len() {
         let (la, lb) = (a.chars().count(), b.chars().count());
         assert!(d >= la.abs_diff(lb));
         assert!(d <= la.max(lb));
-    });
-}
-
-#[test]
-fn damerau_never_exceeds_levenshtein() {
-    cases(128, 0x7344, |g| {
-        let a = g.string("abcd", 10);
-        let b = g.string("abcd", 10);
-        assert!(
-            damerau_levenshtein(&a, &b) <= levenshtein(&a, &b),
-            "{a:?} {b:?}"
-        );
     });
 }
 
