@@ -4,18 +4,14 @@
 //! matchers (paper §2.2: DTMatcher, SVMMatcher, RFMatcher, LogRegMatcher,
 //! LinRegMatcher, NBMatcher — the Magellan family), implemented from
 //! scratch: CART decision trees, random forests, Pegasos linear SVM,
-//! logistic/linear regression, Gaussian naive Bayes, and k-NN, plus the
-//! dense linear algebra, feature scaling, evaluation metrics and k-fold
-//! utilities they need.
+//! logistic/linear regression and Gaussian naive Bayes, plus the dense
+//! linear algebra, feature scaling and evaluation metrics they need.
 //!
 //! All models implement [`Classifier`]: `fit` on a feature matrix with
 //! binary labels, then produce match scores in `[0, 1]` (the matcher
 //! threshold is applied downstream by the suite).
 
-pub mod boosting;
-pub mod crossval;
 pub mod forest;
-pub mod knn;
 pub mod linalg;
 pub mod linreg;
 pub mod logreg;
@@ -26,10 +22,7 @@ pub mod scaler;
 pub mod svm;
 pub mod tree;
 
-pub use boosting::GradientBoostedTrees;
-pub use crossval::{cross_val_f1, kfold_indices};
 pub use forest::RandomForest;
-pub use knn::KnnClassifier;
 pub use linreg::LinearRegression;
 pub use logreg::LogisticRegression;
 pub use matrix::Matrix;
@@ -53,13 +46,13 @@ pub trait Classifier {
     fn fit(&mut self, x: &Matrix, y: &[f64]);
 
     /// Cancellable [`Classifier::fit`]: polls `token` at the model's
-    /// natural checkpoints (per epoch / per tree / per round) and bails
+    /// natural checkpoints (per epoch / per tree) and bails
     /// with the [`Interrupt`] record when it trips, leaving the model
     /// unfitted. With an untripped token this is bit-for-bit `fit`.
     ///
     /// The default implementation checkpoints once and then trains
-    /// atomically — right for non-iterative models (trees, k-NN, naive
-    /// Bayes, closed-form regression); iterative trainers override it.
+    /// atomically — right for non-iterative models (trees, naive Bayes,
+    /// closed-form regression); iterative trainers override it.
     fn fit_within(
         &mut self,
         x: &Matrix,
@@ -132,7 +125,6 @@ mod tests {
             Box::new(LogisticRegression::new(0.5, 500, 0.001)),
             Box::new(LinearRegression::new(1e-6)),
             Box::new(GaussianNb::new()),
-            Box::new(KnnClassifier::new(3)),
         ];
         for mut m in models {
             m.fit(&x, &y);

@@ -1,11 +1,9 @@
-//! Property tests on the ML substrate: score ranges, scaler algebra,
-//! metric bounds, k-fold partitioning. Runs on the in-workspace
-//! `fairem_rng::check` harness.
+//! Property tests on the ML substrate: score ranges, scaler algebra and
+//! metric bounds. Runs on the in-workspace `fairem_rng::check` harness.
 
 use fairem_ml::{
-    accuracy, auc_roc, f1_score, kfold_indices, precision, recall, Classifier, DecisionTree,
-    GaussianNb, KnnClassifier, LinearRegression, LinearSvm, LogisticRegression, Matrix,
-    RandomForest, StandardScaler,
+    accuracy, auc_roc, f1_score, precision, recall, Classifier, DecisionTree, GaussianNb,
+    LinearRegression, LinearSvm, LogisticRegression, Matrix, RandomForest, StandardScaler,
 };
 use fairem_rng::check::{cases, Gen};
 
@@ -30,7 +28,6 @@ fn every_model_scores_in_unit_interval() {
             Box::new(LogisticRegression::new(0.3, 20, 0.01)),
             Box::new(LinearRegression::new(1e-6)),
             Box::new(GaussianNb::new()),
-            Box::new(KnnClassifier::new(3)),
         ];
         for mut m in models {
             m.fit(&x, &y);
@@ -86,17 +83,5 @@ fn auc_is_invariant_to_monotone_score_transforms() {
         } else {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
-    });
-}
-
-#[test]
-fn kfold_is_a_partition() {
-    cases(48, 0x3107, |g| {
-        let n = g.usize_in(4, 60);
-        let k = g.usize_in(2, 5).min(n);
-        let folds = kfold_indices(n, k, g.u64());
-        let mut all: Vec<usize> = folds.iter().flat_map(|(_, t)| t.clone()).collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..n).collect::<Vec<_>>());
     });
 }
