@@ -1,8 +1,6 @@
 //! Probability distributions implemented from scratch: the standard
-//! normal (via a high-accuracy `erf`) and Student's t (via the regularized
-//! incomplete beta function).
-
-use std::f64::consts::PI;
+//! normal (via a high-accuracy `erf`) and chi-squared (via the regularized
+//! lower incomplete gamma function).
 
 /// Error function, Abramowitz & Stegun 7.1.26 refined with the
 /// Winitzki-style high-precision rational approximation (|err| < 1.2e-7),
@@ -28,72 +26,9 @@ pub fn erf(x: f64) -> f64 {
     }
 }
 
-/// Standard normal probability density.
-pub fn normal_pdf(x: f64) -> f64 {
-    (-0.5 * x * x).exp() / (2.0 * PI).sqrt()
-}
-
 /// Standard normal cumulative distribution function.
 pub fn normal_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
-/// Inverse of the standard normal CDF (Acklam's algorithm, |rel err| <
-/// 1.15e-9). Panics if `p` is outside the open interval (0, 1).
-pub fn normal_inv_cdf(p: f64) -> f64 {
-    assert!(
-        p > 0.0 && p < 1.0,
-        "normal_inv_cdf requires p in (0,1), got {p}"
-    );
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383_577_518_672_69e2,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-
-    let x = if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
-    // One step of Halley refinement for full double precision.
-    let e = normal_cdf(x) - p;
-    let u = e * (2.0 * PI).sqrt() * (x * x / 2.0).exp();
-    x - u / (1.0 + x * u / 2.0)
 }
 
 /// Natural log of the gamma function (Lanczos approximation).
@@ -113,74 +48,6 @@ fn ln_gamma(x: f64) -> f64 {
     let tmp = x + 5.5;
     let tmp = tmp - (x + 0.5) * tmp.ln();
     -tmp + (2.5066282746310005 * ser / x).ln()
-}
-
-/// Continued-fraction evaluation for the incomplete beta (Numerical
-/// Recipes `betacf`).
-fn betacf(a: f64, b: f64, x: f64) -> f64 {
-    const MAX_ITER: usize = 200;
-    const EPS: f64 = 3e-14;
-    const FPMIN: f64 = 1e-300;
-
-    let qab = a + b;
-    let qap = a + 1.0;
-    let qam = a - 1.0;
-    let mut c = 1.0;
-    let mut d = 1.0 - qab * x / qap;
-    if d.abs() < FPMIN {
-        d = FPMIN;
-    }
-    d = 1.0 / d;
-    let mut h = d;
-    for m in 1..=MAX_ITER {
-        let m = m as f64;
-        let m2 = 2.0 * m;
-        let aa = m * (b - m) * x / ((qam + m2) * (a + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < FPMIN {
-            d = FPMIN;
-        }
-        c = 1.0 + aa / c;
-        if c.abs() < FPMIN {
-            c = FPMIN;
-        }
-        d = 1.0 / d;
-        h *= d * c;
-        let aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < FPMIN {
-            d = FPMIN;
-        }
-        c = 1.0 + aa / c;
-        if c.abs() < FPMIN {
-            c = FPMIN;
-        }
-        d = 1.0 / d;
-        let del = d * c;
-        h *= del;
-        if (del - 1.0).abs() < EPS {
-            break;
-        }
-    }
-    h
-}
-
-/// Regularized incomplete beta function I_x(a, b).
-fn inc_beta(a: f64, b: f64, x: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&x), "inc_beta domain");
-    if x == 0.0 {
-        return 0.0;
-    }
-    if x == 1.0 {
-        return 1.0;
-    }
-    let ln_front = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * x.ln() + b * (1.0 - x).ln();
-    let front = ln_front.exp();
-    if x < (a + 1.0) / (a + b + 2.0) {
-        front * betacf(a, b, x) / a
-    } else {
-        1.0 - front * betacf(b, a, 1.0 - x) / b
-    }
 }
 
 /// Regularized lower incomplete gamma P(a, x) (series for `x < a+1`,
@@ -240,19 +107,6 @@ pub fn chi_squared_cdf(x: f64, df: f64) -> f64 {
     gamma_p(df / 2.0, x / 2.0)
 }
 
-/// Student-t cumulative distribution function with `df` degrees of
-/// freedom. Panics if `df` is not positive.
-pub fn student_t_cdf(t: f64, df: f64) -> f64 {
-    assert!(df > 0.0, "degrees of freedom must be positive");
-    let x = df / (df + t * t);
-    let p = 0.5 * inc_beta(df / 2.0, 0.5, x);
-    if t >= 0.0 {
-        1.0 - p
-    } else {
-        p
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,41 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn inv_cdf_round_trips() {
-        for p in [0.001, 0.025, 0.3, 0.5, 0.8, 0.975, 0.999] {
-            let x = normal_inv_cdf(p);
-            assert!((normal_cdf(x) - p).abs() < 1e-9, "p={p}");
-        }
-        assert!((normal_inv_cdf(0.975) - 1.959964).abs() < 1e-5);
-    }
-
-    #[test]
-    #[should_panic(expected = "normal_inv_cdf")]
-    fn inv_cdf_rejects_boundary() {
-        let _ = normal_inv_cdf(1.0);
-    }
-
-    #[test]
-    fn t_cdf_reference_values() {
-        // t_(df=10), t=1.812 → 0.95 (one-sided critical value).
-        assert!((student_t_cdf(1.8124611, 10.0) - 0.95).abs() < 1e-5);
-        // Symmetry around zero.
-        assert!((student_t_cdf(0.0, 5.0) - 0.5).abs() < 1e-12);
-        let a = student_t_cdf(-2.0, 7.0);
-        let b = 1.0 - student_t_cdf(2.0, 7.0);
-        assert!((a - b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn t_cdf_approaches_normal_for_large_df() {
-        for x in [-2.0, -0.5, 0.7, 1.96] {
-            let t = student_t_cdf(x, 1e6);
-            let n = normal_cdf(x);
-            assert!((t - n).abs() < 1e-4, "x={x}: {t} vs {n}");
-        }
-    }
-
-    #[test]
     fn chi_squared_reference_values() {
         // df=1: P(X ≤ 3.841) = 0.95.
         assert!((chi_squared_cdf(3.8415, 1.0) - 0.95).abs() < 1e-4);
@@ -319,17 +138,5 @@ mod tests {
         // df=10: P(X ≤ 18.307) = 0.95.
         assert!((chi_squared_cdf(18.307, 10.0) - 0.95).abs() < 1e-4);
         assert_eq!(chi_squared_cdf(0.0, 3.0), 0.0);
-    }
-
-    #[test]
-    fn pdf_integrates_to_one_crudely() {
-        let mut s = 0.0;
-        let h = 0.001;
-        let mut x = -8.0;
-        while x < 8.0 {
-            s += normal_pdf(x) * h;
-            x += h;
-        }
-        assert!((s - 1.0).abs() < 1e-3, "{s}");
     }
 }

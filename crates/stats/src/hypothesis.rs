@@ -4,9 +4,9 @@
 //! mean disparity does not exceed the fairness threshold); the alternative
 //! is "the matcher is unfair on g". With k bootstrap workloads the
 //! disparity population is approximately normal, so z-statistics apply
-//! (paper §2.3); t variants are provided for small k.
+//! (paper §2.3).
 
-use crate::dist::{normal_cdf, student_t_cdf};
+use crate::dist::normal_cdf;
 
 /// Which tail(s) of the distribution form the rejection region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,7 +22,7 @@ pub enum Tail {
 /// Outcome of a hypothesis test.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TestResult {
-    /// The test statistic (z or t).
+    /// The test statistic (z or chi-squared).
     pub statistic: f64,
     /// Probability of observing a statistic at least as extreme under H0.
     pub p_value: f64,
@@ -43,11 +43,11 @@ impl TestResult {
     }
 }
 
-fn tail_p(stat: f64, tail: Tail, cdf: impl Fn(f64) -> f64) -> f64 {
+fn tail_p(stat: f64, tail: Tail) -> f64 {
     match tail {
-        Tail::Greater => 1.0 - cdf(stat),
-        Tail::Less => cdf(stat),
-        Tail::TwoSided => 2.0 * (1.0 - cdf(stat.abs())).min(0.5),
+        Tail::Greater => 1.0 - normal_cdf(stat),
+        Tail::Less => normal_cdf(stat),
+        Tail::TwoSided => 2.0 * (1.0 - normal_cdf(stat.abs())).min(0.5),
     }
 }
 
@@ -82,53 +82,9 @@ pub fn one_sample_z_test(sample: &[f64], mu0: f64, tail: Tail) -> TestResult {
     };
     TestResult {
         statistic: z,
-        p_value: tail_p(z, tail, normal_cdf),
+        p_value: tail_p(z, tail),
         df: f64::INFINITY,
         n,
-    }
-}
-
-/// One-sample t-test (small-sample variant of [`one_sample_z_test`]).
-pub fn one_sample_t_test(sample: &[f64], mu0: f64, tail: Tail) -> TestResult {
-    assert!(sample.len() >= 2, "t-test needs at least 2 observations");
-    let n = sample.len();
-    let df = (n - 1) as f64;
-    let z = one_sample_z_test(sample, mu0, Tail::TwoSided).statistic;
-    TestResult {
-        statistic: z,
-        p_value: tail_p(z, tail, |x| student_t_cdf(x, df)),
-        df,
-        n,
-    }
-}
-
-/// Two-sample z-test for a difference in means (H0: mean(a) == mean(b)).
-/// Panics if either sample has fewer than 2 observations.
-pub fn two_sample_z_test(a: &[f64], b: &[f64], tail: Tail) -> TestResult {
-    assert!(
-        a.len() >= 2 && b.len() >= 2,
-        "z-test needs at least 2 observations per sample"
-    );
-    let (ma, mb) = (crate::desc::mean(a), crate::desc::mean(b));
-    let (va, vb) = (crate::desc::sample_var(a), crate::desc::sample_var(b));
-    let se = (va / a.len() as f64 + vb / b.len() as f64).sqrt();
-    let z = if se == 0.0 {
-        // total_cmp keeps the zero-variance branch deterministic even if
-        // a NaN mean sneaks in (partial_cmp would silently collapse it
-        // to the `_ => 0.0` arm on some inputs and not others).
-        match ma.total_cmp(&mb) {
-            std::cmp::Ordering::Greater => f64::INFINITY,
-            std::cmp::Ordering::Less => f64::NEG_INFINITY,
-            std::cmp::Ordering::Equal => 0.0,
-        }
-    } else {
-        (ma - mb) / se
-    };
-    TestResult {
-        statistic: z,
-        p_value: tail_p(z, tail, normal_cdf),
-        df: f64::INFINITY,
-        n: a.len() + b.len(),
     }
 }
 
@@ -169,36 +125,6 @@ pub fn chi_squared_independence(table: &[Vec<f64>]) -> TestResult {
         p_value: 1.0 - crate::dist::chi_squared_cdf(stat, df),
         df,
         n: total as usize,
-    }
-}
-
-/// Welch's two-sample t-test (unequal variances).
-pub fn welch_t_test(a: &[f64], b: &[f64], tail: Tail) -> TestResult {
-    assert!(
-        a.len() >= 2 && b.len() >= 2,
-        "t-test needs at least 2 observations per sample"
-    );
-    let (na, nb) = (a.len() as f64, b.len() as f64);
-    let (va, vb) = (crate::desc::sample_var(a), crate::desc::sample_var(b));
-    let sa = va / na;
-    let sb = vb / nb;
-    let se = (sa + sb).sqrt();
-    let t = if se == 0.0 {
-        0.0
-    } else {
-        (crate::desc::mean(a) - crate::desc::mean(b)) / se
-    };
-    // Welch–Satterthwaite degrees of freedom.
-    let df = if sa + sb == 0.0 {
-        na + nb - 2.0
-    } else {
-        (sa + sb).powi(2) / (sa * sa / (na - 1.0) + sb * sb / (nb - 1.0))
-    };
-    TestResult {
-        statistic: t,
-        p_value: tail_p(t, tail, |x| student_t_cdf(x, df)),
-        df,
-        n: a.len() + b.len(),
     }
 }
 
@@ -244,43 +170,6 @@ mod tests {
         assert_eq!(r.p_value, 0.0);
         let r0 = one_sample_z_test(&xs, 0.4, Tail::Greater);
         assert_eq!(r0.statistic, 0.0);
-    }
-
-    #[test]
-    fn t_test_is_more_conservative_than_z_for_small_n() {
-        let xs = [0.35, 0.42, 0.38, 0.45, 0.40];
-        let z = one_sample_z_test(&xs, 0.2, Tail::Greater);
-        let t = one_sample_t_test(&xs, 0.2, Tail::Greater);
-        assert!((z.statistic - t.statistic).abs() < 1e-12);
-        assert!(t.p_value > z.p_value);
-    }
-
-    #[test]
-    fn two_sample_z_detects_difference() {
-        let a: Vec<f64> = (0..50).map(|i| 0.5 + 0.005 * ((i % 4) as f64)).collect();
-        let b: Vec<f64> = (0..50).map(|i| 0.3 + 0.005 * ((i % 4) as f64)).collect();
-        let r = two_sample_z_test(&a, &b, Tail::Greater);
-        assert!(r.reject_at(0.01));
-        let same = two_sample_z_test(&a, &a, Tail::TwoSided);
-        assert_eq!(same.statistic, 0.0);
-        assert!((same.p_value - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn welch_reference_value() {
-        // Classic Welch example: unequal variances.
-        let a = [
-            27.5, 21.0, 19.0, 23.6, 17.0, 17.9, 16.9, 20.1, 21.9, 22.6, 23.1, 19.6, 19.0, 21.7,
-            21.4,
-        ];
-        let b = [
-            27.1, 22.0, 20.8, 23.4, 23.4, 23.5, 25.8, 22.0, 24.8, 20.2, 21.9, 22.1, 22.9, 30.5,
-            19.8,
-        ];
-        let r = welch_t_test(&a, &b, Tail::TwoSided);
-        assert!(r.statistic < 0.0);
-        assert!(r.p_value < 0.05 && r.p_value > 0.001, "p={}", r.p_value);
-        assert!(r.df > 20.0 && r.df < 28.0, "df={}", r.df);
     }
 
     #[test]
