@@ -97,11 +97,6 @@ impl ConfusionMatrix {
             2.0 * p * r / (p + r)
         }
     }
-
-    /// Prevalence of true matches `(TP+FN)/total`; `NaN` when empty.
-    pub fn prevalence(&self) -> f64 {
-        ratio(self.tp + self.fn_, self.total())
-    }
 }
 
 fn ratio(num: f64, den: f64) -> f64 {
@@ -137,7 +132,6 @@ mod tests {
         assert!((c.ppv() - 0.8).abs() < 1e-12);
         assert!((c.npv() - 130.0 / 150.0).abs() < 1e-12);
         assert!((c.positive_rate() - 0.25).abs() < 1e-12);
-        assert!((c.prevalence() - 0.3).abs() < 1e-12);
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl PreparedData {
         let labels = idx.iter().map(|&i| self.labels[i]).collect();
         (pairs, labels)
     }
-
-    /// Number of positive pairs overall.
-    pub fn n_positives(&self) -> usize {
-        self.labels.iter().filter(|&&l| l == 1.0).count()
-    }
 }
 
 /// Generate candidates via blocking, label them against the ground
@@ -286,7 +281,7 @@ mod tests {
         let prep = prepare(&a, &b, &m, &PrepConfig::default());
         assert!(prep.pairs.contains(&(0, 0)));
         assert!(prep.pairs.contains(&(1, 1)));
-        assert_eq!(prep.n_positives(), 2);
+        assert_eq!(prep.labels.iter().filter(|&&l| l == 1.0).count(), 2);
     }
 
     #[test]
@@ -356,7 +351,7 @@ mod tests {
         let (via_sn, q) = prepare_with(&a, &b, &m, &config, &sn, &Exec::sequential()).unwrap();
         assert!(q.is_empty());
         assert!(via_sn.pairs.contains(&(0, 0)), "truth is force-included");
-        assert_eq!(via_sn.n_positives(), 2);
+        assert_eq!(via_sn.labels.iter().filter(|&&l| l == 1.0).count(), 2);
     }
 
     #[test]
@@ -386,7 +381,11 @@ mod tests {
             &Exec::sequential(),
         )
         .unwrap();
-        assert_eq!(prep.n_positives(), 2, "valid matches survive");
+        assert_eq!(
+            prep.labels.iter().filter(|&&l| l == 1.0).count(),
+            2,
+            "valid matches survive"
+        );
         assert_eq!(q.len(), 2);
         assert_eq!(
             q.rows[0].issue,

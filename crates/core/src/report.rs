@@ -320,92 +320,6 @@ pub fn multiworkload_text(report: &MultiWorkloadReport) -> String {
     out
 }
 
-/// Serialize the four explanation families for one (measure, group)
-/// query to a single JSON object (Figure 5's screen as machine output).
-pub fn explanation_json(
-    explainer: &crate::explain::Explainer<'_>,
-    measure: crate::fairness::FairnessMeasure,
-    group: &str,
-    n_examples: usize,
-    seed: u64,
-) -> Json {
-    let me = explainer.measure_based(measure, group);
-    let rep = explainer.representation(group);
-    let sub = explainer.subgroup(measure, group);
-    let ex = explainer.examples(measure, group, n_examples, seed);
-    Json::obj([
-        ("group", group.into()),
-        ("measure", measure.name().into()),
-        (
-            "measure_based",
-            Json::obj([
-                (
-                    "confusion",
-                    Json::obj([
-                        ("tp", me.confusion.tp.into()),
-                        ("fp", me.confusion.fp.into()),
-                        ("fn", me.confusion.fn_.into()),
-                        ("tn", me.confusion.tn.into()),
-                    ]),
-                ),
-                (
-                    "rates",
-                    Json::arr(me.rates.iter().map(|(name, gv, ov)| {
-                        Json::obj([
-                            ("rate", (*name).into()),
-                            ("group", (*gv).into()),
-                            ("overall", (*ov).into()),
-                        ])
-                    })),
-                ),
-                ("narrative", me.narrative.as_str().into()),
-            ]),
-        ),
-        (
-            "representation",
-            Json::obj([
-                ("share_overall", rep.share_overall.into()),
-                ("share_matches", rep.share_matches.into()),
-                ("share_nonmatches", rep.share_nonmatches.into()),
-                (
-                    "train",
-                    match rep.train_shares {
-                        Some((o, m, n)) => Json::obj([
-                            ("share_overall", o.into()),
-                            ("share_matches", m.into()),
-                            ("share_nonmatches", n.into()),
-                        ]),
-                        None => Json::Null,
-                    },
-                ),
-            ]),
-        ),
-        (
-            "subgroups",
-            Json::arr(sub.rows.iter().map(|r| {
-                Json::obj([
-                    ("group", r.group.as_str().into()),
-                    ("value", r.value.into()),
-                    ("disparity", r.disparity.into()),
-                    ("support", r.support.into()),
-                ])
-            })),
-        ),
-        (
-            "examples",
-            Json::arr(ex.examples.iter().map(|e| {
-                Json::obj([
-                    ("left", e.left.as_str().into()),
-                    ("right", e.right.as_str().into()),
-                    ("score", e.score.into()),
-                    ("predicted", e.predicted.into()),
-                    ("truth", e.truth.into()),
-                ])
-            })),
-        ),
-    ])
-}
-
 /// Render a Pareto frontier as text (Figure 6's trade-off plot, as a
 /// table: each row one ensemble strategy).
 pub fn pareto_text(explorer: &EnsembleExplorer, frontier: &[ParetoPoint]) -> String {
@@ -497,51 +411,6 @@ mod tests {
         assert!(s.contains("\"matcher\":\"DT\""));
         assert!(s.contains("\"entries\":["));
         assert!(s.contains("\"unfair\""));
-    }
-
-    #[test]
-    fn explanation_json_has_all_four_families() {
-        let t = Table::from_csv(parse_csv_str("id,g\na1,cn\na2,us\n").unwrap()).unwrap();
-        let space = GroupSpace::extract(&[&t], vec![SensitiveAttr::categorical("g")]);
-        let items = vec![
-            Correspondence {
-                a_row: 0,
-                b_row: 0,
-                score: 0.1,
-                truth: true,
-                left: GroupVector(1),
-                right: GroupVector(1),
-            },
-            Correspondence {
-                a_row: 1,
-                b_row: 1,
-                score: 0.9,
-                truth: true,
-                left: GroupVector(2),
-                right: GroupVector(2),
-            },
-        ];
-        let w = Workload::new(items, 0.5);
-        let ex = crate::explain::Explainer::new(
-            &w,
-            &space,
-            &t,
-            &t,
-            None,
-            crate::fairness::Disparity::Subtraction,
-        );
-        let j = explanation_json(&ex, FairnessMeasure::TruePositiveRateParity, "cn", 2, 1);
-        let s = j.to_string_compact();
-        for key in [
-            "measure_based",
-            "representation",
-            "subgroups",
-            "examples",
-            "narrative",
-        ] {
-            assert!(s.contains(key), "missing {key} in {s}");
-        }
-        assert!(s.contains("a1")); // the missed cn pair shows up as example
     }
 
     #[test]

@@ -128,18 +128,6 @@ impl Table {
         &self.csv.rows[row][col]
     }
 
-    /// Value of a named column for a row (None if the column is absent).
-    pub fn value_named(&self, row: usize, col: &str) -> Option<&str> {
-        self.column_index(col).map(|c| self.value(row, c))
-    }
-
-    /// Attribute columns: everything except `id`.
-    pub fn attribute_columns(&self) -> Vec<usize> {
-        (0..self.csv.header.len())
-            .filter(|&c| c != self.id_col)
-            .collect()
-    }
-
     /// Render one record as `col=value` pairs (for example-based
     /// explanations).
     pub fn render_record(&self, row: usize) -> String {
@@ -173,14 +161,11 @@ mod tests {
         assert_eq!(t.id(0), "a1");
         assert_eq!(t.row_of("a2"), Some(1));
         assert_eq!(t.row_of("zz"), None);
-        assert_eq!(t.value_named(0, "name"), Some("li wei"));
-        assert_eq!(t.value_named(0, "nope"), None);
-    }
-
-    #[test]
-    fn attribute_columns_exclude_id() {
-        let t = t();
-        assert_eq!(t.attribute_columns(), vec![1, 2]);
+        assert_eq!(
+            t.column_index("name").map(|c| t.value(0, c)),
+            Some("li wei")
+        );
+        assert_eq!(t.column_index("nope"), None);
     }
 
     #[test]
@@ -209,7 +194,7 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.id(0), "a1");
         assert_eq!(t.id(1), "a2");
-        assert_eq!(t.value_named(0, "v"), Some("1"), "first occurrence kept");
+        assert_eq!(t.value(0, 1), "1", "first occurrence kept");
         assert_eq!(q.len(), 2);
         assert_eq!(q.rows[0].row, 2);
         assert_eq!(q.rows[0].issue, RowIssue::EmptyId);

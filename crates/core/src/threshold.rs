@@ -46,17 +46,6 @@ impl ThresholdSweep {
             })
             .collect()
     }
-
-    /// Thresholds whose max disparity stays within `fairness_threshold` —
-    /// the fair operating window of the matcher.
-    pub fn fair_thresholds(&self, disparity: Disparity, fairness_threshold: f64) -> Vec<f64> {
-        self.max_disparity(disparity)
-            .iter()
-            .zip(&self.thresholds)
-            .filter(|(d, _)| **d <= fairness_threshold)
-            .map(|(_, t)| *t)
-            .collect()
-    }
 }
 
 /// Count the overall and per-group confusion matrices of `items` at
@@ -346,7 +335,13 @@ mod tests {
         };
         assert!(at(0.50) >= 0.45, "{}", at(0.50));
         assert!(at(0.35) < 0.2, "{}", at(0.35));
-        let fair = sw.fair_thresholds(Disparity::Subtraction, 0.2);
+        let fair: Vec<f64> = sw
+            .thresholds
+            .iter()
+            .zip(&disp)
+            .filter(|(_, d)| **d <= 0.2)
+            .map(|(t, _)| *t)
+            .collect();
         assert!(!fair.is_empty());
         // A genuinely fair window exists below the cn score band's top...
         assert!(fair.iter().any(|&t| t < 0.45));
