@@ -92,14 +92,24 @@ impl SessionSpec {
     /// never changes audit results, because the two variants differ in
     /// *capability* (only materialized sessions serve `tune_threshold`
     /// and `ensemble`).
+    ///
+    /// The threshold prints with four decimals when that reads back as
+    /// the same `f64`, and in full otherwise, so two distinct thresholds
+    /// never share a key.
     pub fn key(&self) -> String {
         let names: Vec<&str> = self.matchers.iter().map(|m| m.name()).collect();
+        let short = format!("{:.4}", self.threshold);
+        let threshold = if short.parse::<f64>() == Ok(self.threshold) {
+            short
+        } else {
+            self.threshold.to_string()
+        };
         format!(
-            "{}#{}#{}#{:.4}#s{}",
+            "{}#{}#{}#{}#s{}",
             self.dataset,
             self.seed,
             names.join(","),
-            self.threshold,
+            threshold,
             self.shards
         )
     }
@@ -458,6 +468,31 @@ mod tests {
         let mut sharded = spec();
         sharded.shards = 4;
         assert_ne!(base.key(), sharded.key());
+    }
+
+    #[test]
+    fn a_threshold_four_decimals_cannot_show_opens_its_own_session() {
+        let reg = SessionRegistry::new(4);
+        let token = CancelToken::with_budget(Budget::UNLIMITED);
+        let rec = Recorder::disabled();
+        let (_, cached) = reg
+            .get_or_build(&spec(), Parallelism::Fixed(1), &token, &rec)
+            .expect("open at 0.5 builds");
+        assert!(!cached);
+        let mut near = spec();
+        near.threshold = 0.50004;
+        let (entry, cached) = reg
+            .get_or_build(&near, Parallelism::Fixed(1), &token, &rec)
+            .expect("open at 0.50004 builds");
+        assert!(!cached, "0.50004 was served the session built at 0.5");
+        assert_eq!(entry.key, "faculty#7#DTMatcher,LinRegMatcher#0.50004#s1");
+        let auditor = Auditor::new(fairem_core::audit::AuditConfig::default());
+        let report = entry
+            .session
+            .audit("DTMatcher", &auditor)
+            .expect("DTMatcher audits");
+        assert_eq!(report.matching_threshold, 0.50004);
+        assert_eq!(reg.len(), 2);
     }
 
     #[test]
