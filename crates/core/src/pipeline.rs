@@ -437,7 +437,7 @@ impl FairEm360 {
     ///
     /// A matching threshold outside `[0, 1]` is a [`SuiteError::Config`]
     /// before any stage runs: no score could be thresholded against it.
-    fn run_front(self, kinds: &[MatcherKind]) -> SuiteResult<(Front, TrainSplit)> {
+    fn run_front(self, kinds: &[MatcherKind]) -> SuiteResult<(Front, Split)> {
         let FairEm360 {
             table_a,
             table_b,
@@ -538,15 +538,21 @@ impl FairEm360 {
         drop(build_span);
         let vocab = HashVocab::new(config.vocab_size);
 
-        let (train_pairs, train_labels) = prepared.split(&prepared.train_idx);
-        let train_features = split_matrix(&features, &exec, "train", &train_pairs)?;
-        obs.gauge("mem.stage_peak_bytes.train", exec.mem.peak() as f64);
         let neural = kinds.iter().any(|k| k.is_neural());
-        let train_tokens = fleet_tokens(&features, &vocab, neural, &train_pairs);
+        let train = Split::build(
+            &features,
+            &vocab,
+            &exec,
+            neural,
+            "train",
+            &prepared.train_idx,
+            &prepared,
+        )?;
+        obs.gauge("mem.stage_peak_bytes.train", exec.mem.peak() as f64);
         let input = TrainInput {
-            features: &train_features,
-            tokens: &train_tokens,
-            labels: &train_labels,
+            features: &train.features,
+            tokens: &train.tokens,
+            labels: &train.labels,
         };
         token.checkpoint().map_err(|i| timed_out(Stage::Train, i))?;
         let (registry, failures) = MatcherRegistry::train_isolated(
@@ -574,22 +580,54 @@ impl FairEm360 {
             exec,
             config,
         };
-        let train = TrainSplit {
-            pairs: train_pairs,
-            labels: train_labels,
-            features: train_features,
-            tokens: train_tokens,
-        };
         Ok((front, train))
     }
 }
 
-/// The featurized training split the fleet was trained on.
-struct TrainSplit {
+/// One featurized split: its pairs and labels, its feature matrix, and
+/// its tokens. The tokens align with the pairs when the run had a neural
+/// matcher to read them and are empty otherwise; a [`Session`] reads
+/// them through `split_input`, which fills a gap on demand.
+#[derive(Debug)]
+struct Split {
     pairs: Vec<(usize, usize)>,
     labels: Vec<f64>,
     features: Matrix,
     tokens: Vec<TokenPair>,
+}
+
+impl Split {
+    /// Featurize the pairs `idx` selects from `prepared`: the feature
+    /// matrix under its own `features` span, then the tokens a `neural`
+    /// fleet reads. The matrix's cost stays held on the run's memory
+    /// account, because split matrices stay resident for the whole run
+    /// (repair and calibration reuse them).
+    fn build(
+        features: &FeatureGenerator,
+        vocab: &HashVocab,
+        exec: &Exec,
+        neural: bool,
+        name: &str,
+        idx: &[usize],
+        prepared: &PreparedData,
+    ) -> SuiteResult<Split> {
+        let (pairs, labels) = prepared.split(idx);
+        let span = exec.recorder.span("features");
+        span.note(format!("{name} split: {} pair(s)", pairs.len()));
+        let matrix = build_matrix(features, exec, &span, &pairs)?;
+        exec.mem
+            .try_hold(features.matrix_cost(pairs.len()))
+            .map_err(|m| mem_exceeded(Stage::FeatureGen, m))?
+            .persist();
+        drop(span);
+        let tokens = fleet_tokens(features, vocab, neural, &pairs);
+        Ok(Split {
+            pairs,
+            labels,
+            features: matrix,
+            tokens,
+        })
+    }
 }
 
 /// Everything both execution back halves need from the shared front:
@@ -616,17 +654,23 @@ impl Front {
     /// matrices (and their tokens, for a fleet with a neural matcher),
     /// score the whole test split per matcher, and assemble a
     /// [`Session`] that keeps the training split.
-    fn into_session(mut self, train: TrainSplit) -> SuiteResult<Session> {
+    fn into_session(mut self, train: Split) -> SuiteResult<Session> {
         let neural = self.registry.iter().any(|m| m.kind().is_neural());
-        let (valid_pairs, valid_labels) = self.prepared.split(&self.prepared.valid_idx);
-        let valid_features = split_matrix(&self.features, &self.exec, "valid", &valid_pairs)?;
-        let valid_tokens = fleet_tokens(&self.features, &self.vocab, neural, &valid_pairs);
-
-        let (test_pairs, test_labels) = self.prepared.split(&self.prepared.test_idx);
-        let test_features = split_matrix(&self.features, &self.exec, "test", &test_pairs)?;
+        let split = |name, idx| {
+            Split::build(
+                &self.features,
+                &self.vocab,
+                &self.exec,
+                neural,
+                name,
+                idx,
+                &self.prepared,
+            )
+        };
+        let valid = split("valid", &self.prepared.valid_idx)?;
+        let test = split("test", &self.prepared.test_idx)?;
         let obs = self.exec.recorder.clone();
         obs.gauge("mem.stage_peak_bytes.features", self.exec.mem.peak() as f64);
-        let test_tokens = fleet_tokens(&self.features, &self.vocab, neural, &test_pairs);
 
         self.exec
             .cancel
@@ -635,7 +679,7 @@ impl Front {
         let score_span = obs.span("score");
         let mut dead = vec![false; self.registry.len()];
         let (scored, clamped_scores) =
-            self.score_fleet(&mut dead, &test_features, &test_tokens, Some(&score_span));
+            self.score_fleet(&mut dead, &test.features, &test.tokens, Some(&score_span));
         drop(score_span);
         let names: Vec<&str> = self.registry.iter().map(|m| m.name()).collect();
         let scores: HashMap<String, Vec<f64>> = scored
@@ -671,21 +715,12 @@ impl Front {
             matching_threshold: self.config.matching_threshold,
             enc_a: self.enc_a,
             enc_b: self.enc_b,
-            test_pairs,
-            test_labels,
-            test_features,
-            test_tokens,
+            test,
             scores,
             train_workload,
-            train_pairs: train.pairs,
-            train_labels: train.labels,
-            train_features: train.features,
-            train_tokens: train.tokens,
+            train,
             train_config: self.config.train,
-            valid_pairs,
-            valid_labels,
-            valid_features,
-            valid_tokens,
+            valid,
             calibration: self.config.calibration,
             failures: self.failures,
             quarantine: self.quarantine,
@@ -981,25 +1016,6 @@ fn mem_exceeded(stage: Stage, m: MemPressure) -> SuiteError {
     }
 }
 
-/// Build one split's feature matrix under its own `features` span and
-/// persist its cost on the run's memory account: split matrices stay
-/// resident for the whole run (repair and calibration reuse them).
-fn split_matrix(
-    features: &FeatureGenerator,
-    exec: &Exec,
-    split: &str,
-    pairs: &[(usize, usize)],
-) -> SuiteResult<Matrix> {
-    let span = exec.recorder.span("features");
-    span.note(format!("{split} split: {} pair(s)", pairs.len()));
-    let matrix = build_matrix(features, exec, &span, pairs)?;
-    exec.mem
-        .try_hold(features.matrix_cost(pairs.len()))
-        .map_err(|m| mem_exceeded(Stage::FeatureGen, m))?
-        .persist();
-    Ok(matrix)
-}
-
 /// `pairs`' tokens for a fleet with a `neural` matcher, else none: only
 /// neural matchers read tokens, and a classic fleet trains and scores on
 /// the features alone.
@@ -1187,11 +1203,11 @@ pub struct Session {
     pub prepared: PreparedData,
     /// The fitted feature generator.
     pub features: FeatureGenerator,
-    /// The run's hashing vocabulary. Each split's `*_tokens` align with
-    /// its pairs when the run had a neural matcher to read them (train:
-    /// among the requested kinds; valid and test: in the trained fleet)
-    /// and are empty otherwise; read them through `split_input`, which
-    /// fills a gap on demand.
+    /// The run's hashing vocabulary. Each split's tokens align with its
+    /// pairs when the run had a neural matcher to read them (train: among
+    /// the requested kinds; valid and test: in the trained fleet) and are
+    /// empty otherwise; read them through `split_input`, which fills a
+    /// gap on demand.
     vocab: HashVocab,
     /// The trained matcher fleet.
     pub registry: MatcherRegistry,
@@ -1199,21 +1215,12 @@ pub struct Session {
     pub matching_threshold: f64,
     enc_a: Vec<GroupVector>,
     enc_b: Vec<GroupVector>,
-    test_pairs: Vec<(usize, usize)>,
-    test_labels: Vec<f64>,
-    test_features: Matrix,
-    test_tokens: Vec<TokenPair>,
+    test: Split,
     scores: HashMap<String, Vec<f64>>,
     train_workload: Workload,
-    train_pairs: Vec<(usize, usize)>,
-    train_labels: Vec<f64>,
-    train_features: Matrix,
-    train_tokens: Vec<TokenPair>,
+    train: Split,
     train_config: MatcherTrainConfig,
-    valid_pairs: Vec<(usize, usize)>,
-    valid_labels: Vec<f64>,
-    valid_features: Matrix,
-    valid_tokens: Vec<TokenPair>,
+    valid: Split,
     calibration: Option<CalibrationSpec>,
     failures: Vec<MatcherFailure>,
     quarantine: QuarantineReport,
@@ -1222,14 +1229,6 @@ pub struct Session {
     /// The run's execution context: audits, calibration fits and
     /// ensembles run on its pool, under its token and recorder.
     exec: Exec,
-}
-
-/// One of a session's three splits.
-#[derive(Debug, Clone, Copy)]
-enum Split {
-    Train,
-    Valid,
-    Test,
 }
 
 impl Session {
@@ -1275,7 +1274,7 @@ impl Session {
 
     /// Number of test correspondences.
     pub fn test_size(&self) -> usize {
-        self.test_pairs.len()
+        self.test.pairs.len()
     }
 
     /// The training-split pseudo-workload (for representation analysis).
@@ -1309,21 +1308,16 @@ impl Session {
     /// Build a workload from raw scores aligned with the test pairs
     /// (used for ensemble strategies and custom score vectors).
     pub fn workload_from_scores(&self, scores: Vec<f64>) -> Workload {
-        assert_eq!(scores.len(), self.test_pairs.len(), "score/test alignment");
-        self.split_workload(&self.test_pairs, &self.test_labels, scores)
+        assert_eq!(scores.len(), self.test.pairs.len(), "score/test alignment");
+        self.split_workload(&self.test, scores)
     }
 
     /// A workload over one of the session's splits at the session
     /// threshold: pair `i` scored `scores[i]`.
-    fn split_workload(
-        &self,
-        pairs: &[(usize, usize)],
-        labels: &[f64],
-        scores: Vec<f64>,
-    ) -> Workload {
+    fn split_workload(&self, split: &Split, scores: Vec<f64>) -> Workload {
         split_workload(
-            pairs,
-            labels,
+            &split.pairs,
+            &split.labels,
             scores,
             (&self.enc_a, &self.enc_b),
             self.matching_threshold,
@@ -1334,36 +1328,35 @@ impl Session {
     /// trained outside the session or an ensemble adapter) and return
     /// the aligned score vector.
     pub fn score_test_with(&self, matcher: &dyn Matcher) -> Vec<f64> {
-        let (x, tokens) = self.split_input(Split::Test, true);
+        let (x, tokens) = self.split_input(&self.test, true);
         matcher.score_batch(x, &tokens)
     }
 
-    /// Split `s`'s feature matrix and the tokens a matcher reads there.
+    /// `split`'s feature matrix and the tokens a matcher reads there.
     /// A classic matcher (`reads_tokens` false) gets none. A reader gets
     /// the run's own tokens when the run kept the split's, else tokens
     /// made now: a run keeps them only for a fleet with a neural matcher.
-    fn split_input(&self, s: Split, reads_tokens: bool) -> (&Matrix, Cow<'_, [TokenPair]>) {
-        let (x, cached, pairs) = match s {
-            Split::Train => (&self.train_features, &self.train_tokens, &self.train_pairs),
-            Split::Valid => (&self.valid_features, &self.valid_tokens, &self.valid_pairs),
-            Split::Test => (&self.test_features, &self.test_tokens, &self.test_pairs),
-        };
+    fn split_input<'a>(
+        &self,
+        split: &'a Split,
+        reads_tokens: bool,
+    ) -> (&'a Matrix, Cow<'a, [TokenPair]>) {
         let tokens = if !reads_tokens {
             Cow::Borrowed(&[][..])
-        } else if cached.len() == pairs.len() {
-            Cow::Borrowed(&cached[..])
+        } else if split.tokens.len() == split.pairs.len() {
+            Cow::Borrowed(&split.tokens[..])
         } else {
             Cow::Owned(
                 self.features
-                    .tokenize_all(&PairBatch::new(pairs), &self.vocab),
+                    .tokenize_all(&PairBatch::new(&split.pairs), &self.vocab),
             )
         };
-        (x, tokens)
+        (&split.features, tokens)
     }
 
-    /// Fleet member `m`'s scores on split `s`.
-    fn score_split(&self, m: &TrainedMatcher, s: Split) -> Vec<f64> {
-        let (x, tokens) = self.split_input(s, m.kind().is_neural());
+    /// Fleet member `m`'s scores on `split`.
+    fn score_split(&self, m: &TrainedMatcher, split: &Split) -> Vec<f64> {
+        let (x, tokens) = self.split_input(split, m.kind().is_neural());
         m.score_batch(x, &tokens)
     }
 
@@ -1371,7 +1364,8 @@ impl Session {
     /// Evaluation-Only flow): pairs the user never scored default to 0.
     pub fn external_workload(&self, ext: &ExternalScores) -> Workload {
         let scores = self
-            .test_pairs
+            .test
+            .pairs
             .iter()
             .map(|&(ra, rb)| ext.score_ids(self.table_a.id(ra), self.table_b.id(rb)))
             .collect();
@@ -1501,11 +1495,11 @@ impl Session {
             .iter()
             .find(|m| m.name() == matcher)
             .ok_or_else(|| self.unknown_matcher(matcher))?;
-        if self.valid_labels.is_empty() {
+        if self.valid.labels.is_empty() {
             return Ok(self.matching_threshold);
         }
-        let scores = self.score_split(m, Split::Valid);
-        let valid = self.split_workload(&self.valid_pairs, &self.valid_labels, scores);
+        let scores = self.score_split(m, &self.valid);
+        let valid = self.split_workload(&self.valid, scores);
         let grid = default_grid();
         let counts = grid_confusions(&valid.items, &[], &grid);
         let mut best: Option<(f64, f64)> = None; // (f1, threshold)
@@ -1530,39 +1524,41 @@ impl Session {
         positives_only: bool,
     ) -> Workload {
         let left: Vec<crate::sensitive::GroupVector> = self
-            .train_pairs
+            .train
+            .pairs
             .iter()
             .map(|&(ra, _)| self.enc_a[ra])
             .collect();
         let right: Vec<crate::sensitive::GroupVector> = self
-            .train_pairs
+            .train
+            .pairs
             .iter()
             .map(|&(_, rb)| self.enc_b[rb])
             .collect();
         let idx = crate::repair::oversample_group(
-            &self.train_labels,
+            &self.train.labels,
             &left,
             &right,
             group,
             factor,
             positives_only,
         );
-        let features = self.train_features.select_rows(&idx);
+        let features = self.train.features.select_rows(&idx);
         let neural = kind.is_neural();
         let tokens: Vec<TokenPair> = if neural {
-            let (_, train) = self.split_input(Split::Train, true);
+            let (_, train) = self.split_input(&self.train, true);
             idx.iter().map(|&i| train[i].clone()).collect()
         } else {
             Vec::new()
         };
-        let labels: Vec<f64> = idx.iter().map(|&i| self.train_labels[i]).collect();
+        let labels: Vec<f64> = idx.iter().map(|&i| self.train.labels[i]).collect();
         let input = TrainInput {
             features: &features,
             tokens: &tokens,
             labels: &labels,
         };
         let matcher = kind.train(&input, &self.train_config);
-        let (x, test_tokens) = self.split_input(Split::Test, neural);
+        let (x, test_tokens) = self.split_input(&self.test, neural);
         let scores = matcher.score_batch(x, &test_tokens);
         self.workload_from_scores(scores)
     }
@@ -1580,8 +1576,8 @@ impl Session {
             .iter()
             .find(|m| m.name() == matcher)
             .ok_or_else(|| self.unknown_matcher(matcher))?;
-        let train_scores = self.score_split(m, Split::Train);
-        let train = self.split_workload(&self.train_pairs, &self.train_labels, train_scores);
+        let train_scores = self.score_split(m, &self.train);
+        let train = self.split_workload(&self.train, train_scores);
         let cal = self.fit_calibrator(CalibrationSpec::platt(), &train, groups)?;
         Ok(calibrate::apply_calibrator(
             &cal,
@@ -1616,22 +1612,15 @@ impl Session {
             .iter()
             .find(|m| m.name() == matcher)
             .ok_or_else(|| self.unknown_matcher(matcher))?;
-        let (pairs, labels, mut scores) = if self.valid_labels.is_empty() {
-            (
-                &self.train_pairs,
-                &self.train_labels,
-                self.score_split(m, Split::Train),
-            )
+        let split = if self.valid.labels.is_empty() {
+            &self.train
         } else {
-            (
-                &self.valid_pairs,
-                &self.valid_labels,
-                self.score_split(m, Split::Valid),
-            )
+            &self.valid
         };
+        let mut scores = self.score_split(m, split);
         // Same boundary contract as test-time scoring.
         sanitize_scores(&mut scores);
-        let fit = self.split_workload(pairs, labels, scores);
+        let fit = self.split_workload(split, scores);
         self.fit_calibrator(spec, &fit, groups)
     }
 
@@ -1904,7 +1893,8 @@ mod tests {
         let s = session();
         // Score every test pair 1.0 via the external path.
         let preds: Vec<((String, String), f64)> = s
-            .test_pairs
+            .test
+            .pairs
             .iter()
             .map(|&(ra, rb)| {
                 (
@@ -1990,8 +1980,8 @@ mod tests {
         };
         let classic = run(&[MatcherKind::LinRegMatcher]);
         let mixed = run(&[MatcherKind::LinRegMatcher, MatcherKind::DeepMatcher]);
-        assert!(classic.train_tokens.is_empty() && classic.test_tokens.is_empty());
-        assert_eq!(mixed.test_tokens.len(), mixed.test_pairs.len());
+        assert!(classic.train.tokens.is_empty() && classic.test.tokens.is_empty());
+        assert_eq!(mixed.test.tokens.len(), mixed.test.pairs.len());
         let cn = classic.space.by_name("cn").unwrap();
         let bits = |s: &Session| -> Vec<u64> {
             s.retrain_with_oversampling(MatcherKind::DeepMatcher, cn, 3, true)
