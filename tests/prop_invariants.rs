@@ -2,10 +2,13 @@
 //! identities, disparity bounds, counting-rule consistency, threshold
 //! monotonicity. Runs on the in-workspace `fairem_rng::check` harness.
 
+use fairem360::core::audit::{AuditConfig, Auditor};
 use fairem360::core::confusion::ConfusionMatrix;
-use fairem360::core::fairness::{Disparity, FairnessMeasure};
-use fairem360::core::sensitive::{GroupId, GroupVector};
+use fairem360::core::fairness::{Disparity, FairnessMeasure, Paradigm};
+use fairem360::core::schema::Table;
+use fairem360::core::sensitive::{GroupId, GroupSpace, GroupVector, SensitiveAttr};
 use fairem360::core::workload::{Correspondence, Workload};
+use fairem360::csvio::parse_csv_str;
 use fairem_rng::check::{cases, Gen};
 
 const N_GROUPS: u32 = 4;
@@ -169,6 +172,61 @@ fn confusion_matrix_accumulation_is_linear() {
             expected_total += wgt;
         }
         assert!((cm.total() - expected_total).abs() < 1e-9);
+    });
+}
+
+/// The space `gen_correspondence` draws from: one attribute whose four
+/// level-1 groups `g0`..`g3` are ids 0..3, the bits of its group vectors.
+fn four_groups() -> GroupSpace {
+    let csv = parse_csv_str("id,g\na0,g0\na1,g1\na2,g2\na3,g3\n").expect("valid CSV");
+    let table = Table::from_csv(csv).expect("valid table");
+    GroupSpace::extract(&[&table], vec![SensitiveAttr::categorical("g")])
+}
+
+#[test]
+fn duplicating_every_correspondence_doubles_support_and_keeps_every_verdict() {
+    let space = four_groups();
+    cases(64, 0xD0B1E, |g| {
+        let w = gen_workload(g);
+        let k = g.usize_in(0, 40);
+        let fairness_threshold = g.unit_f64();
+        let doubled = Workload::new(
+            w.items.iter().chain(&w.items).cloned().collect(),
+            w.threshold,
+        );
+        for paradigm in [Paradigm::Single, Paradigm::Pairwise] {
+            for disparity in [Disparity::Subtraction, Disparity::Division] {
+                let audit = |w: &Workload, min_support| {
+                    Auditor::new(AuditConfig {
+                        paradigm,
+                        measures: FairnessMeasure::ALL.to_vec(),
+                        disparity,
+                        fairness_threshold,
+                        min_support,
+                        only_unfair: false,
+                        pairwise_attr: 0,
+                    })
+                    .audit("M", w, &space)
+                    .entries
+                };
+                let once = audit(&w, k);
+                let twice = audit(&doubled, 2 * k);
+                assert_eq!(once.len(), twice.len());
+                for (a, b) in once.iter().zip(&twice) {
+                    let cell = format!("{paradigm} {disparity:?} {} {}", a.measure, a.group);
+                    assert_eq!((a.measure, &a.group), (b.measure, &b.group), "{cell}");
+                    assert_eq!(a.group_value.to_bits(), b.group_value.to_bits(), "{cell}");
+                    assert_eq!(
+                        a.overall_value.to_bits(),
+                        b.overall_value.to_bits(),
+                        "{cell}"
+                    );
+                    assert_eq!(a.disparity.to_bits(), b.disparity.to_bits(), "{cell}");
+                    assert_eq!(a.unfair, b.unfair, "{cell}");
+                    assert_eq!(b.support, 2 * a.support, "{cell}");
+                }
+            }
+        }
     });
 }
 
