@@ -35,7 +35,9 @@ pub fn check_manifest(rel: &str, src: &str) -> Vec<Finding> {
             continue;
         }
         if trimmed.starts_with('[') {
-            section = trimmed.trim_matches(|c: char| c == '[' || c == ']').to_owned();
+            section = trimmed
+                .trim_matches(|c: char| c == '[' || c == ']')
+                .to_owned();
             continue;
         }
         let Some((key_part, value)) = trimmed.split_once('=') else {
@@ -114,7 +116,8 @@ mod tests {
 
     #[test]
     fn internal_workspace_deps_pass() {
-        let src = "[dependencies]\nfairem-core.workspace = true\nfairem-rng = { workspace = true }\n";
+        let src =
+            "[dependencies]\nfairem-core.workspace = true\nfairem-rng = { workspace = true }\n";
         assert!(check_manifest("crates/x/Cargo.toml", src).is_empty());
     }
 

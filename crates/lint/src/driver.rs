@@ -37,7 +37,12 @@ use crate::source::{Pragma, SourceFile};
 pub fn rule_names() -> Vec<&'static str> {
     let mut names: Vec<&'static str> = all_rules().iter().map(|r| r.name()).collect();
     names.push(deps::RULE);
-    names.extend(["stale_pragma", "metrics_registry", "lock_order", "exit_code"]);
+    names.extend([
+        "stale_pragma",
+        "metrics_registry",
+        "lock_order",
+        "exit_code",
+    ]);
     names
 }
 
@@ -173,10 +178,7 @@ pub fn lint_with(
                         rel: a.rel.clone(),
                         line: p.line,
                         rule: "stale_pragma",
-                        msg: format!(
-                            "pragma `allow({})` suppresses nothing — delete it",
-                            p.rule
-                        ),
+                        msg: format!("pragma `allow({})` suppresses nothing — delete it", p.rule),
                     });
                 }
             }
@@ -242,8 +244,8 @@ fn walk(
     skip_fixtures: bool,
     out: &mut Vec<PathBuf>,
 ) -> Result<(), String> {
-    let entries =
-        fs::read_dir(dir).map_err(|e| format!("fairem-lint: cannot walk {}: {e}", dir.display()))?;
+    let entries = fs::read_dir(dir)
+        .map_err(|e| format!("fairem-lint: cannot walk {}: {e}", dir.display()))?;
     for entry in entries {
         let entry = entry.map_err(|e| format!("fairem-lint: walk error: {e}"))?;
         let path = entry.path();

@@ -98,9 +98,7 @@ fn metrics_registry(files: &[(String, ItemIndex)], scope: WalkScope, out: &mut V
                             rel: rel.clone(),
                             line: call.line,
                             rule: "metrics_registry",
-                            msg: format!(
-                                "metric name `{name}` is not declared in {REGISTRY_FILE}"
-                            ),
+                            msg: format!("metric name `{name}` is not declared in {REGISTRY_FILE}"),
                         });
                     }
                 }
@@ -123,9 +121,7 @@ fn metrics_registry(files: &[(String, ItemIndex)], scope: WalkScope, out: &mut V
                     rel: REGISTRY_FILE.to_owned(),
                     line: *line,
                     rule: "metrics_registry",
-                    msg: format!(
-                        "registered metric `{name}` is never emitted by production code"
-                    ),
+                    msg: format!("registered metric `{name}` is never emitted by production code"),
                 });
             }
         }
@@ -292,7 +288,10 @@ mod tests {
     use crate::source::SourceFile;
 
     fn items(rel: &str, src: &str) -> (String, ItemIndex) {
-        (rel.to_owned(), ItemIndex::parse(&SourceFile::parse(rel, src)))
+        (
+            rel.to_owned(),
+            ItemIndex::parse(&SourceFile::parse(rel, src)),
+        )
     }
 
     const FULL: WalkScope = WalkScope {
@@ -306,20 +305,24 @@ mod tests {
 
     #[test]
     fn undeclared_and_non_literal_metric_names_fire() {
-        let reg = items(
-            REGISTRY_FILE,
-            "pub const A: &str = \"import.rows\";\n",
-        );
+        let reg = items(REGISTRY_FILE, "pub const A: &str = \"import.rows\";\n");
         let site = items(
             "crates/core/src/pipeline.rs",
             "fn f(recorder: &Recorder) {\n    recorder.incr(\"import.rows\");\n    recorder.incr(\"bogus.name\");\n    recorder.gauge(dynamic(), 1.0);\n}\n",
         );
         let fs = vec![reg, site];
         let found = global_findings(&fs, PARTIAL);
-        let metrics: Vec<_> = found.iter().filter(|f| f.rule == "metrics_registry").collect();
+        let metrics: Vec<_> = found
+            .iter()
+            .filter(|f| f.rule == "metrics_registry")
+            .collect();
         assert_eq!(metrics.len(), 2, "{metrics:#?}");
-        assert!(metrics.iter().any(|f| f.line == 3 && f.msg.contains("bogus.name")));
-        assert!(metrics.iter().any(|f| f.line == 4 && f.msg.contains("string literal")));
+        assert!(metrics
+            .iter()
+            .any(|f| f.line == 3 && f.msg.contains("bogus.name")));
+        assert!(metrics
+            .iter()
+            .any(|f| f.line == 4 && f.msg.contains("string literal")));
     }
 
     #[test]
@@ -379,9 +382,13 @@ mod tests {
         let found = global_findings(&[file], PARTIAL);
         let hits: Vec<_> = found.iter().filter(|f| f.rule == "exit_code").collect();
         assert_eq!(hits.len(), 3, "{hits:#?}");
-        assert!(hits.iter().any(|f| f.line == 3 && f.msg.contains("Unmapped")));
+        assert!(hits
+            .iter()
+            .any(|f| f.line == 3 && f.msg.contains("Unmapped")));
         assert!(hits.iter().any(|f| f.line == 8 && f.msg.contains("Bogus")));
-        assert!(hits.iter().any(|f| f.line == 9 && f.msg.contains("wildcard")));
+        assert!(hits
+            .iter()
+            .any(|f| f.line == 9 && f.msg.contains("wildcard")));
     }
 
     #[test]

@@ -668,12 +668,8 @@ impl ItemIndex {
                         let close_p = match_paren(b, p);
                         let arg = String::from_utf8_lossy(&b[p + 1..close_p]);
                         let arg = arg.trim();
-                        let dropped: String = arg
-                            .rsplit('.')
-                            .next()
-                            .unwrap_or(arg)
-                            .trim()
-                            .to_owned();
+                        let dropped: String =
+                            arg.rsplit('.').next().unwrap_or(arg).trim().to_owned();
                         live.retain(|g| {
                             g.binding.as_deref() != Some(arg)
                                 && g.binding.as_deref() != Some(dropped.as_str())
@@ -840,7 +836,10 @@ mod tests {
         let src = "fn f(recorder: &Recorder) {\n    recorder\n        .time(\"serve.request_secs\", || step());\n}\n";
         let idx = index(src);
         assert_eq!(idx.metric_calls.len(), 1);
-        assert_eq!(idx.metric_calls[0].name.as_deref(), Some("serve.request_secs"));
+        assert_eq!(
+            idx.metric_calls[0].name.as_deref(),
+            Some("serve.request_secs")
+        );
         assert_eq!(idx.metric_calls[0].line, 3);
     }
 
@@ -851,7 +850,11 @@ mod tests {
                    fn map(e: &SuiteError) -> i32 {\n    match e {\n        SuiteError::Io { .. } => 2,\n        SuiteError::Bogus => 3,\n        _ => 0,\n    }\n}\n";
         let idx = index(src);
         assert_eq!(idx.enums.len(), 1);
-        let vars: Vec<&str> = idx.enums[0].variants.iter().map(|(v, _)| v.as_str()).collect();
+        let vars: Vec<&str> = idx.enums[0]
+            .variants
+            .iter()
+            .map(|(v, _)| v.as_str())
+            .collect();
         assert_eq!(vars, ["Io", "Config"]);
         assert_eq!(idx.str_consts.len(), 1);
         assert_eq!(idx.str_consts[0].value, "import.rows");

@@ -61,8 +61,9 @@ fn token_at(line: &str, pat: &str) -> Option<usize> {
             || !pb.first().map(|&c| is_ident(c)).unwrap_or(false)
             || (at >= 2 && lb[at - 1] == b':' && lb[at - 2] == b':');
         let end = at + pat.len();
-        let post_ok =
-            end >= lb.len() || !is_ident(lb[end]) || !pb.last().map(|&c| is_ident(c)).unwrap_or(false);
+        let post_ok = end >= lb.len()
+            || !is_ident(lb[end])
+            || !pb.last().map(|&c| is_ident(c)).unwrap_or(false);
         if pre_ok && post_ok {
             return Some(at);
         }
@@ -178,11 +179,7 @@ pub struct ThreadRule;
 // The server's accept loop and per-connection workers are the second
 // sanctioned home for ad-hoc threads: connections are containment
 // boundaries there, mirroring what the pool does for chunks.
-const THREAD_ALLOW: &[&str] = &[
-    "crates/par/",
-    "crates/core/src/fault.rs",
-    "crates/serve/",
-];
+const THREAD_ALLOW: &[&str] = &["crates/par/", "crates/core/src/fault.rs", "crates/serve/"];
 
 impl Rule for ThreadRule {
     fn name(&self) -> &'static str {
@@ -243,7 +240,9 @@ impl Rule for RngRule {
                         rel: file.rel.clone(),
                         line: i + 1,
                         rule: self.name(),
-                        msg: format!("`{tok}` — randomness comes only from fairem-rng seeded generators"),
+                        msg: format!(
+                            "`{tok}` — randomness comes only from fairem-rng seeded generators"
+                        ),
                     });
                 }
             }
@@ -401,7 +400,13 @@ impl Rule for PanicRule {
             if file.is_test(i + 1) {
                 continue;
             }
-            for tok in ["panic!", "todo!", "unimplemented!", "unreachable!", ".expect("] {
+            for tok in [
+                "panic!",
+                "todo!",
+                "unimplemented!",
+                "unreachable!",
+                ".expect(",
+            ] {
                 if token_at(line, tok).is_some() {
                     out.push(Finding {
                         rel: file.rel.clone(),
@@ -550,7 +555,10 @@ mod tests {
     #[test]
     fn thread_fires_outside_par() {
         let src = "std::thread::spawn(|| {});\n";
-        assert_eq!(run(&ThreadRule, "crates/core/src/pipeline.rs", src).len(), 1);
+        assert_eq!(
+            run(&ThreadRule, "crates/core/src/pipeline.rs", src).len(),
+            1
+        );
         assert!(run(&ThreadRule, "crates/par/src/pool.rs", src).is_empty());
     }
 

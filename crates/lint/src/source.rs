@@ -223,10 +223,7 @@ fn find_pragmas(comments: &[String], code: &[String]) -> Vec<Pragma> {
         }
         let tail = rest[close + 1..]
             .trim_start_matches(|c: char| c.is_whitespace() || c == '—' || c == '-' || c == ':');
-        let own_line = code
-            .get(ln)
-            .map(|l| l.trim().is_empty())
-            .unwrap_or(true);
+        let own_line = code.get(ln).map(|l| l.trim().is_empty()).unwrap_or(true);
         out.push(Pragma {
             line: ln + 1,
             rule,

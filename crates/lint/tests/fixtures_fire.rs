@@ -46,7 +46,10 @@ fn every_rule_is_exercised_by_a_fixture() {
         "lock_order",
         "exit_code",
     ] {
-        assert!(fired.contains(&rule), "no fixture finding for rule `{rule}`");
+        assert!(
+            fired.contains(&rule),
+            "no fixture finding for rule `{rule}`"
+        );
     }
 }
 

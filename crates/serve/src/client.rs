@@ -393,7 +393,10 @@ fn malformed_client(addr: &str, cfg: &StormConfig, tally: &Tally, rng: &mut StdR
     let Some(mut client) = connect_patiently(addr, cfg, tally, rng) else {
         return;
     };
-    if client.send_raw(b"utter nonsense\nmore nonsense\nstill nonsense\n").is_err() {
+    if client
+        .send_raw(b"utter nonsense\nmore nonsense\nstill nonsense\n")
+        .is_err()
+    {
         tally.hit(&tally.transport_failures);
         return;
     }
@@ -419,8 +422,14 @@ fn slow_client(addr: &str, cfg: &StormConfig, tally: &Tally, rng: &mut StdRng) {
         return;
     };
     for _ in 0..cfg.rounds {
-        if send_patiently(&mut client, &format!("stall {}", cfg.stall_ms), cfg, tally, rng)
-            .is_none()
+        if send_patiently(
+            &mut client,
+            &format!("stall {}", cfg.stall_ms),
+            cfg,
+            tally,
+            rng,
+        )
+        .is_none()
         {
             return;
         }
@@ -433,13 +442,7 @@ fn slow_client(addr: &str, cfg: &StormConfig, tally: &Tally, rng: &mut StdRng) {
 /// Role 3: the thundering herd — all over-capacity clients fire a
 /// stall burst through a barrier at the same instant, so concurrent
 /// in-flight work exceeds the cap and admission control must shed.
-fn overcap_client(
-    addr: &str,
-    cfg: &StormConfig,
-    tally: &Tally,
-    burst: &Barrier,
-    rng: &mut StdRng,
-) {
+fn overcap_client(addr: &str, cfg: &StormConfig, tally: &Tally, burst: &Barrier, rng: &mut StdRng) {
     let Some(mut client) = connect_patiently(addr, cfg, tally, rng) else {
         burst.wait(); // never strand the herd
         return;
@@ -470,7 +473,9 @@ mod tests {
         let mut rng = client_rng(7, 0);
         for attempt in 0..32 {
             let ms = backoff_ms(attempt, 25, &mut rng);
-            let cap = 25u64.saturating_mul(1 << attempt.min(10)).min(MAX_BACKOFF_MS);
+            let cap = 25u64
+                .saturating_mul(1 << attempt.min(10))
+                .min(MAX_BACKOFF_MS);
             assert!(ms >= 25, "attempt {attempt}: {ms} below the hint");
             assert!(ms <= cap, "attempt {attempt}: {ms} above the cap {cap}");
         }

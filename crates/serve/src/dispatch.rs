@@ -150,14 +150,12 @@ pub struct ConnCtx {
 /// (except for `ping`/`close`, which bypass admission) and wrapped this
 /// in the panic guard; `token` is this request's child of the server
 /// root and carries the per-request deadline.
-pub fn dispatch(
-    req: Request,
-    conn: &mut ConnCtx,
-    shared: &Shared,
-    token: &CancelToken,
-) -> Reply {
+pub fn dispatch(req: Request, conn: &mut ConnCtx, shared: &Shared, token: &CancelToken) -> Reply {
     match req {
-        Request::Ping => Reply::ok(Json::obj([("proto", Json::Str(crate::proto::MAGIC.into()))])),
+        Request::Ping => Reply::ok(Json::obj([(
+            "proto",
+            Json::Str(crate::proto::MAGIC.into()),
+        )])),
         Request::Close => Reply::bye("close"),
         Request::Metrics => metrics(shared),
         Request::Boom => {
@@ -171,7 +169,9 @@ pub fn dispatch(
             matchers,
             threshold,
             shards,
-        } => open(&dataset, seed, &matchers, threshold, shards, conn, shared, token),
+        } => open(
+            &dataset, seed, &matchers, threshold, shards, conn, shared, token,
+        ),
         Request::Audit(matcher) => audit(matcher.as_deref(), conn, shared, token),
         Request::TuneThreshold(matcher) => tune(&matcher, conn, token),
         Request::Calibrate { matcher, spec } => calibrate(&matcher, spec, conn, shared, token),
@@ -209,10 +209,7 @@ fn stall(ms: u64, token: &CancelToken) -> Reply {
         if let Err(interrupt) = token.checkpoint() {
             return Reply::partial(
                 &interrupt,
-                Json::obj([(
-                    "stalled_ms",
-                    Json::Num(start.elapsed().as_millis() as f64),
-                )]),
+                Json::obj([("stalled_ms", Json::Num(start.elapsed().as_millis() as f64))]),
             );
         }
         std::thread::sleep(std::time::Duration::from_millis(1));
@@ -240,10 +237,9 @@ fn open(
         .get_or_build(&spec, shared.parallelism, token, &shared.recorder)
     {
         Ok((entry, cached)) => {
-            shared.recorder.gauge(
-                "serve.sessions.cached",
-                shared.registry.len() as f64,
-            );
+            shared
+                .recorder
+                .gauge("serve.sessions.cached", shared.registry.len() as f64);
             let names: Vec<Json> = entry
                 .session
                 .matcher_names()
@@ -280,10 +276,7 @@ fn open(
                 &interrupt,
                 Json::obj([
                     ("stage", Json::Str(stage.to_string())),
-                    (
-                        "matcher",
-                        matcher.map(Json::Str).unwrap_or(Json::Null),
-                    ),
+                    ("matcher", matcher.map(Json::Str).unwrap_or(Json::Null)),
                 ]),
             )
         }
@@ -291,12 +284,7 @@ fn open(
     }
 }
 
-fn audit(
-    matcher: Option<&str>,
-    conn: &mut ConnCtx,
-    shared: &Shared,
-    token: &CancelToken,
-) -> Reply {
+fn audit(matcher: Option<&str>, conn: &mut ConnCtx, shared: &Shared, token: &CancelToken) -> Reply {
     let entry = match require_session(conn) {
         Ok(e) => e,
         Err(r) => return r,
@@ -316,8 +304,7 @@ fn audit(
             }
         }
         None => {
-            let (reports, interrupt) =
-                entry.session.try_audit_all_within(&auditor, token);
+            let (reports, interrupt) = entry.session.try_audit_all_within(&auditor, token);
             let _ = shared; // counters recorded by the caller
             let body = Json::obj([(
                 "reports",
@@ -429,9 +416,7 @@ fn ensemble(conn: &mut ConnCtx, token: &CancelToken) -> Reply {
     let session = match entry.session.as_full() {
         Some(s) => s,
         None => {
-            return Reply::error(
-                "ensemble requires a materialized session — reopen without shards",
-            )
+            return Reply::error("ensemble requires a materialized session — reopen without shards")
         }
     };
     if let Err(interrupt) = token.checkpoint() {

@@ -162,7 +162,10 @@ fn clip(s: &str) -> String {
     if s.len() <= LIMIT {
         s.to_owned()
     } else {
-        let cut = (0..=LIMIT).rev().find(|&i| s.is_char_boundary(i)).unwrap_or(0);
+        let cut = (0..=LIMIT)
+            .rev()
+            .find(|&i| s.is_char_boundary(i))
+            .unwrap_or(0);
         format!("{}…", &s[..cut])
     }
 }
@@ -253,9 +256,8 @@ impl Request {
                 let m = words.next().ok_or("calibrate needs a matcher name")?;
                 let spec = match words.next() {
                     None => CalibrationSpec::isotonic(),
-                    Some(raw) => CalibrationSpec::parse(raw)?.ok_or(
-                        "calibrate spec `none` does nothing — pick platt or isotonic",
-                    )?,
+                    Some(raw) => CalibrationSpec::parse(raw)?
+                        .ok_or("calibrate spec `none` does nothing — pick platt or isotonic")?,
                 };
                 Ok(Request::Calibrate {
                     matcher: m.to_owned(),

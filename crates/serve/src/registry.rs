@@ -30,8 +30,7 @@ use fairem_par::{CancelToken, Interrupt, Parallelism};
 /// Matchers trained when `open` names none: one tree, one linear model
 /// — the cheapest pair that still gives ensemble/tune requests
 /// something to compare.
-pub const DEFAULT_MATCHERS: [MatcherKind; 2] =
-    [MatcherKind::DtMatcher, MatcherKind::LinRegMatcher];
+pub const DEFAULT_MATCHERS: [MatcherKind; 2] = [MatcherKind::DtMatcher, MatcherKind::LinRegMatcher];
 
 /// Canonical description of a server-side workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -354,7 +353,13 @@ impl SessionRegistry {
         if let Some(entry) = cell.as_ref() {
             return Ok((Arc::clone(entry), true));
         }
-        match build_session(spec, parallelism, cancel, observe, self.checkpoint_dir.as_deref()) {
+        match build_session(
+            spec,
+            parallelism,
+            cancel,
+            observe,
+            self.checkpoint_dir.as_deref(),
+        ) {
             Ok(session) => {
                 let entry = Arc::new(SessionEntry {
                     key: key.clone(),
@@ -390,11 +395,10 @@ fn build_session(
     observe: &Recorder,
     checkpoint_root: Option<&std::path::Path>,
 ) -> Result<ServedSession, SuiteError> {
-    let data = fairem_datasets::generate(&spec.dataset, spec.seed).ok_or_else(|| {
-        SuiteError::Config {
+    let data =
+        fairem_datasets::generate(&spec.dataset, spec.seed).ok_or_else(|| SuiteError::Config {
             detail: format!("unknown dataset {:?}", spec.dataset),
-        }
-    })?;
+        })?;
     let sensitive: Vec<SensitiveAttr> = data
         .sensitive
         .iter()
@@ -588,7 +592,10 @@ mod tests {
             .expect("sharded build");
         assert!(!cached);
         assert!(matches!(entry.session, ServedSession::Sharded(_)));
-        assert!(entry.session.as_full().is_none(), "sharded has no full view");
+        assert!(
+            entry.session.as_full().is_none(),
+            "sharded has no full view"
+        );
         assert_eq!(counter(&rec1, "ckpt.shards_written"), 3);
         assert_eq!(counter(&rec1, "ckpt.shards_skipped"), 0);
         drop(reg1); // the server process dies here…

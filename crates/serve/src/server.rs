@@ -236,8 +236,8 @@ pub fn serve(
     recorder: Recorder,
     on_ready: impl FnOnce(&str),
 ) -> Result<ServeSummary, String> {
-    let listener = TcpListener::bind(&cfg.addr)
-        .map_err(|e| format!("bind {} failed: {e}", cfg.addr))?;
+    let listener =
+        TcpListener::bind(&cfg.addr).map_err(|e| format!("bind {} failed: {e}", cfg.addr))?;
     listener
         .set_nonblocking(true)
         .map_err(|e| format!("set_nonblocking failed: {e}"))?;
@@ -299,9 +299,7 @@ pub fn serve(
     }
     let drain_secs = drain_start.elapsed().as_secs_f64();
     shared.recorder.observe("serve.drain_secs", drain_secs);
-    shared
-        .recorder
-        .add("serve.drain.forced_cuts", forced);
+    shared.recorder.add("serve.drain.forced_cuts", forced);
 
     let s = &shared.stats;
     Ok(ServeSummary {
@@ -434,8 +432,7 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared) {
             {
                 if reader.has_partial() && last_progress.elapsed() > FRAME_STALL {
                     last_progress = Instant::now();
-                    let reply =
-                        Reply::error("frame stalled: header/body incomplete").with_strike();
+                    let reply = Reply::error("frame stalled: header/body incomplete").with_strike();
                     if send_reply(&mut stream, shared, &mut strikes, reply) {
                         break;
                     }
@@ -449,12 +446,7 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared) {
 
 /// Write `reply`, applying strike/quarantine and disconnect semantics.
 /// Returns true when the connection must close.
-fn send_reply(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    strikes: &mut u32,
-    reply: Reply,
-) -> bool {
+fn send_reply(stream: &mut TcpStream, shared: &Shared, strikes: &mut u32, reply: Reply) -> bool {
     let mut quarantine = false;
     if reply.strike {
         shared.bump(&shared.stats.protocol_errors, "serve.errors.protocol");
@@ -500,18 +492,15 @@ fn handle_body(body: &str, conn: &mut ConnCtx, shared: &Shared) -> Reply {
     }
     shared.bump(&shared.stats.requests, "serve.requests");
     let token = shared.root.child(shared.cfg.request_budget);
-    let outcome = shared
-        .recorder
-        .time("serve.request_secs", || {
-            contain(|| dispatch(req, conn, shared, &token))
-        });
+    let outcome = shared.recorder.time("serve.request_secs", || {
+        contain(|| dispatch(req, conn, shared, &token))
+    });
     shared.inflight.fetch_sub(1, Ordering::SeqCst);
     match outcome {
         Ok(reply) => reply,
         Err(panic_msg) => {
             shared.bump(&shared.stats.panics, "serve.panics");
-            Reply::error(format!("request panicked (contained): {panic_msg}"))
-                .with_disconnect()
+            Reply::error(format!("request panicked (contained): {panic_msg}")).with_disconnect()
         }
     }
 }

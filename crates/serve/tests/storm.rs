@@ -83,8 +83,16 @@ fn storm_of_mixed_clients_leaves_the_server_standing() {
     // malformed clients were struck out (error + disconnect).
     assert!(report.partial > 0, "no deadline cuts: {}", report.render());
     assert!(report.busy > 0, "no admission sheds: {}", report.render());
-    assert!(report.error > 0, "no structured errors: {}", report.render());
-    assert!(report.disconnects > 0, "no quarantines: {}", report.render());
+    assert!(
+        report.error > 0,
+        "no structured errors: {}",
+        report.render()
+    );
+    assert!(
+        report.disconnects > 0,
+        "no quarantines: {}",
+        report.render()
+    );
 
     // The server survived all of it: a fresh client still gets served.
     let mut probe = Client::connect(&addr, Duration::from_secs(5)).expect("post-storm connect");
@@ -296,12 +304,23 @@ fn sessions_are_cached_across_connections_and_replies_stay_identical() {
     assert!(cal_b.contains("ks_raw"), "{cal_b}");
     assert!(cal_b.contains("\"calibration\":\"isotonic:10\""), "{cal_b}");
     let cal_b2 = b.send("calibrate DTMatcher").expect("calibrate again");
-    assert_eq!(cal_b2, cal_b, "cached calibrator must serve identical bytes");
+    assert_eq!(
+        cal_b2, cal_b,
+        "cached calibrator must serve identical bytes"
+    );
     let cal_a = a.send("calibrate DTMatcher").expect("a calibrates");
     assert_eq!(cal_a, cal_b, "both connections share one cached calibrator");
     let metrics_now = b.send("metrics").expect("metrics");
-    assert_eq!(metric_counter(&metrics_now, "serve.calib.cache_miss"), 1.0, "{metrics_now}");
-    assert_eq!(metric_counter(&metrics_now, "serve.calib.cache_hit"), 2.0, "{metrics_now}");
+    assert_eq!(
+        metric_counter(&metrics_now, "serve.calib.cache_miss"),
+        1.0,
+        "{metrics_now}"
+    );
+    assert_eq!(
+        metric_counter(&metrics_now, "serve.calib.cache_hit"),
+        2.0,
+        "{metrics_now}"
+    );
 
     // Unknown matcher → structured error, session intact.
     let unknown = b.send("audit NopeMatcher").expect("unknown matcher");
@@ -393,8 +412,16 @@ fn sharded_opens_serve_identical_audits_and_resume_across_restarts() {
         "resumed session must serve byte-identical audits"
     );
     let metrics = c.send("metrics").expect("metrics");
-    assert_eq!(metric_counter(&metrics, "ckpt.shards_skipped"), 3.0, "{metrics}");
-    assert_eq!(metric_counter(&metrics, "ckpt.shards_written"), 0.0, "{metrics}");
+    assert_eq!(
+        metric_counter(&metrics, "ckpt.shards_skipped"),
+        3.0,
+        "{metrics}"
+    );
+    assert_eq!(
+        metric_counter(&metrics, "ckpt.shards_written"),
+        0.0,
+        "{metrics}"
+    );
     drop(c);
     let summary = shut_down(&root, &sum_rx);
     assert_eq!(summary.panics, 0, "{}", summary.render());

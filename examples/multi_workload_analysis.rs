@@ -30,8 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
 
     // Mode A: one test set → k bootstrap workloads.
-    let base = session
-        .workload("LinRegMatcher")?;
+    let base = session.workload("LinRegMatcher")?;
     let report = analyze_bootstrap(
         "LinRegMatcher",
         &base,

@@ -22,8 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             SensitiveAttr::categorical("sex"),
         ])
         .build()?;
-    let session = suite
-        .try_run(&[MatcherKind::LinRegMatcher, MatcherKind::RfMatcher])?;
+    let session = suite.try_run(&[MatcherKind::LinRegMatcher, MatcherKind::RfMatcher])?;
 
     println!(
         "extracted {} (sub)groups, including intersections:",
@@ -65,8 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         min_support: 10,
         ..AuditConfig::default()
     });
-    let report = session
-        .audit("LinRegMatcher", &pairwise)?;
+    let report = session.audit("LinRegMatcher", &pairwise)?;
     println!("\npairwise (race×race) TPRP for LinRegMatcher:");
     for e in &report.entries {
         if !e.insufficient() {
@@ -78,16 +76,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Drill into the most disparate subgroup via the lattice.
-    let single = session
-        .audit("LinRegMatcher", &auditor)?;
+    let single = session.audit("LinRegMatcher", &auditor)?;
     if let Some(worst) = single
         .entries
         .iter()
         .filter(|e| e.disparity.is_finite())
         .max_by(|a, b| a.disparity.total_cmp(&b.disparity))
     {
-        let w = session
-            .workload("LinRegMatcher")?;
+        let w = session.workload("LinRegMatcher")?;
         let explainer = session.explainer(&w, Disparity::Division);
         println!("\nsubgroup drill-down for {}:", worst.group);
         for row in explainer.subgroup(worst.measure, &worst.group).rows {

@@ -23,8 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     // 3. Train a couple of the integrated matchers.
-    let session = suite
-        .try_run(&[MatcherKind::DtMatcher, MatcherKind::LinRegMatcher])?;
+    let session = suite.try_run(&[MatcherKind::DtMatcher, MatcherKind::LinRegMatcher])?;
 
     // 4. Audit them — five headline measures, 20% fairness threshold.
     let auditor = Auditor::new(AuditConfig {

@@ -492,7 +492,9 @@ impl Args {
         match self.get("jobs") {
             None => Ok(Parallelism::Auto),
             Some(v) => Parallelism::parse_jobs(v).ok_or_else(|| {
-                err(format!("--jobs expects a worker count, `0`, or `auto`, got {v:?}"))
+                err(format!(
+                    "--jobs expects a worker count, `0`, or `auto`, got {v:?}"
+                ))
             }),
         }
     }
@@ -531,9 +533,11 @@ fn parse_inject_stall(
             )))
         }
     };
-    let millis: u64 = millis
-        .parse()
-        .map_err(|_| err(format!("--inject-stall expects integer millis, got {millis:?}")))?;
+    let millis: u64 = millis.parse().map_err(|_| {
+        err(format!(
+            "--inject-stall expects integer millis, got {millis:?}"
+        ))
+    })?;
     Ok(plan.stall(kind, site, millis))
 }
 
@@ -541,9 +545,7 @@ fn parse_inject_stall(
 /// into a blocking scheme. `token` returns `None`: the suite then uses
 /// its default [`fairem_core::TokenBlocking`], which honours the
 /// `--blocking` column list.
-fn parse_blocker(
-    spec: &str,
-) -> Result<Option<std::sync::Arc<dyn fairem_core::Blocker>>, CliError> {
+fn parse_blocker(spec: &str) -> Result<Option<std::sync::Arc<dyn fairem_core::Blocker>>, CliError> {
     let parts: Vec<&str> = spec.split(':').collect();
     match parts[..] {
         ["token"] => Ok(None),
@@ -556,7 +558,9 @@ fn parse_blocker(
         }))),
         ["sorted", key, window] => {
             let window: usize = window.parse().map_err(|_| {
-                err(format!("--blocker sorted expects an integer window, got {window:?}"))
+                err(format!(
+                    "--blocker sorted expects an integer window, got {window:?}"
+                ))
             })?;
             if window < 2 {
                 return Err(err(format!(
@@ -909,7 +913,13 @@ fn cmd_audit(args: &Args, cancel: &CancelToken) -> Result<CliOutput, CliError> {
             None,
             run.matcher_names().len(),
         );
-        append_observability(&mut text, &observe, trace, args.has("json"), metrics_path.as_deref())?;
+        append_observability(
+            &mut text,
+            &observe,
+            trace,
+            args.has("json"),
+            metrics_path.as_deref(),
+        )?;
         return Ok(CliOutput {
             text,
             degraded: run.is_degraded() || !run.quarantine().is_empty(),
@@ -1018,7 +1028,11 @@ fn cmd_audit(args: &Args, cancel: &CancelToken) -> Result<CliOutput, CliError> {
     if observe.is_enabled() && !session.matcher_names().is_empty() {
         // A configured calibrator doubles the workload pool (raw +
         // calibrated variant per matcher), so it enters the cap too.
-        let variants = if session.calibration().is_some() { 2.0 } else { 1.0 };
+        let variants = if session.calibration().is_some() {
+            2.0
+        } else {
+            1.0
+        };
         let m = session.matcher_names().len() as f64 * variants;
         let k = session.space.level1_of_attr(0).len() as f64;
         if m.powf(k) <= 1e7 {
@@ -1053,7 +1067,13 @@ fn cmd_audit(args: &Args, cancel: &CancelToken) -> Result<CliOutput, CliError> {
         audit_interrupt.as_ref(),
         session.matcher_names().len(),
     );
-    append_observability(&mut text, &observe, trace, args.has("json"), metrics_path.as_deref())?;
+    append_observability(
+        &mut text,
+        &observe,
+        trace,
+        args.has("json"),
+        metrics_path.as_deref(),
+    )?;
     Ok(CliOutput {
         text,
         degraded: session.is_degraded() || !session.quarantine().is_empty(),
@@ -1171,9 +1191,9 @@ fn read_external_scores(path: &str) -> Result<ExternalScores, CliError> {
         .ok_or_else(|| data_err("scores csv needs score"))?;
     let mut preds = Vec::with_capacity(t.len());
     for r in &t.rows {
-        let s: f64 = r[is].parse().map_err(|_| {
-            data_err(format!("bad score {:?} for ({}, {})", r[is], r[ia], r[ib]))
-        })?;
+        let s: f64 = r[is]
+            .parse()
+            .map_err(|_| data_err(format!("bad score {:?} for ({}, {})", r[is], r[ia], r[ib])))?;
         preds.push(((r[ia].clone(), r[ib].clone()), s));
     }
     Ok(ExternalScores::new("UploadedScores", preds))
@@ -1746,7 +1766,13 @@ mod tests {
         let token = run(&base(&["--blocker", "token"])).unwrap().text;
         assert!(token.contains("DTMatcher"), "{token}");
         // Bad specs are usage errors, not panics.
-        for bad in ["sorted", "sorted::4", "sorted:title:1", "sorted:title:x", "lsh"] {
+        for bad in [
+            "sorted",
+            "sorted::4",
+            "sorted:title:1",
+            "sorted:title:x",
+            "lsh",
+        ] {
             let e = run(&base(&["--blocker", bad])).unwrap_err();
             assert_eq!(e.exit, EXIT_USAGE, "{bad}: {}", e.message);
             assert!(e.message.contains("--blocker"), "{bad}: {}", e.message);
@@ -2012,8 +2038,14 @@ mod tests {
 
         // The trace tree names each stage and each per-matcher child.
         assert!(out.text.contains("TRACE:"), "{}", out.text);
-        for stage in ["import", "prep", "blocking", "features", "audit", "ensemble"] {
-            assert!(out.text.contains(stage), "missing {stage} in:\n{}", out.text);
+        for stage in [
+            "import", "prep", "blocking", "features", "audit", "ensemble",
+        ] {
+            assert!(
+                out.text.contains(stage),
+                "missing {stage} in:\n{}",
+                out.text
+            );
         }
         assert!(out.text.contains("train.DTMatcher"), "{}", out.text);
         assert!(out.text.contains("score.LinRegMatcher"), "{}", out.text);

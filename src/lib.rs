@@ -33,9 +33,9 @@ pub use fairem_core as core;
 pub use fairem_csvio as csvio;
 pub use fairem_datasets as datasets;
 pub use fairem_ml as ml;
+pub use fairem_neural as neural;
 pub use fairem_obs as obs;
 pub use fairem_par as par;
-pub use fairem_neural as neural;
 pub use fairem_serve as serve;
 pub use fairem_stats as stats;
 pub use fairem_text as text;
@@ -53,7 +53,7 @@ pub mod prelude {
     pub use fairem_core::pipeline::{FairEm360, SuiteBuilder, SuiteConfig};
     pub use fairem_core::sensitive::{GroupSpace, SensitiveAttr};
     pub use fairem_core::workload::Workload;
+    pub use fairem_datasets::{faculty_match, nofly_compas};
     pub use fairem_obs::{Recorder, Snapshot};
     pub use fairem_par::{Budget, CancelToken, Interrupt, Parallelism};
-    pub use fairem_datasets::{faculty_match, nofly_compas};
 }

@@ -127,7 +127,11 @@ fn per_group_calibration_strictly_improves_and_is_policy_invariant() {
     // One calibrated-score vector (and audit) per parallelism policy.
     let mut calibrated_bits: Vec<Vec<u64>> = Vec::new();
     let mut audits = Vec::new();
-    for policy in [Parallelism::Off, Parallelism::Fixed(1), Parallelism::Fixed(4)] {
+    for policy in [
+        Parallelism::Off,
+        Parallelism::Fixed(1),
+        Parallelism::Fixed(4),
+    ] {
         let pool = WorkerPool::with_parallelism(policy);
         let cal = GroupCalibrator::try_fit(
             CalibrationSpec::isotonic(),
@@ -151,7 +155,10 @@ fn per_group_calibration_strictly_improves_and_is_policy_invariant() {
 
     // Bit-for-bit identical under every policy.
     for other in &calibrated_bits[1..] {
-        assert_eq!(&calibrated_bits[0], other, "calibration diverged across policies");
+        assert_eq!(
+            &calibrated_bits[0], other,
+            "calibration diverged across policies"
+        );
     }
     for other in &audits[1..] {
         assert_eq!(audits[0].max_ks().to_bits(), other.max_ks().to_bits());
@@ -164,14 +171,22 @@ fn per_group_calibration_strictly_improves_and_is_policy_invariant() {
 
     // Strict improvement on every threshold-free summary.
     let after = &audits[0];
-    assert!(after.max_ks() < before.max_ks(), "{} vs {}", after.max_ks(), before.max_ks());
+    assert!(
+        after.max_ks() < before.max_ks(),
+        "{} vs {}",
+        after.max_ks(),
+        before.max_ks()
+    );
     assert!(after.max_wasserstein() < before.max_wasserstein());
     assert!(after.max_area() < before.max_area());
 
     // The calibrated workload no longer flips: the 0.5 verdict that was
     // unfair on raw scores is fair after per-group calibration.
     let auditor = tpr_auditor();
-    assert!(any_unfair(&auditor, &w, &sp), "raw fixture is unfair at 0.5");
+    assert!(
+        any_unfair(&auditor, &w, &sp),
+        "raw fixture is unfair at 0.5"
+    );
     let pool = WorkerPool::with_parallelism(Parallelism::Off);
     let cal = GroupCalibrator::try_fit(
         CalibrationSpec::isotonic(),

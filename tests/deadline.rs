@@ -172,7 +172,11 @@ fn suite_budget_expiring_mid_train_stops_at_the_next_stage_checkpoint() {
     let err = import(config).try_run(&KINDS).expect_err("budget expires");
     match err {
         SuiteError::TimedOut { stage, elapsed, .. } => {
-            assert_eq!(stage, Stage::FeatureGen, "cut lands at the post-train checkpoint");
+            assert_eq!(
+                stage,
+                Stage::FeatureGen,
+                "cut lands at the post-train checkpoint"
+            );
             assert!(elapsed >= Duration::from_millis(300));
         }
         other => panic!("expected TimedOut, got {other}"),
@@ -362,8 +366,14 @@ mod cli {
         bad(&["--timeout"], "no value was given");
         bad(&["--matcher-timeout", "-1"], "positive");
         bad(&["--matcher-timeout"], "no value was given");
-        bad(&["--inject-stall", "DTMatcher:train"], "--inject-stall expects");
-        bad(&["--inject-stall", "DTMatcher:prep:100"], "train` or `score");
+        bad(
+            &["--inject-stall", "DTMatcher:train"],
+            "--inject-stall expects",
+        );
+        bad(
+            &["--inject-stall", "DTMatcher:prep:100"],
+            "train` or `score",
+        );
         bad(&["--inject-stall", "NoSuchMatcher:train:100"], "matcher");
     }
 }

@@ -144,7 +144,10 @@ fn poisoned_scores_are_clamped_before_thresholding() {
     let session = import(plan).try_run(&KINDS).expect("run must complete");
 
     // The poison was repaired at the matcher boundary and counted.
-    assert!(session.clamped_scores() > 0, "clamp counter must record repairs");
+    assert!(
+        session.clamped_scores() > 0,
+        "clamp counter must record repairs"
+    );
     // No matcher was lost to the poison — both still audit.
     assert_eq!(session.coverage(), (2, 2));
 
@@ -256,7 +259,10 @@ fn quarantine_accounting_holds_under_a_parallel_import() {
             config,
         )
         .expect("corrupted import must still succeed");
-        (quarantine, suite.try_run(&KINDS).expect("run over kept rows"))
+        (
+            quarantine,
+            suite.try_run(&KINDS).expect("run over kept rows"),
+        )
     };
     let (q_seq, s_seq) = session_with(Parallelism::Off);
     let (q_par, s_par) = session_with(Parallelism::Fixed(4));

@@ -33,9 +33,7 @@ fn line(name: &str, body: &str) -> String {
 /// Compare one rendered output with its fixture line.
 fn check(name: &str, body: &str) {
     let actual = line(name, body);
-    let expected = FIXTURE
-        .lines()
-        .find(|l| l.split('\t').next() == Some(name));
+    let expected = FIXTURE.lines().find(|l| l.split('\t').next() == Some(name));
     assert!(
         expected == Some(actual.as_str()),
         "{name} differs from the fixture\n  expected: {}\n  output:\n{body}\n\
@@ -54,10 +52,7 @@ fn run(argv: &[&str]) -> String {
 
 /// Generate `dataset` into a fresh directory unique to this process.
 fn generate(dataset: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "fairem_golden_{}_{dataset}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("fairem_golden_{}_{dataset}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     run(&["generate", "--dataset", dataset, "--out", path(&dir)]);
     dir
@@ -180,7 +175,10 @@ fn faculty_calibrated_workload_score_bits_are_golden() {
         .iter()
         .map(|c| format!("{:016x}\n", c.score.to_bits()))
         .collect();
-    check("calibrated_workload faculty LinRegMatcher score bits", &bits);
+    check(
+        "calibrated_workload faculty LinRegMatcher score bits",
+        &bits,
+    );
 }
 
 /// The four Lite neural matchers' test-split scores on the small
@@ -219,5 +217,8 @@ fn lint_json_over_the_fixtures_is_golden() {
         Parallelism::Auto,
     )
     .expect("fixture run");
-    check("lint render_json crates/lint/tests/fixtures", &render_json(&report));
+    check(
+        "lint render_json crates/lint/tests/fixtures",
+        &render_json(&report),
+    );
 }

@@ -63,7 +63,10 @@ fn snapshot_covers_every_stage_and_every_matcher() {
     for stage in STAGES {
         let total = snapshot.span_total(stage);
         assert!(
-            snapshot.spans.iter().any(|s| s.name == stage && s.parent.is_none()),
+            snapshot
+                .spans
+                .iter()
+                .any(|s| s.name == stage && s.parent.is_none()),
             "no root {stage} span"
         );
         assert!(total >= 0.0, "{stage} total must be a real duration");
@@ -191,5 +194,9 @@ fn sequential_and_parallel_snapshots_cover_identical_stages() {
         v.dedup();
         v
     };
-    assert_eq!(names(&a), names(&b), "stage coverage must not depend on the pool");
+    assert_eq!(
+        names(&a),
+        names(&b),
+        "stage coverage must not depend on the pool"
+    );
 }

@@ -93,7 +93,11 @@ fn audit_reports_are_identical_across_policies() {
 #[test]
 fn observability_does_not_change_results_under_any_policy() {
     let auditor = auditor();
-    for policy in [Parallelism::Off, Parallelism::Fixed(1), Parallelism::Fixed(4)] {
+    for policy in [
+        Parallelism::Off,
+        Parallelism::Fixed(1),
+        Parallelism::Fixed(4),
+    ] {
         let plain = session(policy);
         let observe = Recorder::enabled();
         let observed = session_observed(policy, observe.clone());
@@ -123,7 +127,9 @@ fn observability_does_not_change_results_under_any_policy() {
         // The observer really observed: spans for every pipeline stage,
         // while the plain session's inert recorder kept nothing.
         let snapshot = observe.snapshot();
-        for stage in ["import", "prep", "blocking", "features", "train", "score", "audit"] {
+        for stage in [
+            "import", "prep", "blocking", "features", "train", "score", "audit",
+        ] {
             assert!(
                 snapshot.spans.iter().any(|s| s.name == stage),
                 "missing {stage} span under {policy}"

@@ -297,7 +297,11 @@ fn valid_rows_are_never_quarantined() {
             rows,
         };
         let (table, q) = Table::from_csv_lenient(csv, "t").expect("id column present");
-        assert!(q.is_empty(), "clean input must pass untouched: {}", q.render());
+        assert!(
+            q.is_empty(),
+            "clean input must pass untouched: {}",
+            q.render()
+        );
         assert_eq!(table.len(), n);
     });
 }
