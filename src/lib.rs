@@ -11,7 +11,8 @@
 //! - [`par`] — the deterministic worker pool behind the suite's
 //!   parallel hot paths (see [`core::Parallelism`]).
 //! - [`csvio`] — CSV (RFC 4180) and JSON IO substrate.
-//! - [`stats`] — distributions, hypothesis tests, bootstrap.
+//! - [`stats`] — the z- and chi-squared tests, distributions, summaries
+//!   and distances.
 //! - [`ml`] — classic from-scratch matchers (DT, RF, SVM, ...).
 //! - [`neural`] — tape autograd + the four Lite deep-matcher models.
 //! - [`datasets`] — synthetic FacultyMatch / NoFlyCompas generators.
