@@ -14,14 +14,18 @@
 use std::path::{Path, PathBuf};
 
 use fairem360::cli;
+use fairem360::core::audit::{AuditConfig, Auditor};
 use fairem360::core::fnv1a64;
 use fairem360::core::matcher::MatcherKind;
 use fairem360::core::pipeline::{FairEm360, SuiteConfig};
 use fairem360::core::prep::PrepConfig;
 use fairem360::core::sensitive::{GroupId, SensitiveAttr};
 use fairem360::core::Parallelism;
+use fairem360::csvio::CsvTable;
 use fairem360::datasets::{faculty_match, FacultyConfig};
 use fairem_lint::{lint_with, render_json};
+use fairem_rng::rngs::StdRng;
+use fairem_rng::{Rng, SeedableRng};
 
 const FIXTURE: &str = include_str!("golden_outputs.txt");
 
@@ -206,6 +210,76 @@ fn faculty_neural_score_bits_are_golden() {
         }
     }
     check("workload faculty small neural score bits", &bits);
+}
+
+/// Respell a seeded third of the text cells of `table` (every column
+/// but `id` and `country`): one `o` becomes `ö`, one `u` becomes `ü`,
+/// one `ss` becomes `ß`, or the cell gets a leading `İ` in place of a
+/// leading `i`. A respelled cell keeps most of its 3-grams ASCII, so
+/// ASCII and non-ASCII cells and grams mix within every column.
+fn respell_non_ascii(table: &mut CsvTable, rng: &mut StdRng) {
+    let skip = [table.column_index("id"), table.column_index("country")];
+    for row in &mut table.rows {
+        for (col, cell) in row.iter_mut().enumerate() {
+            if skip.contains(&Some(col)) || !rng.gen_bool(0.3) {
+                continue;
+            }
+            *cell = match rng.gen_range(0..4) {
+                0 => cell.replacen('o', "ö", 1),
+                1 => cell.replacen('u', "ü", 1),
+                2 => cell.replacen("ss", "ß", 1),
+                _ => format!("İ{}", cell.strip_prefix('i').unwrap_or(cell)),
+            };
+        }
+    }
+}
+
+/// An audit of the six classic matchers on the small FacultyMatch with
+/// non-ASCII respellings mixed into its text columns: each matcher's
+/// name, one line of score bits per test correspondence, then one line
+/// per audit entry with its values' bits. The generators write ASCII
+/// only, so this is the one end-to-end run through the non-ASCII paths
+/// of the prepare pass and the edit kernels.
+#[test]
+fn faculty_small_non_ascii_audit_is_golden() {
+    let mut d = faculty_match(&FacultyConfig::small());
+    let mut rng = StdRng::seed_from_u64(0x5eed_0a5c);
+    respell_non_ascii(&mut d.table_a, &mut rng);
+    respell_non_ascii(&mut d.table_b, &mut rng);
+    let session = FairEm360::builder()
+        .tables(d.table_a, d.table_b)
+        .ground_truth(d.matches)
+        .sensitive([SensitiveAttr::categorical("country")])
+        .config(SuiteConfig::fast())
+        .build()
+        .expect("respelled dataset is schema-valid")
+        .try_run(&MatcherKind::NON_NEURAL)
+        .expect("classic matchers train");
+    let reports = session.audit_all(&Auditor::new(AuditConfig::default()));
+    let mut bits = String::new();
+    for report in &reports {
+        bits.push_str(&report.matcher);
+        bits.push('\n');
+        let workload = session
+            .workload(&report.matcher)
+            .expect("matcher is in the session");
+        for c in &workload.items {
+            bits.push_str(&format!("{:016x}\n", c.score.to_bits()));
+        }
+        for e in &report.entries {
+            bits.push_str(&format!(
+                "{} {} {:016x} {:016x} {:016x} {} {}\n",
+                e.measure,
+                e.group,
+                e.group_value.to_bits(),
+                e.overall_value.to_bits(),
+                e.disparity.to_bits(),
+                e.support,
+                e.unfair
+            ));
+        }
+    }
+    check("audit faculty small non-ascii score bits", &bits);
 }
 
 #[test]
