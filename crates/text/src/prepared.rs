@@ -410,7 +410,8 @@ fn monge_elkan_ids(
                 let sim = if x == y {
                     1.0
                 } else {
-                    memo.get_or((u64::from(x) << 32) | u64::from(y), || {
+                    let key = (u64::from(x.min(y)) << 32) | u64::from(x.max(y));
+                    memo.get_or(key, || {
                         jaro_winkler_chars_with(cx, interner.chars_of(y), scratch)
                     })
                 };
