@@ -145,6 +145,9 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
 /// row. The bottom-right DP cell is the pattern length plus the
 /// horizontal deltas along the pattern's last row: the exact integer
 /// the textbook DP computes, for every length.
+///
+/// A trimmed pattern of at most 64 chars is one strip, whose top row
+/// always takes +1: [`myers_one_word`] runs it in registers.
 pub fn levenshtein_chars_with(a: &[char], b: &[char], scratch: &mut SimScratch) -> usize {
     // Trim the common prefix and suffix: an optimal edit script never
     // touches them, so the distance of the trimmed middles *is* the
@@ -165,6 +168,9 @@ pub fn levenshtein_chars_with(a: &[char], b: &[char], scratch: &mut SimScratch) 
     }
     let SimScratch { peq, carry, .. } = scratch;
     peq.build(pattern);
+    if pattern.len() <= 64 {
+        return myers_one_word(peq, text, pattern.len());
+    }
     carry.clear();
     carry.resize(text.len(), PLUS);
     let strips = pattern.len().div_ceil(64);
@@ -192,6 +198,32 @@ pub fn levenshtein_chars_with(a: &[char], b: &[char], scratch: &mut SimScratch) 
     let plus: usize = carry.iter().map(|&h| usize::from(h & 1)).sum();
     let minus: usize = carry.iter().map(|&h| usize::from(h >> 1)).sum();
     pattern.len() + plus - minus
+}
+
+/// The strip loop of [`levenshtein_chars_with`] for a pattern of `m`
+/// chars, `1 <= m <= 64`, indexed in `peq`: one strip, entered with
+/// `hp_in = 1` and `hn_in = 0` in every column. Instead of keeping the
+/// bottom row's deltas for a final sum, it adds each one to the score
+/// as it leaves. `hp` and `hn` never share a bit, so after column `j`
+/// the score is the DP cell `D[m][j] >= 0` and never underflows.
+fn myers_one_word(peq: &CharMasks, text: &[char], m: usize) -> usize {
+    let strip = &peq.masks[..peq.rows];
+    let bottom = m - 1;
+    let (mut vp, mut vn) = (!0u64, 0u64);
+    let mut score = m;
+    for &c in text {
+        let x = strip[peq.row(c)];
+        let d0 = ((x & vp).wrapping_add(vp) ^ vp) | x | vn;
+        let hp = vn | !(d0 | vp);
+        let hn = vp & d0;
+        score += ((hp >> bottom) & 1) as usize;
+        score -= ((hn >> bottom) & 1) as usize;
+        let hp = (hp << 1) | 1;
+        let hn = hn << 1;
+        vp = hn | !(d0 | hp);
+        vn = hp & d0;
+    }
+    score
 }
 
 /// Normalized Levenshtein similarity over char slices: `1 - dist / max_len`,
