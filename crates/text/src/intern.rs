@@ -22,6 +22,11 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
+/// The bound on interned ids: every id [`TokenInterner::intern`]
+/// assigns is below 2^31, so the ids from 2^31 up are free for codes
+/// that are not interned (`prepared.rs` packs ASCII 3-grams there).
+pub(crate) const ID_LIMIT: u32 = 1 << 31;
+
 /// An append-only string-to-`u32` interner with a per-token char cache.
 #[derive(Debug, Clone)]
 pub struct TokenInterner {
@@ -56,10 +61,19 @@ impl TokenInterner {
     }
 
     /// Intern `tok`, returning its id (existing or freshly assigned).
+    ///
+    /// # Panics
+    /// If `tok` is new and the interner already holds 2^31 tokens: ids
+    /// from 2^31 up are reserved for the packed 3-gram codes of
+    /// `prepared.rs`, which are never interned.
     pub fn intern(&mut self, tok: &str) -> u32 {
         if let Some(&id) = self.lookup.get(tok) {
             return id;
         }
+        assert!(
+            self.len() < ID_LIMIT as usize,
+            "token interner full: ids from 2^31 up are packed 3-grams"
+        );
         let id = self.len() as u32;
         self.text.push_str(tok);
         self.text_off.push(self.text.len() as u32);

@@ -21,7 +21,7 @@
 //! to the scalar path's token-string sort.
 
 use crate::edit::{jaro_winkler_chars_with, normalized_levenshtein_chars_with, SimScratch};
-use crate::intern::TokenInterner;
+use crate::intern::{TokenInterner, ID_LIMIT};
 use crate::normalize::normalize_into;
 use crate::tokenize::{for_each_qgram, for_each_word};
 use crate::StringMeasure;
@@ -103,7 +103,7 @@ impl PreparedColumn {
             col.wc_off.push(col.wc_ids.len() as u32);
 
             ids.clear();
-            for_each_qgram(&norm, 3, &mut padded, |g| ids.push(interner.intern(g)));
+            for_each_qgram(&norm, 3, &mut padded, |g| ids.push(gram_id(g, interner)));
             ids.sort_unstable();
             ids.dedup();
             col.qset.extend_from_slice(&ids);
@@ -237,6 +237,22 @@ impl PreparedColumn {
     /// The cached TF-IDF vector norm of the cell.
     pub fn tfidf_norm(&self, cell: usize) -> f64 {
         self.tf_norms[cell]
+    }
+}
+
+/// The id of a padded 3-gram: its packed code when the gram is three
+/// ASCII chars, its interned id otherwise.
+///
+/// A 3-gram of 3 bytes is three ASCII chars, since any other char takes
+/// at least 2 bytes, so each byte is below 128 and fits 7 bits. The
+/// code `2^31 | b0 << 14 | b1 << 7 | b2` is then injective, and it is
+/// disjoint from every interned id, which stays below
+/// [`ID_LIMIT`] = 2^31. The choice is made per gram, not per cell, so an
+/// ASCII gram has one id in every cell, whatever else the cell holds.
+fn gram_id(gram: &str, interner: &mut TokenInterner) -> u32 {
+    match *gram.as_bytes() {
+        [b0, b1, b2] => ID_LIMIT | u32::from(b0) << 14 | u32::from(b1) << 7 | u32::from(b2),
+        _ => interner.intern(gram),
     }
 }
 
@@ -655,23 +671,46 @@ mod tests {
         assert!(col.tfidf_norm(2) > 0.0);
     }
 
+    /// The id a 3-gram should get: `2^31 | b0 << 14 | b1 << 7 | b2` for
+    /// three ASCII chars, the interner's id otherwise.
+    fn expected_gram_id(gram: &str, interner: &TokenInterner) -> u32 {
+        match *gram.as_bytes() {
+            [b0, b1, b2] => {
+                (1 << 31) | (u32::from(b0) << 14) | (u32::from(b1) << 7) | u32::from(b2)
+            }
+            _ => interner.get(gram).expect("a non-ASCII gram is interned"),
+        }
+    }
+
     #[test]
     fn qgram_sets_match_scalar_qgrams() {
         let mut interner = TokenInterner::new();
-        let inputs = ["ab", "", "a", "hello world"];
+        let inputs = ["ab", "", "a", "hello world", "Müller", "İx"];
         let col = PreparedColumn::prepare(inputs.into_iter(), &mut interner);
         for (cell, s) in inputs.iter().enumerate() {
-            let mut expected = qgrams(&normalize(s), 3);
+            let mut expected: Vec<u32> = qgrams(&normalize(s), 3)
+                .iter()
+                .map(|g| expected_gram_id(g, &interner))
+                .collect();
             expected.sort_unstable();
             expected.dedup();
-            let mut got: Vec<String> = col
-                .qgram_set(cell)
-                .iter()
-                .map(|&id| interner.resolve(id).to_owned())
-                .collect();
-            got.sort_unstable();
-            assert_eq!(got, expected, "cell {cell}: {s:?}");
+            assert_eq!(col.qgram_set(cell), expected, "cell {cell}: {s:?}");
         }
+    }
+
+    #[test]
+    fn an_ascii_gram_has_one_id_in_ascii_and_non_ascii_cells() {
+        let mut interner = TokenInterner::new();
+        let col = PreparedColumn::prepare(["stanford", "stanförd"].into_iter(), &mut interner);
+        let sta = expected_gram_id("sta", &interner);
+        assert!(sta >= 1 << 31, "an ASCII gram is packed");
+        assert!(col.qgram_set(0).contains(&sta));
+        assert!(col.qgram_set(1).contains(&sta));
+        assert_eq!(interner.get("sta"), None, "a packed gram is not interned");
+        let nfo = interner.get("nfö").expect("a non-ASCII gram is interned");
+        assert!(nfo < 1 << 31);
+        assert!(col.qgram_set(1).contains(&nfo));
+        assert!(!col.qgram_set(0).contains(&nfo));
     }
 
     #[test]
