@@ -228,6 +228,73 @@ fn jaro_and_jaro_winkler_are_the_flag_scan_values() {
     });
 }
 
+#[test]
+fn jaro_winkler_is_bit_symmetric() {
+    // The Monge-Elkan memo keys both directions of a token pair by one
+    // unordered key, which is sound only if swapping the arguments
+    // changes no bit.
+    cases(384, 0x0e76, |g| {
+        let (a, b) = string_pair(g);
+        assert_eq!(
+            jaro(&a, &b).to_bits(),
+            jaro(&b, &a).to_bits(),
+            "{a:?} vs {b:?}"
+        );
+        assert_eq!(
+            jaro_winkler(&a, &b).to_bits(),
+            jaro_winkler(&b, &a).to_bits(),
+            "{a:?} vs {b:?}"
+        );
+    });
+}
+
+/// The length of the shorter string once the common prefix and suffix
+/// of `a` and `b` are trimmed: the Levenshtein kernel's pattern.
+fn trimmed_pattern_len(a: &str, b: &str) -> usize {
+    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+    let p = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
+    let (a, b) = (&a[p..], &b[p..]);
+    let s = a
+        .iter()
+        .rev()
+        .zip(b.iter().rev())
+        .take_while(|(x, y)| x == y)
+        .count();
+    (a.len() - s).min(b.len() - s)
+}
+
+#[test]
+fn levenshtein_around_one_word_patterns_is_the_dp_distance() {
+    // Trimmed patterns of 63 and 64 chars take the one-word kernel and
+    // 65 chars the strip loop; each appears bare and inside a shared
+    // prefix and suffix, in ASCII and with one `Ω`.
+    for n in [63, 64, 65] {
+        for wide in [false, true] {
+            let mut pattern: Vec<char> = (0..n)
+                .map(|k| (b'a' + (k * 7 % 26) as u8) as char)
+                .collect();
+            if wide {
+                pattern[n / 2] = 'Ω';
+            }
+            let mut text = pattern.clone();
+            text.insert(10, 'x');
+            text.remove(30);
+            text[50] = 'Ω';
+            text[n - 5] = 'q';
+            let pattern: String = pattern.into_iter().collect();
+            let text = format!("Z{}Y", text.into_iter().collect::<String>());
+            for (pre, post) in [("", ""), ("shared prefix ", " shared suffix")] {
+                let a = format!("{pre}{pattern}{post}");
+                let b = format!("{pre}{text}{post}");
+                assert_eq!(trimmed_pattern_len(&a, &b), n, "{a:?} vs {b:?}");
+                for (x, y) in [(&a, &b), (&b, &a)] {
+                    assert_eq!(levenshtein(x, y), dp_levenshtein(x, y), "{x:?} vs {y:?}");
+                }
+            }
+        }
+    }
+}
+
 /// Cells of one column side: strings, or sentences of repeated words.
 fn cells(g: &mut Gen) -> Vec<String> {
     g.vec_len(1, 6, |g| {
