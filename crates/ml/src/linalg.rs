@@ -24,7 +24,7 @@ impl std::error::Error for SingularMatrix {}
 ///
 /// # Panics
 /// If `a` is not square or dimensions disagree with `b`.
-pub fn solve(mut a: Matrix, mut b: Vec<f64>) -> Result<Vec<f64>, SingularMatrix> {
+fn solve(mut a: Matrix, mut b: Vec<f64>) -> Result<Vec<f64>, SingularMatrix> {
     let n = a.rows();
     assert_eq!(a.cols(), n, "solve requires a square matrix");
     assert_eq!(b.len(), n, "rhs length must match matrix size");

@@ -36,7 +36,7 @@ impl LinearRegression {
     }
 
     /// Raw (unclamped) regression output for a feature row.
-    pub fn raw_prediction(&self, row: &[f64]) -> f64 {
+    fn raw_prediction(&self, row: &[f64]) -> f64 {
         assert!(self.fitted, "LinearRegression used before fit");
         self.bias
             + row

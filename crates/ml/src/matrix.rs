@@ -93,28 +93,6 @@ impl Matrix {
             cols: self.cols,
         }
     }
-
-    /// Matrix-vector product `self * v`.
-    ///
-    /// # Panics
-    /// If `v.len() != self.cols()`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols, "matvec dimension mismatch");
-        (0..self.rows)
-            .map(|r| self.row(r).iter().zip(v).map(|(a, b)| a * b).sum())
-            .collect()
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t.set(c, r, self.get(r, c));
-            }
-        }
-        t
-    }
 }
 
 #[cfg(test)]
@@ -153,14 +131,5 @@ mod tests {
         assert_eq!(s.row(0), &[3.0]);
         assert_eq!(s.row(1), &[1.0]);
         assert_eq!(s.row(2), &[3.0]);
-    }
-
-    #[test]
-    fn matvec_and_transpose() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(m.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
-        let t = m.transpose();
-        assert_eq!(t.row(0), &[1.0, 3.0]);
-        assert_eq!(t.row(1), &[2.0, 4.0]);
     }
 }

@@ -50,7 +50,7 @@ impl StandardScaler {
     }
 
     /// Transform a matrix in place.
-    pub fn transform_in_place(&self, x: &mut Matrix) {
+    fn transform_in_place(&self, x: &mut Matrix) {
         assert_eq!(x.cols(), self.means.len(), "column count mismatch");
         for r in 0..x.rows() {
             let row = x.row_mut(r);

@@ -38,7 +38,7 @@ impl LinearSvm {
     }
 
     /// Signed margin `wᵀx + b` for a feature row.
-    pub fn margin(&self, row: &[f64]) -> f64 {
+    fn margin(&self, row: &[f64]) -> f64 {
         assert!(self.fitted, "LinearSvm used before fit");
         self.bias
             + row

@@ -55,8 +55,9 @@ impl DecisionTree {
         self
     }
 
-    /// Number of leaves (0 before training) — useful for tests/diagnostics.
-    pub fn n_leaves(&self) -> usize {
+    /// Number of leaves (0 before training).
+    #[cfg(test)]
+    fn n_leaves(&self) -> usize {
         fn count(n: &Node) -> usize {
             match n {
                 Node::Leaf { .. } => 1,

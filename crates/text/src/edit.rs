@@ -125,7 +125,7 @@ impl Iterator for SetBits {
 }
 
 /// Levenshtein distance between two strings, computed over Unicode scalar
-/// values with the bit-parallel kernel of [`levenshtein_chars_with`].
+/// values with the bit-parallel kernel the batch path runs.
 pub fn levenshtein(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
@@ -133,8 +133,9 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
 }
 
 /// Levenshtein distance over pre-split char slices, reusing `scratch`
-/// for the bit vectors. This is the batch-kernel entry point;
-/// [`levenshtein`] delegates here, so both paths are the same code.
+/// for the bit vectors. [`levenshtein`] and
+/// [`normalized_levenshtein_chars_with`] (the batch path) delegate
+/// here, so both paths are the same code.
 ///
 /// Myers' bit-vector recurrence in Hyyrö's formulation (Myers 1999;
 /// Hyyrö 2003). The shorter string is the pattern; its DP rows are cut
@@ -148,7 +149,7 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
 ///
 /// A trimmed pattern of at most 64 chars is one strip, whose top row
 /// always takes +1: [`myers_one_word`] runs it in registers.
-pub fn levenshtein_chars_with(a: &[char], b: &[char], scratch: &mut SimScratch) -> usize {
+fn levenshtein_chars_with(a: &[char], b: &[char], scratch: &mut SimScratch) -> usize {
     // Trim the common prefix and suffix: an optimal edit script never
     // touches them, so the distance of the trimmed middles *is* the
     // distance (the standard Levenshtein trimming lemma).
@@ -269,7 +270,7 @@ pub fn jaro(a: &str, b: &str) -> f64 {
 /// none in a lower strip, and strip `w`'s used bits change only by its
 /// own takes, so strip-by-strip gives each char the same position as
 /// char-by-char, with each strip's used word kept in a register.
-pub fn jaro_chars_with(a: &[char], b: &[char], scratch: &mut SimScratch) -> f64 {
+fn jaro_chars_with(a: &[char], b: &[char], scratch: &mut SimScratch) -> f64 {
     if a == b {
         // The full computation on identical inputs yields exactly 1.0
         // (m = |a|, t = 0 → (1.0 + 1.0 + 1.0) / 3.0), so this shortcut

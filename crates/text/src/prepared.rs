@@ -235,7 +235,7 @@ impl PreparedColumn {
     }
 
     /// The cached TF-IDF vector norm of the cell.
-    pub fn tfidf_norm(&self, cell: usize) -> f64 {
+    fn tfidf_norm(&self, cell: usize) -> f64 {
         self.tf_norms[cell]
     }
 }
