@@ -18,13 +18,16 @@
 /// (DESIGN.md, "Columnar execution model").
 ///
 /// The one deliberately persistent part is `jw_memo`, the Monge-Elkan
-/// kernel's direct-mapped Jaro-Winkler cache keyed by interned
-/// token-id pairs, allocated on the first Monge-Elkan call. Cached
-/// values are pure functions of the id pair within one interner, so a
-/// hit or an overwrite still cannot change any output — but ids from
-/// *different* interners would collide, so a scratch must never outlive
-/// the interner it was used with (the batch path drops each scratch
-/// with its chunk, well inside that scope).
+/// kernel's direct-mapped Jaro-Winkler cache keyed by unordered
+/// interned token-id pairs, allocated on the first Monge-Elkan call.
+/// Cached values are pure functions of the id pair within one interner
+/// (and of the unordered pair, because Jaro-Winkler is bit-symmetric),
+/// so a hit or an overwrite still cannot change any output — but ids
+/// from *different* interners would collide, so a scratch must never
+/// outlive the interner it was used with (the batch path drops each
+/// scratch with its chunk, well inside that scope). Levenshtein needs
+/// its carry vector only for patterns longer than 64 chars; a shorter
+/// pattern runs in registers.
 #[derive(Debug, Default, Clone)]
 pub struct SimScratch {
     peq: CharMasks,

@@ -3,9 +3,14 @@
 //! The columnar feature path tokenizes each cell **once** at build time
 //! and stores token *ids* instead of strings; every downstream kernel
 //! (set similarity, TF-IDF cosine, blocking) then works on integer
-//! slices. The interner is append-only and single-threaded by design:
-//! it is populated during `FeatureGenerator::build` (or at the start of
-//! a blocking pass) and read immutably afterwards, so the parallel pair
+//! slices. Ids stay below 2^31: `prepared.rs` gives a 3-gram of three
+//! ASCII chars a packed code from 2^31 up instead of interning it, so
+//! the interner holds words, whole numeric cells and only the 3-grams
+//! with a non-ASCII char.
+//!
+//! The interner is append-only and single-threaded by design: it is
+//! populated during `FeatureGenerator::build` (or at the start of a
+//! blocking pass) and read immutably afterwards, so the parallel pair
 //! loop never touches the lookup map.
 //!
 //! Lookups hash with `TokenHasher`, a multiply-rotate hash defined

@@ -9,6 +9,11 @@
 //! source), and — after corpus statistics are known — per-cell TF-IDF
 //! `(rank, weight)` vectors with cached norms.
 //!
+//! Words are interned. A 3-gram of three ASCII chars is not: its id is
+//! its packed code `2^31 | b0 << 14 | b1 << 7 | b2`, above every
+//! interned id; any other 3-gram is interned like a word. Gram ids only
+//! feed set cardinalities, so any injective id serves.
+//!
 //! Every kernel here reproduces the corresponding scalar measure **bit
 //! for bit**: edit kernels are the very functions the scalar path
 //! calls (see `edit.rs`), so the scalar path is no independent check
@@ -359,14 +364,16 @@ fn cosine_counts(a: (&[u32], &[u32]), b: (&[u32], &[u32]), a_empty: bool, b_empt
 /// 1 MiB per scratch, allocated on first use.
 const MEMO_SLOTS: usize = 1 << 16;
 
-/// A direct-mapped Jaro-Winkler cache keyed by the ordered token-id
-/// pair `(x << 32) | y`.
+/// A direct-mapped Jaro-Winkler cache keyed by the unordered token-id
+/// pair `(min(x, y) << 32) | max(x, y)`.
 ///
-/// Each key has exactly one slot; a colliding key overwrites it, which
-/// only costs a recomputation later, since every cached value is a
-/// pure function of its key. An empty slot holds key 0, the pair
-/// `(0, 0)`, which is never looked up: equal ids short-circuit to 1.0
-/// before the memo is consulted.
+/// One key serves both directions of a pair, since Jaro-Winkler is
+/// bit-symmetric (DESIGN.md §6a argues it, and `kernel_oracle.rs`
+/// checks it). Each key has exactly one slot; a colliding key
+/// overwrites it, which only costs a recomputation later, since every
+/// cached value is a pure function of its key. An empty slot holds key
+/// 0, the pair `(0, 0)`, which is never looked up: equal ids
+/// short-circuit to 1.0 before the memo is consulted.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct JwMemo {
     slots: Vec<(u64, f64)>,
@@ -396,7 +403,9 @@ impl JwMemo {
 /// the scalar `monge_elkan(..., jaro_winkler)` exactly.
 ///
 /// Word tokens repeat heavily across cells, so the inner Jaro-Winkler
-/// is memoized in the scratch by id pair ([`JwMemo`]). Two
+/// is memoized in the scratch by unordered id pair ([`JwMemo`]): the
+/// `b`-to-`a` direction reads the values the `a`-to-`b` direction
+/// computed, and a miss is computed once, not once per direction. Two
 /// bitwise-invisible shortcuts: equal ids score exactly 1.0 (identical
 /// inputs compute to exactly 1.0), and a row stops scanning once it
 /// hits 1.0 (no later candidate can raise a max already at the
