@@ -25,6 +25,9 @@
 //! thousands of pairs before switching to the next one is what makes
 //! this faster than computing each pair's whole feature vector in
 //! turn (DESIGN.md §6a); the values are the same bits either way.
+//! A chunk gets its cell range whole and walks it one feature at a
+//! time: it finds its first `(k, i)` once and matches each feature's
+//! measure once per run, not once per cell.
 //!
 //! The batch kernels are bit-for-bit identical to the scalar per-pair
 //! path ([`FeatureGenerator::features`]) for every measure (the
@@ -322,33 +325,51 @@ impl FeatureGenerator {
         out
     }
 
-    /// One cell of the batch kernel: `feature` of the pair `(ra, rb)`,
-    /// the value [`FeatureGenerator::features`] puts in that column,
-    /// computed from the prepared columns with `scratch` reused across
-    /// the chunk.
-    fn cell(&self, feature: Feature, (ra, rb): (usize, usize), scratch: &mut SimScratch) -> f64 {
+    /// One run of the batch kernel: `feature` of each pair in `pairs`,
+    /// pushed to `out` in order, the values
+    /// [`FeatureGenerator::features`] puts in that column. The run's
+    /// first value is cell `t0`, and `probe` sees each cell's number
+    /// before the cell is computed. The feature is matched once for the
+    /// whole run, and `scratch` is reused across it.
+    fn run_feature(
+        &self,
+        feature: Feature,
+        pairs: &[(usize, usize)],
+        t0: usize,
+        probe: &impl Fn(usize),
+        scratch: &mut SimScratch,
+        out: &mut Vec<f64>,
+    ) {
         let it = &*self.interned;
         match feature {
             Feature::RelDiff(slot) => {
                 let (na, nb) = &it.numeric[slot];
-                rel_diff_sim(na.value[ra], nb.value[rb])
+                fill(out, pairs, t0, probe, |ra, rb| {
+                    rel_diff_sim(na.value[ra], nb.value[rb])
+                })
             }
             Feature::Exact(slot) => {
                 let (na, nb) = &it.numeric[slot];
-                let exact = na.cell[ra] == nb.cell[rb] && !na.empty[ra];
-                if exact {
-                    1.0
-                } else {
-                    0.0
-                }
+                fill(out, pairs, t0, probe, |ra, rb| {
+                    let exact = na.cell[ra] == nb.cell[rb] && !na.empty[ra];
+                    if exact {
+                        1.0
+                    } else {
+                        0.0
+                    }
+                })
             }
             Feature::Text(m, slot) => {
                 let (pa, pb) = &it.text[slot];
-                measure_cells(m, pa, ra, pb, rb, &it.interner, scratch)
+                fill(out, pairs, t0, probe, |ra, rb| {
+                    measure_cells(m, pa, ra, pb, rb, &it.interner, scratch)
+                })
             }
             Feature::TfIdf(slot) => {
                 let (pa, pb) = &it.text[slot];
-                tfidf_cosine_cells(pa, ra, pb, rb)
+                fill(out, pairs, t0, probe, |ra, rb| {
+                    tfidf_cosine_cells(pa, ra, pb, rb)
+                })
             }
         }
     }
@@ -356,11 +377,14 @@ impl FeatureGenerator {
     /// Feature matrix for a batch of pairs, run under `exec`.
     ///
     /// The pool chunks the batch's (feature, pair) cells in
-    /// feature-major order, so each chunk runs one measure over a run
-    /// of consecutive pairs with one scratch buffer; the column-major
-    /// result is transposed into the row-major matrix. The result is
-    /// bit-for-bit identical for any worker count, and bit-for-bit the
-    /// scalar [`FeatureGenerator::features`] per row.
+    /// feature-major order. Each chunk gets its cell range and a fresh
+    /// scratch, and walks the range one feature at a time: feature `k`
+    /// owns cells `k·n..(k + 1)·n`, so the chunk is a run of consecutive
+    /// pairs for each feature it touches, and each run matches its
+    /// measure once. The column-major result is transposed into the
+    /// row-major matrix. The result is bit-for-bit identical for any
+    /// worker count, and bit-for-bit the scalar
+    /// [`FeatureGenerator::features`] per row.
     ///
     /// Cancellation/budget expiry surfaces as
     /// [`ParOutcome::Interrupted`]. A pair's row is complete only once
@@ -412,7 +436,8 @@ impl FeatureGenerator {
 
     /// [`FeatureGenerator::try_matrix`], calling `probe(t)` before cell
     /// `t` is evaluated: the seam a test uses to cut the region at a
-    /// chosen cell.
+    /// chosen cell. `try_matrix` passes a no-op, which the per-feature
+    /// runs inline away.
     fn try_matrix_probed(
         &self,
         batch: &PairBatch,
@@ -427,15 +452,29 @@ impl FeatureGenerator {
         let d = self.n_features();
         let pairs = batch.pairs;
         let n = pairs.len();
-        let outcome = exec.pool.try_par_scratch_within(
-            d * n,
-            &exec.cancel,
-            SimScratch::new,
-            |scratch, t| {
-                probe(t);
-                self.cell(self.features[t / n], pairs[t % n], scratch)
-            },
-        )?;
+        let outcome = exec
+            .pool
+            .try_par_chunks_within(d * n, &exec.cancel, |cells, out| {
+                let mut scratch = SimScratch::new();
+                // Feature `k` owns cells `k·n..(k + 1)·n`: the chunk is a
+                // run of each feature it touches, the first one starting
+                // at pair `i`, every later one at pair 0.
+                let (mut k, mut i) = (cells.start / n, cells.start % n);
+                let mut t = cells.start;
+                while t < cells.end {
+                    let end = n.min(i + (cells.end - t));
+                    self.run_feature(
+                        self.features[k],
+                        &pairs[i..end],
+                        t,
+                        &probe,
+                        &mut scratch,
+                        out,
+                    );
+                    t += end - i;
+                    (k, i) = (k + 1, 0);
+                }
+            })?;
         Ok(match outcome {
             ParOutcome::Complete(cols) => ParOutcome::Complete(transpose(&cols, n, d, n)),
             ParOutcome::Interrupted {
@@ -525,6 +564,21 @@ fn all_numeric(t: &Table, col: usize) -> bool {
 
 fn parse_num(v: &str) -> f64 {
     v.parse().unwrap_or(f64::NAN)
+}
+
+/// Push `cell(ra, rb)` for each pair to `out`, calling `probe(t)` first
+/// with the pair's cell number `t`, counted from `t0`.
+fn fill(
+    out: &mut Vec<f64>,
+    pairs: &[(usize, usize)],
+    t0: usize,
+    probe: &impl Fn(usize),
+    mut cell: impl FnMut(usize, usize) -> f64,
+) {
+    out.extend((t0..).zip(pairs).map(|(t, &(ra, rb))| {
+        probe(t);
+        cell(ra, rb)
+    }));
 }
 
 /// The first `rows` rows of the row-major `n × d` matrix whose cells

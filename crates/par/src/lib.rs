@@ -2,8 +2,10 @@
 //!
 //! A from-scratch, std-only parallel execution engine for the suite:
 //! a fixed-size [`WorkerPool`] with chunked [`WorkerPool::par_map`] /
-//! [`WorkerPool::par_map_within`] over index ranges, deterministic result
-//! ordering (output is identical to sequential execution, bit for bit,
+//! [`WorkerPool::par_map_within`] over index ranges, a range form
+//! ([`WorkerPool::try_par_chunks_within`]) whose closure gets a whole
+//! chunk's range and output at once, deterministic result ordering
+//! (output is identical to sequential execution, bit for bit,
 //! regardless of worker count), and panic capture that integrates with
 //! the suite's degraded-mode error taxonomy.
 //!
@@ -25,7 +27,9 @@
 //!   run with 4 workers produces exactly the sequence a run with 1
 //!   worker (or no pool at all) produces. The `*_within` variants
 //!   observe a token between chunks and report partial progress via
-//!   [`ParOutcome`].
+//!   [`ParOutcome`]. The range form hands each chunk its index range,
+//!   so a batch kernel can set up once per chunk and split the range
+//!   into runs (the feature matrix runs one measure per run).
 //!
 //! The pool optionally carries a `fairem-obs` [`Recorder`]
 //! ([`WorkerPool::observe`]): enabled regions count chunks and time

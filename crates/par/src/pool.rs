@@ -7,6 +7,10 @@
 //! chunk index, and the caller stitches outputs back in chunk order —
 //! so the assembled result is **bit-for-bit identical** to a sequential
 //! run no matter how many workers raced or how chunks interleaved.
+//! `par_map` and `par_map_within` run on the range form
+//! ([`WorkerPool::try_par_chunks_within`]): a chunk's closure receives
+//! the chunk's index range and its output `Vec` and fills one item per
+//! index, so per-chunk setup happens once per range, not per item.
 //!
 //! Worker threads are scoped to the parallel region (fork-join): the
 //! pool object carries the policy, not live threads, so there is no
@@ -325,44 +329,52 @@ impl WorkerPool {
         token: &CancelToken,
         f: impl Fn(usize) -> T + Sync,
     ) -> ParOutcome<Vec<T>> {
-        match self.try_par_scratch_within(n, token, || (), |(), i| f(i)) {
+        match self.try_par_chunks_within(n, token, |range, out| out.extend(range.map(&f))) {
             Ok(out) => out,
             // fairem: allow(panic) — documented # Panics contract: re-raises a worker panic
             Err(p) => panic!("{}", p.detail),
         }
     }
 
-    /// Cancellable chunked map with **per-chunk scratch state**: `init`
-    /// builds a fresh scratch value at the start of every chunk, and
-    /// `f` gets `(&mut scratch, index)` for each index in the chunk.
+    /// Cancellable chunked map in **range form**: `f` gets each chunk's
+    /// index range and that chunk's output `Vec` (empty, with room for
+    /// the range), and pushes one item per index, in index order.
     ///
-    /// This is the shape batch similarity kernels need — reusable
-    /// working buffers (DP rows, match flags) that amortize allocation
-    /// across a chunk without ever leaking state between chunks.
-    /// Determinism contract: because `init` runs per *chunk* (not per
-    /// worker) and `f` must leave no observable state in the scratch
-    /// that affects later items beyond what a freshly-`init`ed scratch
-    /// would, the stitched output is bit-for-bit identical for every
+    /// This is the shape batch kernels need. A chunk sees its whole
+    /// range at once, so it can build working buffers once (DP rows,
+    /// match masks, a memo) and split the range into runs that share
+    /// one setup, without ever leaking state between chunks.
+    /// Determinism contract: `f`'s output for a range must depend only
+    /// on that range, never on which worker ran it or what ran before,
+    /// so the stitched output is bit-for-bit identical for every
     /// worker count and chunk size.
     ///
     /// A panic in `f` is contained and returned as the [`ChunkPanic`] of
     /// the first failing chunk in chunk order. It takes precedence over
     /// an interruption: if any chunk that ran panicked, that chunk is
-    /// the error even when the token also tripped.
-    pub fn try_par_scratch_within<S, T: Send>(
+    /// the error even when the token also tripped. A chunk whose `f`
+    /// pushes more or fewer items than its range holds fails the same
+    /// way.
+    pub fn try_par_chunks_within<T: Send>(
         &self,
         n: usize,
         token: &CancelToken,
-        init: impl Fn() -> S + Sync,
-        f: impl Fn(&mut S, usize) -> T + Sync,
+        f: impl Fn(Range<usize>, &mut Vec<T>) + Sync,
     ) -> Result<ParOutcome<Vec<T>>, ChunkPanic> {
-        let init = &init;
         let f = &f;
         let h = self.harvest(n, Some(token), move |range| {
             let r = range.clone();
             contain(move || {
-                let mut scratch = init();
-                r.map(|i| f(&mut scratch, i)).collect::<Vec<T>>()
+                let mut out = Vec::with_capacity(r.len());
+                f(r.clone(), &mut out);
+                assert!(
+                    out.len() == r.len(),
+                    "chunk {}..{} yielded {} items",
+                    r.start,
+                    r.end,
+                    out.len()
+                );
+                out
             })
             .map_err(|detail| ChunkPanic { range, detail })
         });
@@ -405,7 +417,7 @@ mod tests {
         let pool = WorkerPool::new(4);
         assert!(pool.par_map(0, |i| i).is_empty());
         assert_eq!(
-            pool.try_par_scratch_within(0, &CancelToken::inert(), || (), |(), i| i),
+            pool.try_par_chunks_within(0, &CancelToken::inert(), |r, out| out.extend(r)),
             Ok(ParOutcome::Complete(Vec::new()))
         );
         assert!(pool.par_map_isolated(0, |i| i).is_empty());
@@ -541,23 +553,20 @@ mod tests {
     }
 
     #[test]
-    fn panic_wins_over_interruption_in_try_par_scratch_within() {
+    fn panic_wins_over_interruption_in_try_par_chunks_within() {
         use crate::cancel::CancelToken;
         let pool = WorkerPool::new(1);
         let token = CancelToken::inert();
         let err = pool
-            .try_par_scratch_within(
-                1000,
-                &token,
-                || (),
-                |(), i| {
+            .try_par_chunks_within(1000, &token, |range, out| {
+                for i in range {
                     if i == 10 {
                         token.cancel();
                     }
                     assert!(i != 5, "item 5 is cursed");
-                    i
-                },
-            )
+                    out.push(i);
+                }
+            })
             .expect_err("chunk panic must surface");
         assert!(err.range.contains(&5), "{:?}", err.range);
         assert!(err.detail.contains("cursed"));
@@ -603,59 +612,25 @@ mod tests {
     }
 
     #[test]
-    fn scratch_map_matches_plain_map_for_every_worker_count() {
+    fn a_chunk_that_yields_the_wrong_count_is_a_chunk_panic() {
         use crate::cancel::CancelToken;
-        let n = 1003;
-        let expected: Vec<u64> = (0..n).map(|i| (i as u64).wrapping_mul(0x9E37)).collect();
-        for workers in [1, 2, 4, 9] {
+        for workers in [1, 4] {
             let pool = WorkerPool::new(workers);
-            let token = CancelToken::inert();
-            // The scratch accumulates garbage across items within a
-            // chunk on purpose: outputs must not depend on it.
-            let out = pool
-                .try_par_scratch_within(n, &token, Vec::<u64>::new, |scratch, i| {
-                    scratch.push(i as u64);
-                    (i as u64).wrapping_mul(0x9E37)
+            let chunk = pool.chunk_for(100);
+            let err = pool
+                .try_par_chunks_within(100, &CancelToken::inert(), |range, out| {
+                    // The chunk holding item 40 drops its first item.
+                    let short = range.contains(&40);
+                    out.extend(range.skip(usize::from(short)));
                 })
-                .expect("no panics injected");
-            match out {
-                ParOutcome::Complete(v) => assert_eq!(v, expected, "workers={workers}"),
-                other => panic!("untripped token must complete: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn scratch_map_attributes_panics_and_honors_cancellation() {
-        use crate::cancel::CancelToken;
-        let pool = WorkerPool::new(4);
-        let token = CancelToken::inert();
-        let err = pool
-            .try_par_scratch_within(
-                100,
-                &token,
-                || 0usize,
-                |_, i| {
-                    assert!(i != 57, "item 57 is cursed");
-                    i
-                },
-            )
-            .expect_err("must fail");
-        assert!(err.range.contains(&57), "{:?}", err.range);
-        assert!(err.detail.contains("cursed"), "{}", err.detail);
-        assert!(err.to_string().contains("panicked"));
-
-        let token = CancelToken::inert();
-        token.cancel();
-        match pool
-            .try_par_scratch_within(500, &token, || 0usize, |_, i| i)
-            .expect("no panics")
-        {
-            ParOutcome::Interrupted { done, total, .. } => {
-                assert!(done.is_empty());
-                assert_eq!(total, 500);
-            }
-            ParOutcome::Complete(_) => panic!("pre-tripped token must interrupt"),
+                .expect_err("a short chunk must fail");
+            let start = 40 / chunk * chunk;
+            assert_eq!(
+                err.range,
+                start..(start + chunk).min(100),
+                "workers={workers}"
+            );
+            assert!(err.detail.contains("yielded"), "{}", err.detail);
         }
     }
 

@@ -3,7 +3,9 @@
 //! exactly-once visiting were only exercised indirectly through the
 //! suite.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use fairem_par::{Budget, CancelCause, CancelToken, ParOutcome, WorkerPool};
 
@@ -138,5 +140,136 @@ fn cancellable_map_accounts_partial_progress() {
             assert_eq!(interrupt.cause, CancelCause::Cancelled);
         }
         ParOutcome::Complete(_) => panic!("pre-cancelled token must interrupt"),
+    }
+}
+
+/// The index range of chunk `c` when `pool` splits `n` items.
+fn chunk_range(pool: &WorkerPool, n: usize, c: usize) -> Range<usize> {
+    let chunk = pool.chunk_for(n);
+    c * chunk..((c + 1) * chunk).min(n)
+}
+
+#[test]
+fn chunk_ranges_visit_every_index_exactly_once() {
+    for workers in [1, 2, 4, 9] {
+        for n in [0, 1, 7, 65, 1003] {
+            let pool = WorkerPool::new(workers);
+            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let ranges = Mutex::new(Vec::new());
+            let out = pool
+                .try_par_chunks_within(n, &CancelToken::inert(), |range, out| {
+                    ranges.lock().expect("no poisoning").push(range.clone());
+                    for i in range {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                        out.push(i * 7);
+                    }
+                })
+                .expect("no panics injected");
+            let ctx = format!("workers={workers} n={n}");
+            match out {
+                ParOutcome::Complete(v) => {
+                    assert_eq!(v, (0..n).map(|i| i * 7).collect::<Vec<_>>(), "{ctx}")
+                }
+                other => panic!("{ctx}: untripped token must complete: {other:?}"),
+            }
+            for (i, h) in hits.iter().enumerate() {
+                assert_eq!(h.load(Ordering::Relaxed), 1, "{ctx} i={i}");
+            }
+            // Each call got exactly one of the pool's chunks.
+            let mut ranges = ranges.into_inner().expect("no poisoning");
+            ranges.sort_by_key(|r| r.start);
+            let expected: Vec<Range<usize>> = (0..n.div_ceil(pool.chunk_for(n)))
+                .map(|c| chunk_range(&pool, n, c))
+                .collect();
+            assert_eq!(ranges, expected, "{ctx}");
+        }
+    }
+}
+
+#[test]
+fn interrupted_chunk_ranges_return_the_exact_chunk_prefix() {
+    let n: usize = 1003;
+    for workers in [1, 2, 4, 9] {
+        let pool = WorkerPool::new(workers);
+        let n_chunks = n.div_ceil(pool.chunk_for(n));
+        for cut_chunk in [0, 1, n_chunks / 2, n_chunks - 1] {
+            let token = CancelToken::inert();
+            let ran = Mutex::new(Vec::new());
+            let cut = chunk_range(&pool, n, cut_chunk).start;
+            let outcome = pool
+                .try_par_chunks_within(n, &token, |range, out| {
+                    if range.contains(&cut) {
+                        token.cancel();
+                    }
+                    ran.lock().expect("no poisoning").push(range.clone());
+                    out.extend(range.map(|i| i as u64 * 3));
+                })
+                .expect("no panics injected");
+            let ctx = format!("workers={workers} cut in chunk {cut_chunk}");
+            let mut ran = ran.into_inner().expect("no poisoning");
+            ran.sort_by_key(|r| r.start);
+            // The prefix ends at the first chunk that did not run.
+            let prefix_end = ran
+                .iter()
+                .enumerate()
+                .take_while(|(c, r)| **r == chunk_range(&pool, n, *c))
+                .last()
+                .map_or(0, |(_, r)| r.end);
+            let ran_items: usize = ran.iter().map(|r| r.len()).sum();
+            match outcome {
+                ParOutcome::Interrupted {
+                    done,
+                    completed,
+                    total,
+                    ..
+                } => {
+                    assert_eq!(total, n, "{ctx}");
+                    assert_eq!(
+                        done,
+                        (0..prefix_end).map(|i| i as u64 * 3).collect::<Vec<_>>(),
+                        "{ctx}"
+                    );
+                    assert_eq!(completed, ran_items, "{ctx}");
+                    assert!(completed < n, "{ctx}: the cut must stop the pull");
+                    if workers == 1 {
+                        // One worker finishes the cut chunk and stops.
+                        assert_eq!(prefix_end, chunk_range(&pool, n, cut_chunk).end, "{ctx}");
+                    }
+                }
+                // Every chunk had been pulled when the cut came: always
+                // so for a cut in the last chunk, and possible for any
+                // cut when other workers outran the cutting one.
+                ParOutcome::Complete(v) => {
+                    assert!(workers > 1 || cut_chunk == n_chunks - 1, "{ctx}");
+                    assert_eq!(v, (0..n).map(|i| i as u64 * 3).collect::<Vec<_>>(), "{ctx}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_panic_is_the_first_failing_chunk_in_chunk_order() {
+    let n = 1003;
+    for workers in [1, 2, 4, 9] {
+        let pool = WorkerPool::new(workers);
+        // Items in three different chunks panic; every chunk runs (the
+        // token never trips), so the error must name the lowest one.
+        let cursed = [n - 1, 400, 57];
+        let err = pool
+            .try_par_chunks_within(n, &CancelToken::inert(), |range, out| {
+                for i in range {
+                    assert!(!cursed.contains(&i), "item {i} is cursed");
+                    out.push(i);
+                }
+            })
+            .expect_err("a cursed item must fail its chunk");
+        let chunk = pool.chunk_for(n);
+        assert_eq!(
+            err.range,
+            chunk_range(&pool, n, 57 / chunk),
+            "workers={workers}"
+        );
+        assert!(err.detail.contains("item 57 is cursed"), "{}", err.detail);
     }
 }
