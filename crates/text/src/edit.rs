@@ -11,11 +11,17 @@
 /// worker-pool chunk a fresh one. A chunk is a stretch of the
 /// feature-major cell order, so its scratch serves one measure over a
 /// run of consecutive pairs (more than one measure only where the chunk
-/// crosses a feature boundary). Every kernel re-initializes each entry
-/// of the scratch it reads before reading it, so outputs never depend
-/// on what a previous call left behind — that invariant is what lets
-/// chunked parallel execution stay bit-for-bit identical to sequential
-/// (DESIGN.md, "Columnar execution model").
+/// crosses a feature boundary). Outputs never depend on what a previous
+/// call left behind — that invariant is what lets chunked parallel
+/// execution stay bit-for-bit identical to sequential (DESIGN.md,
+/// "Columnar execution model"). It holds in two ways:
+///
+/// - The general buffers (position masks, strip carries, match words)
+///   are rewritten by each kernel before it reads them.
+/// - The ASCII mask table is all-zero between calls. A kernel whose
+///   masked string is ASCII and at most 64 chars long sets the rows of
+///   that string's chars, reads them, and clears exactly those rows
+///   before it returns, so no call pays to clear all 128.
 ///
 /// The one deliberately persistent part is `jw_memo`, the Monge-Elkan
 /// kernel's direct-mapped Jaro-Winkler cache keyed by unordered
@@ -30,6 +36,7 @@
 /// pattern runs in registers.
 #[derive(Debug, Default, Clone)]
 pub struct SimScratch {
+    ascii: AsciiMasks,
     peq: CharMasks,
     carry: Vec<u8>,
     used: Vec<u64>,
@@ -41,6 +48,49 @@ impl SimScratch {
     /// Fresh scratch with empty buffers (they grow on first use).
     pub fn new() -> SimScratch {
         SimScratch::default()
+    }
+}
+
+/// The position masks of one ASCII string of at most 64 chars, one row
+/// per ASCII char: bit `k` of row `c` is set when `s[k] == c`. All-zero
+/// between calls (see [`SimScratch`]).
+#[derive(Debug, Clone)]
+struct AsciiMasks([u64; 128]);
+
+impl Default for AsciiMasks {
+    fn default() -> AsciiMasks {
+        AsciiMasks([0; 128])
+    }
+}
+
+impl AsciiMasks {
+    /// Whether `s` fits the table: ASCII and at most 64 chars.
+    fn fits(s: &[char]) -> bool {
+        s.len() <= 64 && s.iter().all(char::is_ascii)
+    }
+
+    /// Set the rows of `s`, which [`AsciiMasks::fits`].
+    fn set(&mut self, s: &[char]) {
+        for (k, &c) in s.iter().enumerate() {
+            // `% 128` is the identity on ASCII; it bounds the index.
+            self.0[c as usize % 128] |= 1 << k;
+        }
+    }
+
+    /// The mask of `c`: zero for a char no ASCII string holds.
+    fn get(&self, c: char) -> u64 {
+        if c.is_ascii() {
+            self.0[c as usize]
+        } else {
+            0
+        }
+    }
+
+    /// Zero the rows [`AsciiMasks::set`] wrote for `s`.
+    fn clear(&mut self, s: &[char]) {
+        for &c in s {
+            self.0[c as usize % 128] = 0;
+        }
     }
 }
 
@@ -151,7 +201,9 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
 /// the textbook DP computes, for every length.
 ///
 /// A trimmed pattern of at most 64 chars is one strip, whose top row
-/// always takes +1: [`myers_one_word`] runs it in registers.
+/// always takes +1: [`myers_one_word`] runs it in registers, reading
+/// the pattern's masks from the scratch's ASCII table when the pattern
+/// is ASCII, and from [`CharMasks`] otherwise.
 fn levenshtein_chars_with(a: &[char], b: &[char], scratch: &mut SimScratch) -> usize {
     // Trim the common prefix and suffix: an optimal edit script never
     // touches them, so the distance of the trimmed middles *is* the
@@ -170,10 +222,18 @@ fn levenshtein_chars_with(a: &[char], b: &[char], scratch: &mut SimScratch) -> u
     if pattern.is_empty() {
         return text.len();
     }
+    if AsciiMasks::fits(pattern) {
+        let ascii = &mut scratch.ascii;
+        ascii.set(pattern);
+        let d = myers_one_word(text, pattern.len(), |c| ascii.get(c));
+        ascii.clear(pattern);
+        return d;
+    }
     let SimScratch { peq, carry, .. } = scratch;
     peq.build(pattern);
     if pattern.len() <= 64 {
-        return myers_one_word(peq, text, pattern.len());
+        let strip = &peq.masks[..peq.rows];
+        return myers_one_word(text, pattern.len(), |c| strip[peq.row(c)]);
     }
     carry.clear();
     carry.resize(text.len(), PLUS);
@@ -205,18 +265,18 @@ fn levenshtein_chars_with(a: &[char], b: &[char], scratch: &mut SimScratch) -> u
 }
 
 /// The strip loop of [`levenshtein_chars_with`] for a pattern of `m`
-/// chars, `1 <= m <= 64`, indexed in `peq`: one strip, entered with
-/// `hp_in = 1` and `hn_in = 0` in every column. Instead of keeping the
-/// bottom row's deltas for a final sum, it adds each one to the score
-/// as it leaves. `hp` and `hn` never share a bit, so after column `j`
-/// the score is the DP cell `D[m][j] >= 0` and never underflows.
-fn myers_one_word(peq: &CharMasks, text: &[char], m: usize) -> usize {
-    let strip = &peq.masks[..peq.rows];
+/// chars, `1 <= m <= 64`, whose position mask of a char `c` is
+/// `mask(c)`: one strip, entered with `hp_in = 1` and `hn_in = 0` in
+/// every column. Instead of keeping the bottom row's deltas for a final
+/// sum, it adds each one to the score as it leaves. `hp` and `hn` never
+/// share a bit, so after column `j` the score is the DP cell
+/// `D[m][j] >= 0` and never underflows.
+fn myers_one_word(text: &[char], m: usize, mask: impl Fn(char) -> u64) -> usize {
     let bottom = m - 1;
     let (mut vp, mut vn) = (!0u64, 0u64);
     let mut score = m;
     for &c in text {
-        let x = strip[peq.row(c)];
+        let x = mask(c);
         let d0 = ((x & vp).wrapping_add(vp) ^ vp) | x | vn;
         let hp = vn | !(d0 | vp);
         let hn = vp & d0;
@@ -268,11 +328,14 @@ pub fn jaro(a: &str, b: &str) -> f64 {
 /// `b` holding the same char inside its window: the lowest set bit of
 /// `mask_b[c] & !used & window`. That is exactly the textbook greedy
 /// left-to-right scan, so the match count `m` and the transpositions
-/// `t` are the same integers. The scan runs one 64-position strip of
-/// `b` at a time: a char takes a position in strip `w` only if it took
-/// none in a lower strip, and strip `w`'s used bits change only by its
-/// own takes, so strip-by-strip gives each char the same position as
-/// char-by-char, with each strip's used word kept in a register.
+/// `t` are the same integers. When both strings have at most 64 chars
+/// and `b` is ASCII, [`jaro_one_word`] runs the scan in registers over
+/// the scratch's ASCII table. Otherwise the scan runs one 64-position
+/// strip of `b` at a time over [`CharMasks`]: a char takes a position
+/// in strip `w` only if it took none in a lower strip, and strip `w`'s
+/// used bits change only by its own takes, so strip-by-strip gives each
+/// char the same position as char-by-char, with each strip's used word
+/// kept in a register.
 fn jaro_chars_with(a: &[char], b: &[char], scratch: &mut SimScratch) -> f64 {
     if a == b {
         // The full computation on identical inputs yields exactly 1.0
@@ -284,6 +347,54 @@ fn jaro_chars_with(a: &[char], b: &[char], scratch: &mut SimScratch) -> f64 {
         return 0.0;
     }
     let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+    let (matches, half_transpositions) = if a.len() <= 64 && AsciiMasks::fits(b) {
+        let ascii = &mut scratch.ascii;
+        ascii.set(b);
+        let (matched, used) = jaro_one_word(a, window, |c| ascii.get(c));
+        ascii.clear(b);
+        // a's matched chars in order against b's used positions in order.
+        SetBits(matched)
+            .zip(SetBits(used))
+            .fold((0, 0), |(m, h), (i, j)| {
+                (m + 1, h + usize::from(a[i] != b[j]))
+            })
+    } else {
+        jaro_strips(a, b, window, scratch)
+    };
+    if matches == 0 {
+        return 0.0;
+    }
+    let transpositions = half_transpositions / 2;
+    let m = matches as f64;
+    (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
+}
+
+/// The greedy scan of [`jaro_chars_with`] for `a` and `b` of at most 64
+/// chars, where `mask(c)` is `b`'s position mask of `c`: returns the
+/// bits of `a`'s chars that took a position, and the bits of the
+/// positions of `b` they took. It is the first strip of
+/// [`jaro_strips`], with no lower strip to exclude a char.
+fn jaro_one_word(a: &[char], window: usize, mask: impl Fn(char) -> u64) -> (u64, u64) {
+    // The window of a[i] is `hi & !lo`: positions below i + window + 1
+    // and not below i - window.
+    let mut hi = low_bits(window + 1);
+    let mut lo = 0u64;
+    let (mut matched, mut used) = (0u64, 0u64);
+    for (i, &c) in a.iter().enumerate() {
+        let cand = mask(c) & !used & hi & !lo;
+        let pick = cand & cand.wrapping_neg();
+        used |= pick;
+        matched |= u64::from(pick != 0) << i;
+        hi = (hi << 1) | 1;
+        lo = (lo << 1) | u64::from(i + 1 > window);
+    }
+    (matched, used)
+}
+
+/// The greedy scan of [`jaro_chars_with`] over [`CharMasks`], one
+/// 64-position strip of `b` at a time: returns the match count and the
+/// half-transposition count.
+fn jaro_strips(a: &[char], b: &[char], window: usize, scratch: &mut SimScratch) -> (usize, usize) {
     let SimScratch {
         peq, used, matched, ..
     } = scratch;
@@ -338,12 +449,7 @@ fn jaro_chars_with(a: &[char], b: &[char], scratch: &mut SimScratch) -> f64 {
             matches += 1;
         }
     }
-    if matches == 0 {
-        return 0.0;
-    }
-    let transpositions = half_transpositions / 2;
-    let m = matches as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
+    (matches, half_transpositions)
 }
 
 /// Jaro-Winkler similarity with the standard prefix scale `p = 0.1` and a
@@ -423,8 +529,13 @@ mod tests {
 
     #[test]
     fn reused_scratch_is_bitwise_invisible() {
-        // A dirty scratch (arbitrary garbage left by prior calls) must
-        // produce the exact bits a fresh scratch produces.
+        // A dirty scratch (whatever prior calls left behind) must
+        // produce the exact bits a fresh scratch produces. The pairs
+        // mix ASCII strings (the mask table), non-ASCII ones and ones
+        // longer than 64 chars (the per-char masks and strips), and run
+        // in three orders, so every kind of call follows every other.
+        let long_a = "the quick brown fox jumps over the lazy dog near the riverbank today";
+        let long_b = "a quick brown fox jumped over two lazy dogs near the river bank today";
         let pairs = [
             ("martha", "marhta"),
             ("dixon", "dicksonx"),
@@ -432,37 +543,51 @@ mod tests {
             ("", ""),
             ("kitten", "sitting"),
             ("müller", "muller"),
+            (long_a, long_b),
+            ("zebra", "abcde"),
+            ("straße", "strasse"),
+            ("jones", long_a),
+            ("ωmega", "omega"),
+            ("fedcba", "abcdef"),
+        ];
+        let chars = |s: &str| s.chars().collect::<Vec<_>>();
+        let orders: [Vec<usize>; 3] = [
+            (0..pairs.len()).collect(),
+            (0..pairs.len()).rev().collect(),
+            (0..pairs.len()).map(|i| (i * 5) % pairs.len()).collect(),
         ];
         let mut dirty = SimScratch::new();
-        // Pollute it.
-        let _ = levenshtein_chars_with(
-            &"zzzzzzzzzz".chars().collect::<Vec<_>>(),
-            &"qqq".chars().collect::<Vec<_>>(),
-            &mut dirty,
-        );
-        let _ = jaro_chars_with(
-            &"abcdef".chars().collect::<Vec<_>>(),
-            &"fedcba".chars().collect::<Vec<_>>(),
-            &mut dirty,
-        );
-        for (a, b) in pairs {
-            let ca: Vec<char> = a.chars().collect();
-            let cb: Vec<char> = b.chars().collect();
-            assert_eq!(
-                levenshtein_chars_with(&ca, &cb, &mut dirty),
-                levenshtein(a, b),
-                "{a:?} vs {b:?}"
-            );
-            assert_eq!(
-                jaro_winkler_chars_with(&ca, &cb, &mut dirty).to_bits(),
-                jaro_winkler(a, b).to_bits(),
-                "{a:?} vs {b:?}"
-            );
-            assert_eq!(
-                normalized_levenshtein_chars_with(&ca, &cb, &mut dirty).to_bits(),
-                normalized_levenshtein(a, b).to_bits(),
-                "{a:?} vs {b:?}"
-            );
+        for order in orders {
+            for i in order {
+                let (a, b) = pairs[i];
+                for (x, y) in [(a, b), (b, a)] {
+                    let (cx, cy) = (chars(x), chars(y));
+                    assert_eq!(
+                        levenshtein_chars_with(&cx, &cy, &mut dirty),
+                        levenshtein(x, y),
+                        "{x:?} vs {y:?}"
+                    );
+                    assert_eq!(
+                        jaro_chars_with(&cx, &cy, &mut dirty).to_bits(),
+                        jaro(x, y).to_bits(),
+                        "{x:?} vs {y:?}"
+                    );
+                    assert_eq!(
+                        jaro_winkler_chars_with(&cx, &cy, &mut dirty).to_bits(),
+                        jaro_winkler(x, y).to_bits(),
+                        "{x:?} vs {y:?}"
+                    );
+                    assert_eq!(
+                        normalized_levenshtein_chars_with(&cx, &cy, &mut dirty).to_bits(),
+                        normalized_levenshtein(x, y).to_bits(),
+                        "{x:?} vs {y:?}"
+                    );
+                }
+            }
         }
+        assert!(
+            dirty.ascii.0.iter().all(|&row| row == 0),
+            "the ASCII table is all-zero between calls"
+        );
     }
 }

@@ -8,7 +8,9 @@
 //! Every comparison is on `to_bits`, over generated strings that cover
 //! empty and one-char inputs, non-ASCII chars, repeated chars and
 //! tokens, and lengths on both sides of the 64-, 128- and 192-char
-//! block boundaries.
+//! block boundaries. Both kernels read an ASCII string of at most 64
+//! chars through a mask table and any other string through per-char
+//! masks; fixed length cases on either side of that line run both.
 //!
 //! The set and TF-IDF kernels (`measure_cells` for word Jaccard, 3-gram
 //! Jaccard and word cosine, and `tfidf_cosine_cells`) run on interned
@@ -293,6 +295,81 @@ fn levenshtein_around_one_word_patterns_is_the_dp_distance() {
             }
         }
     }
+}
+
+/// A string of `len` chars drawn from a five-letter alphabet, so that
+/// matches, repeats and transpositions are common, with one `Ω` at a
+/// generated position when `wide`.
+fn short_alphabet_string(g: &mut Gen, len: usize, wide: bool) -> String {
+    let mut s: Vec<char> = g.string_len("abcde", len, len).chars().collect();
+    if wide {
+        s[g.usize_in(0, len)] = 'Ω';
+    }
+    s.into_iter().collect()
+}
+
+#[test]
+fn jaro_around_one_word_lengths_is_the_flag_scan_value() {
+    // Strings of at most 64 chars whose masked argument is ASCII take
+    // the one-word scan over the ASCII table; a 65-char string or a
+    // non-ASCII masked argument takes the strip scan. Every length pair
+    // runs in ASCII and with one `Ω` in either string, in both orders.
+    const EDGES: [usize; 5] = [1, 3, 63, 64, 65];
+    cases(12, 0x0e77, |g| {
+        for la in EDGES {
+            for lb in EDGES {
+                for (wide_a, wide_b) in [(false, false), (true, false), (false, true)] {
+                    let a = short_alphabet_string(g, la, wide_a);
+                    let b = short_alphabet_string(g, lb, wide_b);
+                    for (x, y) in [(&a, &b), (&b, &a)] {
+                        assert_eq!(
+                            jaro(x, y).to_bits(),
+                            flag_scan_jaro(x, y).to_bits(),
+                            "{x:?} vs {y:?}"
+                        );
+                        assert_eq!(
+                            jaro_winkler(x, y).to_bits(),
+                            flag_scan_jaro_winkler(x, y).to_bits(),
+                            "{x:?} vs {y:?}"
+                        );
+                    }
+                }
+            }
+        }
+    });
+}
+
+#[test]
+fn levenshtein_of_an_ascii_pattern_against_a_non_ascii_text_is_the_dp_distance() {
+    // The pattern (the shorter trimmed string) is ASCII, so its masks
+    // come from the ASCII table; the text's non-ASCII chars must read
+    // as matching nothing.
+    cases(96, 0x0e78, |g| {
+        let m = *g.pick(&[1, 2, 3, 31, 63, 64]);
+        let pattern = short_alphabet_string(g, m, false);
+        let mut text: Vec<char> = pattern.chars().collect();
+        for _ in 0..g.usize_in(1, 4) {
+            let c = *g.pick(&['Ω', 'Ü', '漢']);
+            let k = g.usize_in(0, text.len() + 1);
+            if g.bool(0.5) && k < text.len() {
+                text[k] = c;
+            } else {
+                text.insert(k, c);
+            }
+        }
+        for _ in 0..g.usize_in(0, 40) {
+            text.push(*g.pick(&['a', 'e', 'Ω']));
+        }
+        let text: String = text.into_iter().collect();
+        for (x, y) in [(&pattern, &text), (&text, &pattern)] {
+            assert_eq!(levenshtein(x, y), dp_levenshtein(x, y), "{x:?} vs {y:?}");
+            assert_eq!(
+                normalized_levenshtein(x, y).to_bits(),
+                dp_normalized_levenshtein(x, y).to_bits(),
+                "{x:?} vs {y:?}"
+            );
+        }
+    });
 }
 
 /// Cells of one column side: strings, or sentences of repeated words.
