@@ -72,11 +72,18 @@ impl TokenInterner {
     /// from 2^31 up are reserved for the packed 3-gram codes of
     /// `prepared.rs`, which are never interned.
     pub fn intern(&mut self, tok: &str) -> u32 {
+        self.intern_below(tok, ID_LIMIT)
+    }
+
+    /// [`TokenInterner::intern`] with the ids bounded by `limit`: a new
+    /// token panics once the interner holds `limit` tokens. The tests
+    /// reach the bound with a small `limit`.
+    fn intern_below(&mut self, tok: &str, limit: u32) -> u32 {
         if let Some(&id) = self.lookup.get(tok) {
             return id;
         }
         assert!(
-            self.len() < ID_LIMIT as usize,
+            self.len() < limit as usize,
             "token interner full: ids from 2^31 up are packed 3-grams"
         );
         let id = self.len() as u32;
@@ -282,6 +289,18 @@ mod tests {
             assert_eq!(it.resolve(id), *t);
             assert_eq!(it.get(t), Some(id));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "token interner full")]
+    fn a_full_interner_returns_known_ids_and_refuses_a_new_token() {
+        let mut it = TokenInterner::new();
+        assert_eq!(it.intern_below("a", 2), 0);
+        assert_eq!(it.intern_below("b", 2), 1);
+        // Known tokens still resolve once the interner is full.
+        assert_eq!(it.intern_below("a", 2), 0);
+        assert_eq!(it.intern_below("b", 2), 1);
+        it.intern_below("c", 2);
     }
 
     #[test]
