@@ -230,6 +230,114 @@ fn duplicating_every_correspondence_doubles_support_and_keeps_every_verdict() {
     });
 }
 
+/// The space of `four_groups`' attribute with group `i` renamed to
+/// `labels[i]`.
+fn four_groups_named(labels: &[&str; 4]) -> GroupSpace {
+    let mut csv = "id,g\n".to_owned();
+    for (i, label) in labels.iter().enumerate() {
+        csv.push_str(&format!("a{i},{label}\n"));
+    }
+    let table = Table::from_csv(parse_csv_str(&csv).expect("valid CSV")).expect("valid table");
+    GroupSpace::extract(&[&table], vec![SensitiveAttr::categorical("g")])
+}
+
+/// `v` with bit `i` moved to bit `to[i]`.
+fn move_bits(v: GroupVector, to: &[u32; 4]) -> GroupVector {
+    GroupVector(
+        v.iter()
+            .fold(0, |bits, GroupId(i)| bits | 1 << to[i as usize]),
+    )
+}
+
+#[test]
+fn renaming_group_labels_maps_every_verdict_through_the_renaming() {
+    let space = four_groups();
+    // Group ids follow the labels' sort order, so a renaming that
+    // reorders the labels renumbers the groups too.
+    const NEW: [&str; 4] = ["delta", "alpha", "charlie", "bravo"];
+    cases(64, 0x2E4A, |g| {
+        let w = gen_workload(g);
+        // A seeded bijection from old groups to new labels, drawn until
+        // it changes the labels' sort order.
+        let (mut labels, mut renamed_space, mut to) = (NEW, four_groups(), [0, 1, 2, 3]);
+        while to == [0, 1, 2, 3] {
+            for i in (1..4).rev() {
+                labels.swap(i, g.usize_in(0, i + 1));
+            }
+            renamed_space = four_groups_named(&labels);
+            to = labels.map(|l| renamed_space.by_name(l).expect("label present").0);
+        }
+        let renamed = Workload::new(
+            w.items
+                .iter()
+                .map(|c| Correspondence {
+                    left: move_bits(c.left, &to),
+                    right: move_bits(c.right, &to),
+                    ..*c
+                })
+                .collect(),
+            w.threshold,
+        );
+        let min_support = g.usize_in(0, 40);
+        let fairness_threshold = g.unit_f64();
+        for paradigm in [Paradigm::Single, Paradigm::Pairwise] {
+            for disparity in [Disparity::Subtraction, Disparity::Division] {
+                let audit = |w: &Workload, space: &GroupSpace| {
+                    Auditor::new(AuditConfig {
+                        paradigm,
+                        measures: FairnessMeasure::ALL.to_vec(),
+                        disparity,
+                        fairness_threshold,
+                        min_support,
+                        only_unfair: false,
+                        pairwise_attr: 0,
+                    })
+                    .audit("M", w, space)
+                    .entries
+                };
+                let before = audit(&w, &space);
+                let after = audit(&renamed, &renamed_space);
+                assert_eq!(before.len(), after.len());
+                for a in &before {
+                    // The renamed cell: the same measure over the
+                    // renamed group, or the renamed unordered pair.
+                    let (g1, g2) = (
+                        to[a.group_id.0 as usize],
+                        a.group_id2.map(|h| to[h.0 as usize]),
+                    );
+                    let b = after
+                        .iter()
+                        .find(|b| {
+                            let ids = (b.group_id.0, b.group_id2.map(|h| h.0));
+                            b.measure == a.measure
+                                && match g2 {
+                                    None => ids == (g1, None),
+                                    Some(g2) => ids == (g1, Some(g2)) || ids == (g2, Some(g1)),
+                                }
+                        })
+                        .expect("every cell has a renamed cell");
+                    let cell = format!(
+                        "{paradigm} {disparity:?} {} {} -> {}",
+                        a.measure, a.group, b.group
+                    );
+                    if g2.is_none() {
+                        assert_eq!(b.group, labels[a.group_id.0 as usize], "{cell}");
+                    }
+                    assert_eq!(a.group_value.to_bits(), b.group_value.to_bits(), "{cell}");
+                    assert_eq!(
+                        a.overall_value.to_bits(),
+                        b.overall_value.to_bits(),
+                        "{cell}"
+                    );
+                    assert_eq!(a.disparity.to_bits(), b.disparity.to_bits(), "{cell}");
+                    assert_eq!(a.support, b.support, "{cell}");
+                    assert_eq!(a.unfair, b.unfair, "{cell}");
+                }
+            }
+        }
+    });
+}
+
 // --- Quarantine invariants (lenient import hygiene) ---------------------
 
 /// Random CSV table with an `id` column whose values collide and blank
