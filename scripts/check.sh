@@ -53,6 +53,23 @@ echo "== benches: the opt-in heavy benches compile =="
 # would let them rot unnoticed; compile them without running.
 cargo bench -q -p fairem-bench --features heavy --no-run
 
+echo "== benches: perfbench type-checks against this tree =="
+# perfbench (BENCHMARK.json) is a workspace of its own that depends on
+# the suite's crates by path, so no leg above compiles it, and an API
+# change that breaks it would first fail in a benchmark run. Check it
+# in a throwaway copy of the root manifest (the crates inherit their
+# package fields from it), crates/ and perfbench/: cargo rewrites the
+# copy's lock file there, never the committed perfbench/Cargo.lock.
+BENCH_COPY=.bench_build/check
+rm -rf "$BENCH_COPY"
+mkdir -p "$BENCH_COPY"
+cp Cargo.toml "$BENCH_COPY/"
+cp -r crates "$BENCH_COPY/"
+tar -cf - --exclude=./perfbench/target perfbench | tar -xf - -C "$BENCH_COPY"
+cargo check -q --offline --all-targets \
+  --manifest-path "$BENCH_COPY/perfbench/Cargo.toml" --target-dir .bench_build/target
+rm -rf "$BENCH_COPY"
+
 echo "== lints: fairem-lint v2, workspace contracts (DESIGN.md §9) =="
 # Three promises checked here: (a) the workspace is clean under the
 # full rule catalog and every seeded fixture violation still fires
