@@ -570,6 +570,7 @@ mod tests {
             .expect_err("chunk panic must surface");
         assert!(err.range.contains(&5), "{:?}", err.range);
         assert!(err.detail.contains("cursed"));
+        assert!(err.to_string().contains("panicked"), "{err}");
     }
 
     #[test]

@@ -271,5 +271,14 @@ fn a_panic_is_the_first_failing_chunk_in_chunk_order() {
             "workers={workers}"
         );
         assert!(err.detail.contains("item 57 is cursed"), "{}", err.detail);
+        // The Display text is what stage errors and re-panics print.
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "chunk {}..{} panicked: {}",
+                err.range.start, err.range.end, err.detail
+            ),
+            "workers={workers}"
+        );
     }
 }
