@@ -63,9 +63,11 @@ echo "== benches: perfbench type-checks against this tree =="
 BENCH_COPY=.bench_build/check
 rm -rf "$BENCH_COPY"
 mkdir -p "$BENCH_COPY"
-cp Cargo.toml "$BENCH_COPY/"
-cp -r crates "$BENCH_COPY/"
-tar -cf - --exclude=./perfbench/target perfbench | tar -xf - -C "$BENCH_COPY"
+# `cp -a` and tar keep the sources' mtimes, so cargo's fingerprints in
+# the kept target dir stay fresh and the check is incremental; tar
+# names members `perfbench/...`, which is what the exclude matches.
+cp -a Cargo.toml crates "$BENCH_COPY/"
+tar -cf - --exclude=perfbench/target perfbench | tar -xf - -C "$BENCH_COPY"
 cargo check -q --offline --all-targets \
   --manifest-path "$BENCH_COPY/perfbench/Cargo.toml" --target-dir .bench_build/target
 rm -rf "$BENCH_COPY"
